@@ -9,17 +9,21 @@ import (
 // TestPersistWarmStartGuardN4000 is the regression gate for the
 // durability layer: on the n=4000 Euclidean acceptance instance a warm
 // start from a snapshot (read + decode + import + first query) must beat
-// a from-scratch greedy build by at least 20x, and every loaded and
+// a from-scratch greedy build by at least 20x, a recovery that replays
+// the WAL tail may cost at most 2x that build, and every loaded and
 // recovered spanner must reproduce the original result digest exactly. A
 // decoder that starts re-deriving bound rows, an import that re-runs the
 // scan, or a replay that stops using the maintained fast path shows up
-// here as a speedup collapse. Gated behind PERSIST_GUARD=1 because the
-// n=4000 build takes a while; CI runs it as a dedicated step.
+// here as a speedup collapse; a recovery that goes back to one engine
+// replay per WAL record shows up as a recovery slower than the rebuild.
+// Gated behind PERSIST_GUARD=1 because the n=4000 build takes a while; CI
+// runs it as a dedicated step.
 func TestPersistWarmStartGuardN4000(t *testing.T) {
 	if os.Getenv("PERSIST_GUARD") != "1" {
 		t.Skip("set PERSIST_GUARD=1 to run the n=4000 warm-start guard")
 	}
 	const floor = 20.0
+	const recoverCeiling = 2.0
 	_, report, err := PersistBench(context.Background(), Full, 42, 3, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -40,5 +44,9 @@ func TestPersistWarmStartGuardN4000(t *testing.T) {
 		guard.BuildMedianMS, guard.SaveMedianMS, guard.LoadMedianMS, guard.WarmStartSpeedup, guard.RecoverMedianMS)
 	if guard.WarmStartSpeedup < floor {
 		t.Errorf("warm-start speedup %.2fx below the %.0fx regression floor", guard.WarmStartSpeedup, floor)
+	}
+	if guard.RecoverMedianMS > recoverCeiling*guard.BuildMedianMS {
+		t.Errorf("recovery %.1f ms is %.2fx the %.1f ms rebuild, above the %.0fx ceiling",
+			guard.RecoverMedianMS, guard.RecoverMedianMS/guard.BuildMedianMS, guard.BuildMedianMS, recoverCeiling)
 	}
 }

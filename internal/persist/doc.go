@@ -32,6 +32,18 @@
 // as an error wrapping core.ErrCorruptState. Unknown format versions
 // surface as ErrUnsupportedVersion.
 //
+// Recovery costs the import plus at most one engine replay, however long
+// the log. Each greedy decision depends only on the edges accepted before
+// it, so the maintained result is the same under every replay policy:
+// Open applies every record under a coalescing policy, which does only
+// the eager bookkeeping (mirror, scan cut, weight histogram, tombstones),
+// treats logged flushes as no-ops and logged policy changes as the policy
+// to end with, and then restores that policy, which flushes — if it
+// would have — in one replay from the earliest scan position any record
+// disturbed. A failure of that flush (cancellation, a captured engine
+// panic, a corrupted guarded row) is returned wrapping the engine's own
+// typed error.
+//
 // # Crash injection
 //
 // Every IO point — each stage of a WAL append, each stage of an atomic

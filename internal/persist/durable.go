@@ -264,12 +264,17 @@ func (d *Durable) openWal() error {
 }
 
 // Open recovers a Durable from dir: the newest digest-valid snapshot is
-// imported and its bound WAL replayed record by record, truncating the
-// log at the first torn or digest-failing record. A directory with no
-// snapshot returns ErrNoState; a snapshot none of whose generations
-// verify, a WAL bound to the wrong snapshot, or a digest-valid but
-// structurally invalid record return errors wrapping core.ErrCorruptState;
-// foreign format versions return ErrUnsupportedVersion. Like Create,
+// imported and its bound WAL replayed, truncating the log at the first
+// torn or digest-failing record. Every record does its bookkeeping under
+// a coalescing policy and the logged policy is restored at the end, so
+// the whole tail costs at most one engine replay (see the package
+// documentation). A directory with no snapshot returns ErrNoState; a
+// snapshot none of whose generations verify, a WAL bound to the wrong
+// snapshot, or a digest-valid but structurally invalid record return
+// errors wrapping core.ErrCorruptState; a failed final replay returns an
+// error wrapping the engine's typed cause (core.ErrCancelled,
+// core.ErrEnginePanic, core.ErrCorruptState); foreign format versions
+// return ErrUnsupportedVersion. Like Create,
 // Open holds dir under an exclusive lock file until Close; a dir held by
 // a live process returns ErrLocked, while a stale lock left by a crashed
 // holder is broken and recovery proceeds.
@@ -357,6 +362,14 @@ func Open(dir string, o Options) (*Durable, error) {
 			return nil, corruptf("wal %s bound to generation %d snapshot %016x, state is generation %d snapshot %016x",
 				walName(d.gen), gen, bound, d.gen, d.snapDigest)
 		}
+		// The result is the same under every replay policy (see
+		// "Recovery" in the package documentation): the records do only
+		// their eager bookkeeping under a coalescing policy, and restoring
+		// the logged policy at the end flushes the whole tail in one replay.
+		policy := d.inc.Policy()
+		if err := d.inc.SetPolicy(core.IncrementalPolicy{CoalesceUntilQuery: true}); err != nil {
+			return nil, err
+		}
 		for i, payload := range records {
 			if err := d.fire("replay:op", nil); err != nil {
 				return nil, err
@@ -365,11 +378,21 @@ func Open(dir string, o Options) (*Durable, error) {
 			if derr != nil {
 				return nil, derr
 			}
-			//spannerlint:ignore fsyncrename replay applies records already durable in the WAL; log-before-apply was satisfied by the original append
-			if err := d.applyOp(op); err != nil {
-				return nil, corruptf("wal record %d replay failed: %v", i, err)
+			switch op.kind {
+			case walPolicy:
+				policy = op.policy
+			case walFlush:
+				// Flush timing is output-invariant; the final flush covers it.
+			default:
+				//spannerlint:ignore fsyncrename replay applies records already durable in the WAL; log-before-apply was satisfied by the original append
+				if err := d.applyOp(op); err != nil {
+					return nil, corruptf("wal record %d replay failed: %v", i, err)
+				}
 			}
 			d.opSeq++
+		}
+		if err := d.inc.SetPolicy(policy); err != nil {
+			return nil, fmt.Errorf("persist: replay of %d wal records failed: %w", len(records), err)
 		}
 		if validLen < int64(len(walData)) {
 			if err := d.fire("replay:truncate", nil); err != nil {

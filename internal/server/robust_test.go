@@ -114,6 +114,10 @@ func TestServeCancelStormNoLeak(t *testing.T) {
 			cfg.MaxInflight = 4
 			cfg.QueueDepth = 4
 		})
+		// Close before settling: the test server's accept loop is not a
+		// request goroutine, and t.Cleanup would only stop it after the
+		// settle below had already counted it as a leak.
+		defer ts.Close()
 		var wg sync.WaitGroup
 		for i := 0; i < 60; i++ {
 			wg.Add(1)

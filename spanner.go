@@ -372,8 +372,10 @@ func Load(path string, workers int) (*Incremental, error) {
 // the log, and fsynced before it is applied, so after a crash at any
 // instant OpenDurable recovers a state bit-identical to the uninterrupted
 // run: the newest decodable snapshot is imported and the log tail is
-// replayed through the same application path the live operations used.
-// Checkpoint rotates in a fresh snapshot and truncates the log.
+// replayed through the same application path the live operations used,
+// coalesced into at most one engine replay from the earliest scan
+// position any logged operation disturbed. Checkpoint rotates in a fresh
+// snapshot and truncates the log.
 type Durable = persist.Durable
 
 // DurableOptions re-exports the durable spanner's configuration: engine
@@ -385,7 +387,11 @@ type DurableOptions = persist.Options
 // OpenDurable opens the durable spanner persisted in dir, recovering
 // from whatever state a crash left behind: the newest valid snapshot is
 // loaded and the write-ahead-log tail replayed, with any torn trailing
-// record truncated at the exact corruption point. If the directory holds
+// record truncated at the exact corruption point. Recovery costs the
+// snapshot import plus at most one engine replay, however many
+// operations the log holds; a failure of that replay is returned
+// wrapping its typed cause (ErrCancelled, ErrEnginePanic,
+// ErrCorruptState). If the directory holds
 // no usable state (fresh directory, or a crash before the first snapshot
 // completed) and build is non-nil, the spanner is built from scratch via
 // build and persisted; with build nil the ErrNoState is surfaced.
