@@ -150,8 +150,8 @@ func run(ctx context.Context, args []string, out *os.File) error {
 		}
 		var res *core.Result
 		var inc *core.IncrementalSpanner
-		var stats core.ParallelStats
-		popts := core.ParallelOptions{
+		var stats core.Stats
+		popts := core.Options{
 			Workers: *workers, Hubs: resolveHubs(*hubs, g.N()),
 			Ctx: ctx, Budget: budget, Stats: &stats,
 		}
@@ -201,8 +201,8 @@ func run(ctx context.Context, args []string, out *os.File) error {
 		case "greedy":
 			var res *core.Result
 			var inc *core.IncrementalSpanner
-			var stats core.MetricParallelStats
-			mopts := core.MetricParallelOptions{
+			var stats core.Stats
+			mopts := core.Options{
 				Workers: *workers, Hubs: resolveHubs(*hubs, m.N()),
 				Ctx: ctx, Budget: budget, Stats: &stats,
 			}
@@ -268,7 +268,7 @@ func resolveHubs(hubs, n int) int {
 // incrementalPoints builds the spanner of all but the last k points and
 // inserts those through the maintained incremental spanner — the output is
 // identical to a from-scratch build on the full point set.
-func incrementalPoints(pts [][]float64, t float64, opts core.MetricParallelOptions, k int) (*core.IncrementalSpanner, error) {
+func incrementalPoints(pts [][]float64, t float64, opts core.Options, k int) (*core.IncrementalSpanner, error) {
 	if k >= len(pts) {
 		return nil, fmt.Errorf("-insert %d holds out every one of the %d points", k, len(pts))
 	}
@@ -293,7 +293,7 @@ func incrementalPoints(pts [][]float64, t float64, opts core.MetricParallelOptio
 // decrementalPoints builds the spanner of the full point set and then
 // removes the last k points through the maintained dynamic spanner — the
 // output is identical to a from-scratch build on the surviving points.
-func decrementalPoints(pts [][]float64, t float64, opts core.MetricParallelOptions, k int) (*core.IncrementalSpanner, error) {
+func decrementalPoints(pts [][]float64, t float64, opts core.Options, k int) (*core.IncrementalSpanner, error) {
 	if k >= len(pts) {
 		return nil, fmt.Errorf("-delete %d removes every one of the %d points", k, len(pts))
 	}
@@ -317,7 +317,7 @@ func decrementalPoints(pts [][]float64, t float64, opts core.MetricParallelOptio
 
 // decrementalGraph builds the spanner of the full graph and then removes
 // its last k edges (input order) through the maintained dynamic spanner.
-func decrementalGraph(g *graph.Graph, t float64, opts core.ParallelOptions, k int) (*core.IncrementalSpanner, error) {
+func decrementalGraph(g *graph.Graph, t float64, opts core.Options, k int) (*core.IncrementalSpanner, error) {
 	edges := g.Edges()
 	if k >= len(edges) {
 		return nil, fmt.Errorf("-delete %d removes every one of the %d edges", k, len(edges))
@@ -334,7 +334,7 @@ func decrementalGraph(g *graph.Graph, t float64, opts core.ParallelOptions, k in
 
 // incrementalGraph builds the spanner of g minus its last k edges (input
 // order) and inserts those through the maintained incremental spanner.
-func incrementalGraph(g *graph.Graph, t float64, opts core.ParallelOptions, k int) (*core.IncrementalSpanner, error) {
+func incrementalGraph(g *graph.Graph, t float64, opts core.Options, k int) (*core.IncrementalSpanner, error) {
 	edges := g.Edges()
 	if k >= len(edges) {
 		return nil, fmt.Errorf("-insert %d holds out every one of the %d edges", k, len(edges))
@@ -375,8 +375,8 @@ func printSnapshot(out *os.File, path string, workers int) error {
 		return err
 	}
 	inc, err := core.ImportIncremental(st,
-		core.MetricParallelOptions{Workers: workers},
-		core.ParallelOptions{Workers: workers})
+		core.Options{Workers: workers},
+		core.Options{Workers: workers})
 	if err != nil {
 		return err
 	}

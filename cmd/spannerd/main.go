@@ -93,7 +93,7 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr stri
 		return errors.New("-dir is required")
 	}
 
-	o := persist.Options{Metric: core.MetricParallelOptions{Workers: *workers}}
+	o := persist.Options{Metric: core.Options{Workers: *workers}}
 	d, err := persist.Open(*dir, o)
 	if errors.Is(err, persist.ErrNoState) && *n > 0 {
 		d, err = seedDurable(*dir, *n, *dim, *t, *seed, o)

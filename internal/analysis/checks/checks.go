@@ -93,13 +93,48 @@ func calledIdent(info *types.Info, call *ast.CallExpr) types.Object {
 	return info.Uses[id]
 }
 
-// namedTypeName returns the (pointer-stripped) named type's name, or "".
+// calledMethod returns the method a selector call invokes — for a call
+// through an interface, the interface's abstract method — or nil.
+func calledMethod(info *types.Info, call *ast.CallExpr) *types.Func {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return nil
+	}
+	s := info.Selections[sel]
+	if s == nil || s.Kind() != types.MethodVal {
+		return nil
+	}
+	f, _ := s.Obj().(*types.Func)
+	return f
+}
+
+// implementsMethod reports whether impl is a concrete method that can
+// run for a call of m: m itself, or — when m is an interface method — a
+// method of the same name whose receiver type implements m's interface.
+func implementsMethod(impl, m *types.Func) bool {
+	if impl == m {
+		return true
+	}
+	if impl.Name() != m.Name() {
+		return false
+	}
+	recv, irecv := m.Type().(*types.Signature).Recv(), impl.Type().(*types.Signature).Recv()
+	if recv == nil || irecv == nil {
+		return false
+	}
+	iface, ok := recv.Type().Underlying().(*types.Interface)
+	return ok && (types.Implements(irecv.Type(), iface) || types.Implements(types.NewPointer(irecv.Type()), iface))
+}
+
+// namedTypeName returns the (pointer-stripped, alias-resolved) named
+// type's name, or "".
 func namedTypeName(t types.Type) string {
 	if t == nil {
 		return ""
 	}
+	t = types.Unalias(t)
 	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
+		t = types.Unalias(p.Elem())
 	}
 	if n, ok := t.(*types.Named); ok {
 		return n.Obj().Name()

@@ -19,8 +19,9 @@ import (
 //
 // Concretely, in any function that participates in cancellation (it
 // mentions an env or ctx), an assignment from a bounded-search call
-// (Searcher query methods, or local helpers that wrap one and return a
-// non-error result) must be followed — before any statement uses the
+// (Searcher query methods, or local helpers — functions, closures, or
+// methods, called directly or through an interface — that wrap one and
+// return a non-error result) must be followed — before any statement uses the
 // result — by a statement containing a cancellation check (a call to
 // cancelled, Err, or active). The analyzer also requires every exported
 // engine entry point (Greedy*, FaultTolerant*) to thread a context,
@@ -89,8 +90,8 @@ func runCtxcommit(pass *framework.Pass) error {
 	return nil
 }
 
-// collectSearchLike finds package functions and closures that wrap a
-// bounded search: their body calls a Searcher query method and they
+// collectSearchLike finds package functions, methods, and closures that
+// wrap a bounded search: their body calls a Searcher query method and they
 // return at least one non-error value. Their call sites are then held to
 // the same check-before-commit rule as direct query calls, so hiding a
 // search behind one level of helper does not evade the analyzer.
@@ -207,13 +208,7 @@ func searchAssignment(info *types.Info, stmt ast.Stmt, searchLike map[types.Obje
 	if !ok {
 		return nil, nil
 	}
-	isSearch := valueQueryMethods[calledMethodName(call)]
-	if !isSearch {
-		if obj := calledIdent(info, call); obj != nil && searchLike[obj] {
-			isSearch = true
-		}
-	}
-	if !isSearch {
+	if !valueQueryMethods[calledMethodName(call)] && !searchLikeCall(info, call, searchLike) {
 		return nil, nil
 	}
 	results := make(map[types.Object]bool)
@@ -232,6 +227,28 @@ func searchAssignment(info *types.Info, stmt ast.Stmt, searchLike map[types.Obje
 		results[obj] = true
 	}
 	return call, results
+}
+
+// searchLikeCall reports whether call invokes a search-like helper: a
+// function or closure through a plain identifier, a concrete method that
+// is itself search-like, or an interface method with a search-like
+// in-package implementation — so moving a search behind a method, or
+// behind a per-mode interface, does not evade the rule.
+func searchLikeCall(info *types.Info, call *ast.CallExpr, searchLike map[types.Object]bool) bool {
+	if obj := calledIdent(info, call); obj != nil {
+		return searchLike[obj]
+	}
+	m := calledMethod(info, call)
+	if m == nil {
+		return false
+	}
+	// Any match decides, so the map's iteration order cannot matter.
+	for obj := range searchLike {
+		if impl, ok := obj.(*types.Func); ok && implementsMethod(impl, m) {
+			return true
+		}
+	}
+	return false
 }
 
 // checkEntryPoint enforces context threading on exported engine entry

@@ -22,9 +22,13 @@ import (
 // access path is itself captured (an owner-indexed write uses only the
 // literal's own parameters and locals as indices); (c) method calls on
 // captured values of the engine's shared snapshot types, unless the
-// method is in the read-only allowlist. Writes that are genuinely safe
-// (e.g. a fold row owned by exactly one worker) carry a
-// //spannerlint:ignore frozensnap <reason> annotation.
+// method is in the read-only allowlist. The same rules apply one call
+// level down, to the in-package functions and methods a worker literal
+// calls — for a call through an interface, every in-package
+// implementation — where the receiver and package state are the shared
+// side and the callee's parameters and locals are the worker's own.
+// Writes that are genuinely safe (e.g. a fold row owned by exactly one
+// worker) carry a //spannerlint:ignore frozensnap <reason> annotation.
 var Frozensnap = &framework.Analyzer{
 	Name:  "frozensnap",
 	Doc:   "worker closures in batch certification must not write captured snapshot state",
@@ -35,14 +39,13 @@ var Frozensnap = &framework.Analyzer{
 // frozenTypes are the named types that constitute shared snapshot state
 // during certification.
 var frozenTypes = map[string]bool{
-	"Graph":               true,
-	"Result":              true,
-	"HubOracle":           true,
-	"boundStore":          true,
-	"IncrementalSpanner":  true,
-	"ParallelStats":       true,
-	"MetricParallelStats": true,
-	"FaultTolerantStats":  true,
+	"Graph":              true,
+	"Result":             true,
+	"HubOracle":          true,
+	"boundStore":         true,
+	"IncrementalSpanner": true,
+	"Stats":              true,
+	"FaultTolerantStats": true,
 }
 
 // frozenReadOnly are methods on frozen types that only observe state.
@@ -58,6 +61,15 @@ var frozenReadOnly = map[string]bool{
 
 func runFrozensnap(pass *framework.Pass) error {
 	info := pass.Unit.Info
+	var decls []*ast.FuncDecl
+	for _, f := range pass.Unit.Files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+				decls = append(decls, fd)
+			}
+		}
+	}
+	followed := make(map[*ast.FuncDecl]bool)
 	for _, f := range pass.Unit.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			gs, ok := n.(*ast.GoStmt)
@@ -68,7 +80,19 @@ func runFrozensnap(pass *framework.Pass) error {
 			if !ok {
 				return true
 			}
-			checkWorker(pass, info, lit)
+			checkWorker(pass, info, "worker closure", lit.Body, func(obj types.Object) bool {
+				return lit.Pos() <= obj.Pos() && obj.Pos() <= lit.End()
+			})
+			for _, fd := range callees(info, lit.Body, decls) {
+				if followed[fd] {
+					continue
+				}
+				followed[fd] = true
+				params := fd.Type.Params.Pos() // after the receiver, which is shared
+				checkWorker(pass, info, "worker callee "+fd.Name.Name, fd.Body, func(obj types.Object) bool {
+					return params <= obj.Pos() && obj.Pos() <= fd.End()
+				})
+			}
 			// Nested go statements inside the literal are visited again by
 			// the outer Inspect; their own literals get their own pass.
 			return true
@@ -77,13 +101,45 @@ func runFrozensnap(pass *framework.Pass) error {
 	return nil
 }
 
-// checkWorker walks one worker literal. Locality is positional: an
-// object declared anywhere inside the literal (parameters included) is
-// the worker's own; everything else is captured.
-func checkWorker(pass *framework.Pass, info *types.Info, lit *ast.FuncLit) {
-	local := func(obj types.Object) bool {
-		return obj != nil && lit.Pos() <= obj.Pos() && obj.Pos() <= lit.End()
+// callees lists, in declaration order, the in-package declarations a
+// worker body calls directly: functions named by a plain identifier,
+// concrete methods, and every implementation of an interface method.
+func callees(info *types.Info, body *ast.BlockStmt, decls []*ast.FuncDecl) []*ast.FuncDecl {
+	var called []*types.Func
+	ast.Inspect(body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		if f, ok := calledIdent(info, call).(*types.Func); ok {
+			called = append(called, f)
+		} else if m := calledMethod(info, call); m != nil {
+			called = append(called, m)
+		}
+		return true
+	})
+	var out []*ast.FuncDecl
+	for _, fd := range decls {
+		fn, ok := info.Defs[fd.Name].(*types.Func)
+		if !ok {
+			continue
+		}
+		for _, c := range called {
+			if implementsMethod(fn, c) {
+				out = append(out, fd)
+				break
+			}
+		}
 	}
+	return out
+}
+
+// checkWorker walks one worker body: a go literal's, or that of a
+// function a worker literal calls. Locality is positional: local reports
+// whether an object is declared in the worker's own scope (parameters
+// included), which makes it the worker's own; everything else is
+// captured.
+func checkWorker(pass *framework.Pass, info *types.Info, subject string, body *ast.BlockStmt, local func(types.Object) bool) {
 	capturedVar := func(id *ast.Ident) types.Object {
 		obj := info.Uses[id]
 		if obj == nil {
@@ -96,32 +152,40 @@ func checkWorker(pass *framework.Pass, info *types.Info, lit *ast.FuncLit) {
 	}
 
 	flagWrite := func(pos token.Pos, lhs ast.Expr) {
+		var obj types.Object
 		root := rootIdent(lhs)
-		if root == nil {
-			return
+		if root != nil {
+			obj = capturedVar(root)
 		}
-		obj := capturedVar(root)
 		if obj == nil {
+			// A field of a frozen type reached through a pointer is shared
+			// state whatever the path's root is, so a local alias of a
+			// captured pointer cannot launder the write.
+			if sel, ok := lhs.(*ast.SelectorExpr); ok {
+				if p, ok := types.Unalias(info.TypeOf(sel.X)).(*types.Pointer); ok && frozenTypes[namedTypeName(p)] {
+					pass.Reportf(pos, "%s writes field %s of frozen %s: snapshot state is frozen during certification", subject, sel.Sel.Name, namedTypeName(p))
+				}
+			}
 			return
 		}
 		switch lhs := lhs.(type) {
 		case *ast.Ident:
-			pass.Reportf(pos, "worker closure writes captured variable %s: workers must only write owner-indexed slots", root.Name)
+			pass.Reportf(pos, "%s writes captured variable %s: workers must only write owner-indexed slots", subject, root.Name)
 		case *ast.SelectorExpr:
-			pass.Reportf(pos, "worker closure writes field %s of captured %s: snapshot state is frozen during certification", lhs.Sel.Name, root.Name)
+			pass.Reportf(pos, "%s writes field %s of captured %s: snapshot state is frozen during certification", subject, lhs.Sel.Name, root.Name)
 		case *ast.StarExpr:
-			pass.Reportf(pos, "worker closure writes through captured pointer %s: snapshot state is frozen during certification", root.Name)
+			pass.Reportf(pos, "%s writes through captured pointer %s: snapshot state is frozen during certification", subject, root.Name)
 		default:
 			// Indexed write: owner-indexed (all indices local) is the
 			// sanctioned communication channel; a captured index means two
 			// workers can collide on the same slot.
 			if !allIndicesLocal(info, lhs, local) {
-				pass.Reportf(pos, "worker closure writes %s through a non-owner index: workers may only write slots indexed by their own parameters and locals", exprString(lhs))
+				pass.Reportf(pos, "%s writes %s through a non-owner index: workers may only write slots indexed by their own parameters and locals", subject, exprString(lhs))
 			}
 		}
 	}
 
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
+	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
@@ -139,12 +203,17 @@ func checkWorker(pass *framework.Pass, info *types.Info, lit *ast.FuncLit) {
 				return true
 			}
 			obj := capturedVar(root)
-			if obj == nil {
+			if obj == nil || frozenReadOnly[sel.Sel.Name] {
 				return true
 			}
-			tname := namedTypeName(obj.Type())
-			if frozenTypes[tname] && !frozenReadOnly[sel.Sel.Name] {
-				pass.Reportf(n.Pos(), "worker closure calls %s.%s on captured %s state: certification snapshots are frozen; only read-only methods are allowed", root.Name, sel.Sel.Name, tname)
+			// The method's own receiver type decides, so a frozen value
+			// reached through a field of a non-frozen root is caught too.
+			tname := namedTypeName(info.TypeOf(sel.X))
+			if !frozenTypes[tname] {
+				tname = namedTypeName(obj.Type())
+			}
+			if frozenTypes[tname] {
+				pass.Reportf(n.Pos(), "%s calls %s on captured %s state: certification snapshots are frozen; only read-only methods are allowed", subject, exprString(sel), tname)
 			}
 		}
 		return true

@@ -31,6 +31,58 @@ func badViaHelper(ctx context.Context, s searcher, out []bool) {
 	out[0] = ok
 }
 
+// certifier mimics the scan driver's per-mode certification interface.
+type certifier interface {
+	exact(u, v int) (bool, error)
+	weight(u, v int) (float64, error)
+}
+
+// bidirCert is the in-package implementation whose exact wraps a bounded
+// search, which makes every call through certifier.exact search-like.
+type bidirCert struct{ s searcher }
+
+func (c *bidirCert) exact(u, v int) (bool, error) {
+	_, ok := c.s.BidirDistanceWithin(u, v, 2)
+	return ok, nil
+}
+
+// weight runs no search, so certifier.weight calls stay unchecked.
+func (c *bidirCert) weight(u, v int) (float64, error) { return float64(u + v), nil }
+
+// badViaMethod hides the search behind a concrete method.
+func badViaMethod(ctx context.Context, c *bidirCert, out []bool) {
+	_ = ctx
+	ok, _ := c.exact(1, 2) // want "bounded-search result committed without a cancellation check"
+	out[0] = ok
+}
+
+// badViaInterface hides it behind an interface method whose in-package
+// implementation searches.
+func badViaInterface(ctx context.Context, c certifier, out []bool) error {
+	ok, err := c.exact(1, 2) // want "bounded-search result committed without a cancellation check"
+	if err != nil {
+		return err
+	}
+	out[0] = ok
+	return ctx.Err()
+}
+
+// goodViaInterface consults ctx.Err between the interface call and the
+// commit; the non-search method needs no check.
+func goodViaInterface(ctx context.Context, c certifier, out []bool, w []float64) error {
+	ok, err := c.exact(1, 2)
+	if err != nil {
+		return err
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	out[0] = ok
+	d, _ := c.weight(1, 2)
+	w[0] = d
+	return nil
+}
+
 // goodChecked consults ctx.Err between the search and the commit.
 func goodChecked(ctx context.Context, s searcher, out []bool) error {
 	_, within := s.BidirDistanceWithin(1, 2, 3)

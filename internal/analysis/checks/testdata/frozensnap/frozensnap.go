@@ -89,3 +89,62 @@ func localState(n int) {
 		<-done
 	}
 }
+
+// Stats mimics the engines' one stats struct; ParallelStats is an alias
+// name, which the frozen-type check resolves before matching.
+type Stats struct{ Kept int }
+
+type ParallelStats = Stats
+
+func (s *Stats) reset() { *s = Stats{} } // want "worker callee reset writes through captured pointer s"
+
+// certifier mimics the scan driver's per-mode certification interface:
+// its snapshot is what a worker runs.
+type certifier interface{ snapshot(w int) }
+
+// rowCert is the in-package implementation a worker reaches through
+// certifier: its receiver is shared state, its parameters the worker's.
+type rowCert struct {
+	bound *boundStore
+	stats *Stats
+	out   []int
+	last  int
+}
+
+func (c *rowCert) snapshot(w int) {
+	c.out[w] = w       // owner-indexed: allowed
+	c.last = w         // want "worker callee snapshot writes field last of captured c"
+	c.bound.foldRow(w) // want "worker callee snapshot calls c.bound.foldRow on captured boundStore state"
+	if c.bound.countRows() > 0 {
+		c.out[w]++
+	}
+	st := c.stats // a local alias of shared stats
+	st.Kept = w   // want "worker callee snapshot writes field Kept of frozen Stats"
+}
+
+// bump is a plain function a worker calls; writing its own parameter's
+// slot is allowed, writing package state is not.
+func bump(out []int, w int) {
+	out[w]++
+	tally++ // want "worker callee bump writes captured variable tally"
+}
+
+var tally int
+
+// drive spawns workers that call one level down: through the interface,
+// through a plain function, and on an aliased frozen type.
+func drive(c certifier, st *ParallelStats, n int) {
+	out := make([]int, n)
+	done := make(chan struct{}, n)
+	for w := 0; w < n; w++ {
+		go func(w int) {
+			c.snapshot(w)
+			bump(out, w)
+			st.reset() // want "worker closure calls st.reset on captured Stats state"
+			done <- struct{}{}
+		}(w)
+	}
+	for w := 0; w < n; w++ {
+		<-done
+	}
+}

@@ -154,9 +154,9 @@ func A4ParallelBatchWidth(scale Scale, seed int64) (*Table, error) {
 		if batch == 0 {
 			name = "adaptive"
 		}
-		var stats core.ParallelStats
+		var stats core.Stats
 		start := time.Now()
-		res, err := core.GreedyGraphParallelOpts(g, 3, core.ParallelOptions{
+		res, err := core.GreedyGraphParallelOpts(g, 3, core.Options{
 			Workers: 4, BatchSize: batch, Stats: &stats,
 		})
 		if err != nil {
@@ -208,9 +208,9 @@ func A5MetricBatchWidth(scale Scale, seed int64) (*Table, error) {
 			if batch == 0 {
 				name = "adaptive"
 			}
-			var stats core.MetricParallelStats
+			var stats core.Stats
 			start := time.Now()
-			_, err := core.GreedyMetricFastParallelOpts(inst.m, inst.t, core.MetricParallelOptions{
+			_, err := core.GreedyMetricFastParallelOpts(inst.m, inst.t, core.Options{
 				Workers: 4, BatchSize: batch, Stats: &stats,
 			})
 			if err != nil {

@@ -34,9 +34,9 @@ func TestAllocRegressionGuardMetricN4000(t *testing.T) {
 	const n = 4000
 	rng := rand.New(rand.NewSource(42))
 	m := metric.MustEuclidean(gen.UniformPoints(rng, n, 2))
-	var stats core.MetricParallelStats
+	var stats core.Stats
 	peak, total, err := measureAlloc(func() error {
-		res, err := core.GreedyMetricFastParallelOpts(m, 1.5, core.MetricParallelOptions{Workers: 1, Stats: &stats})
+		res, err := core.GreedyMetricFastParallelOpts(m, 1.5, core.Options{Workers: 1, Stats: &stats})
 		if err == nil && res.EdgesExamined != n*(n-1)/2 {
 			t.Errorf("examined %d of %d pairs", res.EdgesExamined, n*(n-1)/2)
 		}
@@ -71,10 +71,10 @@ func TestStreamedBuildCompletesN20000(t *testing.T) {
 	const n = 20000
 	rng := rand.New(rand.NewSource(42))
 	m := metric.MustEuclidean(gen.UniformPoints(rng, n, 2))
-	var stats core.MetricParallelStats
+	var stats core.Stats
 	start := time.Now()
 	peak, total, err := measureAlloc(func() error {
-		res, err := core.GreedyMetricFastParallelOpts(m, 1.5, core.MetricParallelOptions{Workers: 1, Stats: &stats})
+		res, err := core.GreedyMetricFastParallelOpts(m, 1.5, core.Options{Workers: 1, Stats: &stats})
 		if err == nil {
 			if res.EdgesExamined != n*(n-1)/2 {
 				t.Errorf("examined %d of %d pairs", res.EdgesExamined, n*(n-1)/2)

@@ -44,7 +44,7 @@ func BenchmarkGreedyMetricMaterialized(b *testing.B) {
 	m := benchMetric(b, 220)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		opts := core.MetricParallelOptions{Workers: 1, Materialize: true}
+		opts := core.Options{Workers: 1, Materialize: true}
 		if _, err := core.GreedyMetricFastParallelOpts(m, 1.5, opts); err != nil {
 			b.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func BenchmarkIncrementalInsert(b *testing.B) {
 	union := metric.MustEuclidean(pts)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		inc, err := core.NewIncrementalMetric(base, 1.5, core.MetricParallelOptions{Workers: 1})
+		inc, err := core.NewIncrementalMetric(base, 1.5, core.Options{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func BenchmarkGreedyGraphStreamed(b *testing.B) {
 
 func BenchmarkGreedyMetricHubs(b *testing.B) {
 	m := benchMetric(b, 220)
-	opts := core.MetricParallelOptions{Workers: 1, Hubs: core.DefaultHubs(220)}
+	opts := core.Options{Workers: 1, Hubs: core.DefaultHubs(220)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.GreedyMetricFastParallelOpts(m, 1.5, opts); err != nil {
@@ -113,7 +113,7 @@ func BenchmarkGreedyMetricHubs(b *testing.B) {
 func BenchmarkGreedyGraphHubs(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
 	g := gen.ErdosRenyi(rng, 300, 0.15, 0.5, 10)
-	opts := core.ParallelOptions{Workers: 1, Hubs: core.DefaultHubs(300)}
+	opts := core.Options{Workers: 1, Hubs: core.DefaultHubs(300)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.GreedyGraphParallelOpts(g, 3, opts); err != nil {
@@ -128,7 +128,7 @@ func BenchmarkIncrementalInsertCoalesced(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		inc, err := core.NewIncrementalMetric(metric.MustEuclidean(pts[:200]), 1.5,
-			core.MetricParallelOptions{Workers: 1, Hubs: 16})
+			core.Options{Workers: 1, Hubs: 16})
 		if err != nil {
 			b.Fatal(err)
 		}

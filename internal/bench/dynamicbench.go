@@ -153,7 +153,7 @@ func DynamicBench(ctx context.Context, scale Scale, seed int64, reps, workers in
 			MixedOpBatch: inst.mixBatch,
 			Identical:    true,
 		}
-		opts := core.MetricParallelOptions{Workers: workers, Ctx: ctx}
+		opts := core.Options{Workers: workers, Ctx: ctx}
 
 		// Rebuild-per-op baseline: one full build at n.
 		var ref *core.Result

@@ -184,7 +184,7 @@ func GreedyBench(ctx context.Context, scale Scale, seed int64, reps int) (*Table
 			identical := true
 			for r := 0; r < reps; r++ {
 				start := time.Now()
-				res, err := core.GreedyGraphParallelOpts(g, inst.t, core.ParallelOptions{Workers: w, Ctx: ctx})
+				res, err := core.GreedyGraphParallelOpts(g, inst.t, core.Options{Workers: w, Ctx: ctx})
 				if err != nil {
 					return nil, nil, err
 				}
@@ -195,7 +195,7 @@ func GreedyBench(ctx context.Context, scale Scale, seed int64, reps int) (*Table
 			run.SpreadPct = spreadPct(run.MS)
 			run.Speedup = c.SequentialMedianMS / run.MedianMS
 			peak, totalAlloc, err := measureAlloc(func() error {
-				_, err := core.GreedyGraphParallelOpts(g, inst.t, core.ParallelOptions{Workers: w, Ctx: ctx})
+				_, err := core.GreedyGraphParallelOpts(g, inst.t, core.Options{Workers: w, Ctx: ctx})
 				return err
 			})
 			if err != nil {

@@ -157,7 +157,7 @@ func GreedyMetricBench(ctx context.Context, scale Scale, seed int64, reps, worke
 			identical := true
 			for r := 0; r < reps; r++ {
 				start := time.Now()
-				res, err := core.GreedyMetricFastParallelOpts(inst.m, inst.t, core.MetricParallelOptions{Workers: w, Ctx: ctx})
+				res, err := core.GreedyMetricFastParallelOpts(inst.m, inst.t, core.Options{Workers: w, Ctx: ctx})
 				if err != nil {
 					return nil, nil, err
 				}
@@ -168,7 +168,7 @@ func GreedyMetricBench(ctx context.Context, scale Scale, seed int64, reps, worke
 			run.SpreadPct = spreadPct(run.MS)
 			run.Speedup = c.SequentialMedianMS / run.MedianMS
 			peak, totalAlloc, err := measureAlloc(func() error {
-				_, err := core.GreedyMetricFastParallelOpts(inst.m, inst.t, core.MetricParallelOptions{Workers: w, Ctx: ctx})
+				_, err := core.GreedyMetricFastParallelOpts(inst.m, inst.t, core.Options{Workers: w, Ctx: ctx})
 				return err
 			})
 			if err != nil {

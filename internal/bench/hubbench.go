@@ -134,8 +134,8 @@ func HubBench(ctx context.Context, scale Scale, seed int64, reps, workers, hubs 
 		var base *core.Result
 		for _, kk := range []int{0, k} {
 			run := HubBenchRun{Hubs: kk, Identical: true}
-			var stats core.ParallelStats
-			opts := core.ParallelOptions{Workers: workers, Hubs: kk, Stats: &stats, Ctx: ctx}
+			var stats core.Stats
+			opts := core.Options{Workers: workers, Hubs: kk, Stats: &stats, Ctx: ctx}
 			var last *core.Result
 			for r := 0; r < reps; r++ {
 				start := time.Now()
@@ -182,8 +182,8 @@ func HubBench(ctx context.Context, scale Scale, seed int64, reps, workers, hubs 
 		var base *core.Result
 		for _, kk := range []int{0, k} {
 			run := HubBenchRun{Hubs: kk, Identical: true}
-			var stats core.MetricParallelStats
-			opts := core.MetricParallelOptions{Workers: workers, Hubs: kk, Stats: &stats, Ctx: ctx}
+			var stats core.Stats
+			opts := core.Options{Workers: workers, Hubs: kk, Stats: &stats, Ctx: ctx}
 			var last *core.Result
 			for r := 0; r < reps; r++ {
 				start := time.Now()
@@ -237,8 +237,8 @@ func HubBench(ctx context.Context, scale Scale, seed int64, reps, workers, hubs 
 		var base *core.Result
 		for _, kk := range []int{0, k} {
 			run := HubBenchRun{Hubs: kk, Identical: true}
-			var stats core.MetricParallelStats
-			opts := core.MetricParallelOptions{Workers: workers, Hubs: kk, Stats: &stats, Ctx: ctx}
+			var stats core.Stats
+			opts := core.Options{Workers: workers, Hubs: kk, Stats: &stats, Ctx: ctx}
 			var last *core.Result
 			exact, touched, hq, hs, hr, certified := 0, 0, 0, 0, 0, 0
 			for r := 0; r < reps; r++ {

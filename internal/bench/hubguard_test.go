@@ -26,12 +26,12 @@ func TestHubRegressionGuardMetricN4000(t *testing.T) {
 	const n = 4000
 	rng := rand.New(rand.NewSource(42))
 	m := metric.MustEuclidean(gen.UniformPoints(rng, n, 2))
-	base, err := core.GreedyMetricFastParallelOpts(m, 1.5, core.MetricParallelOptions{Workers: 1})
+	base, err := core.GreedyMetricFastParallelOpts(m, 1.5, core.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stats core.MetricParallelStats
-	res, err := core.GreedyMetricFastParallelOpts(m, 1.5, core.MetricParallelOptions{
+	var stats core.Stats
+	res, err := core.GreedyMetricFastParallelOpts(m, 1.5, core.Options{
 		Workers: 1, Hubs: core.DefaultHubs(n), Stats: &stats,
 	})
 	if err != nil {

@@ -145,7 +145,7 @@ func IncrementalBench(ctx context.Context, scale Scale, seed int64, reps, worker
 			Inserted: inst.inserted, InsertBatch: inst.batch,
 			Stretch: stretch, Identical: true,
 		}
-		opts := core.MetricParallelOptions{Workers: workers, Ctx: ctx}
+		opts := core.Options{Workers: workers, Ctx: ctx}
 
 		// Rebuild policy: the per-insert cost is one full build at n.
 		var ref *core.Result

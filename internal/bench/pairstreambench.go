@@ -121,15 +121,15 @@ func PairStreamBench(ctx context.Context, scale Scale, seed int64, reps, workers
 		}
 		configs := []struct {
 			supply string
-			opts   core.MetricParallelOptions
+			opts   core.Options
 		}{
-			{"materialized", core.MetricParallelOptions{Workers: workers, Materialize: true}},
-			{"streamed", core.MetricParallelOptions{Workers: workers}},
-			{"streamed", core.MetricParallelOptions{Workers: workers, BucketPairs: 1 << 16}},
+			{"materialized", core.Options{Workers: workers, Materialize: true}},
+			{"streamed", core.Options{Workers: workers}},
+			{"streamed", core.Options{Workers: workers, BucketPairs: 1 << 16}},
 		}
 		for _, cfg := range configs {
 			run := PairStreamRun{Supply: cfg.supply, BucketPairs: cfg.opts.BucketPairs, Identical: true}
-			var stats core.MetricParallelStats
+			var stats core.Stats
 			opts := cfg.opts
 			opts.Stats = &stats
 			opts.Ctx = ctx

@@ -109,7 +109,7 @@ func PersistBench(ctx context.Context, scale Scale, seed int64, reps, workers in
 		const stretch = 1.5
 		const walOps = 8
 		pts := gen.UniformPoints(rng, n+walOps, 2)
-		opts := core.MetricParallelOptions{Workers: workers, Ctx: ctx}
+		opts := core.Options{Workers: workers, Ctx: ctx}
 		c := PersistBenchCase{N: n, Stretch: stretch, WalOps: walOps, Identical: true}
 
 		// From-scratch build: the cost a warm start avoids.
@@ -171,7 +171,7 @@ func PersistBench(ctx context.Context, scale Scale, seed int64, reps, workers in
 			if err != nil {
 				return nil, nil, err
 			}
-			loaded, err := core.ImportIncremental(st, opts, core.ParallelOptions{})
+			loaded, err := core.ImportIncremental(st, opts, core.Options{})
 			if err != nil {
 				return nil, nil, err
 			}

@@ -84,7 +84,7 @@ func startServeInstance(ctx context.Context, n, workers, inflight, queue int, se
 	}
 	rng := rand.New(rand.NewSource(seed))
 	pts := gen.UniformPoints(rng, n, 2)
-	o := persist.Options{Metric: core.MetricParallelOptions{Workers: workers, Ctx: ctx}}
+	o := persist.Options{Metric: core.Options{Workers: workers, Ctx: ctx}}
 	inc, err := core.NewIncrementalMetric(metric.MustEuclidean(pts), 1.5, o.Metric)
 	if err != nil {
 		os.RemoveAll(dir)

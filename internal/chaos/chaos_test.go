@@ -154,7 +154,7 @@ func TestChaosPropertySuite(t *testing.T) {
 					inj := chaos.New(sched)
 					ctx, hooks := inj.Arm(context.Background())
 					defer inj.Release()
-					opts := core.ParallelOptions{Workers: 4, Ctx: ctx, Inject: hooks, Budget: stallBudget(fault)}
+					opts := core.Options{Workers: 4, Ctx: ctx, Inject: hooks, Budget: stallBudget(fault)}
 					if seed%2 == 0 {
 						opts.Hubs = core.DefaultHubs(48)
 					}
@@ -188,7 +188,7 @@ func TestChaosPropertySuite(t *testing.T) {
 					inj := chaos.New(sched)
 					ctx, hooks := inj.Arm(context.Background())
 					defer inj.Release()
-					opts := core.MetricParallelOptions{
+					opts := core.Options{
 						Workers: 4, Ctx: ctx, Inject: hooks,
 						Budget: stallBudget(fault), GuardRows: true,
 					}
@@ -275,7 +275,7 @@ func TestChaosPropertySuite(t *testing.T) {
 					inj := chaos.New(sched)
 					ctx, hooks := inj.Arm(context.Background())
 					defer inj.Release()
-					opts := core.MetricParallelOptions{Workers: 3, Ctx: ctx, Inject: hooks, GuardRows: true}
+					opts := core.Options{Workers: 3, Ctx: ctx, Inject: hooks, GuardRows: true}
 					schedules++
 					inc, err := core.NewIncrementalMetric(base, 1.8, opts)
 					if err != nil {
@@ -371,7 +371,7 @@ func TestChaosPropertySuite(t *testing.T) {
 					inj := chaos.New(sched)
 					ctx, hooks := inj.Arm(context.Background())
 					defer inj.Release()
-					opts := core.MetricParallelOptions{Workers: 3, Ctx: ctx, Inject: hooks, GuardRows: true}
+					opts := core.Options{Workers: 3, Ctx: ctx, Inject: hooks, GuardRows: true}
 					if seed%4 < 2 {
 						opts.Hubs = 4
 					}

@@ -94,8 +94,8 @@ type crashMode struct {
 	graphMode bool
 	euclid    bool
 	initN     int
-	mopts     core.MetricParallelOptions
-	gopts     core.ParallelOptions
+	mopts     core.Options
+	gopts     core.Options
 	ops       []dynOp
 }
 
@@ -344,11 +344,11 @@ func graphScript() []dynOp {
 func crashModes() []*crashMode {
 	return []*crashMode{
 		{name: "euclid", euclid: true, initN: 6,
-			mopts: core.MetricParallelOptions{Workers: 1, Hubs: 3}, ops: metricScript()},
+			mopts: core.Options{Workers: 1, Hubs: 3}, ops: metricScript()},
 		{name: "matrix", initN: 6,
-			mopts: core.MetricParallelOptions{Workers: 1, GuardRows: true}, ops: metricScript()},
+			mopts: core.Options{Workers: 1, GuardRows: true}, ops: metricScript()},
 		{name: "graph", graphMode: true,
-			gopts: core.ParallelOptions{Workers: 1, Hubs: 3}, ops: graphScript()},
+			gopts: core.Options{Workers: 1, Hubs: 3}, ops: graphScript()},
 	}
 }
 
@@ -462,7 +462,7 @@ func persistLabel(k int) string {
 // reference digest. Returns the number of replay crash points covered.
 func crashMidReplay(t *testing.T) int {
 	m := &crashMode{name: "euclid", euclid: true, initN: 6,
-		mopts: core.MetricParallelOptions{Workers: 1, Hubs: 3}}
+		mopts: core.Options{Workers: 1, Hubs: 3}}
 	// The metric script minus its checkpoints, so every record stays in
 	// the generation-1 WAL for replay.
 	for _, op := range metricScript() {

@@ -64,7 +64,7 @@ func srvScript() []srvMutation {
 // prefix with a plain twin engine chain: digests[i] is the state after
 // the first i mutations (each applied through the same dense-id
 // contract the server uses).
-func srvPrefixDigests(t *testing.T, mopts core.MetricParallelOptions) []uint64 {
+func srvPrefixDigests(t *testing.T, mopts core.Options) []uint64 {
 	t.Helper()
 	script := srvScript()
 	digests := make([]uint64, 0, len(script)+1)
@@ -107,7 +107,7 @@ func srvPrefixDigests(t *testing.T, mopts core.MetricParallelOptions) []uint64 {
 	return digests
 }
 
-func newSrvEngine(t *testing.T, mopts core.MetricParallelOptions) *core.IncrementalSpanner {
+func newSrvEngine(t *testing.T, mopts core.Options) *core.IncrementalSpanner {
 	t.Helper()
 	eu, err := metric.NewEuclidean(srvPts()[:16])
 	if err != nil {
@@ -236,7 +236,7 @@ func gatedHooks(hooks core.InjectionHooks) (core.InjectionHooks, *atomic.Bool) {
 // must be bit-identical to the fault-free reference, reads during the
 // faults must keep answering, and no goroutine may leak.
 func TestServeChaosFaultSchedules(t *testing.T) {
-	mopts := core.MetricParallelOptions{Workers: 2, Hubs: 4, GuardRows: true}
+	mopts := core.Options{Workers: 2, Hubs: 4, GuardRows: true}
 	digests := srvPrefixDigests(t, mopts)
 	want := digests[len(digests)-1]
 	script := srvScript()
@@ -310,7 +310,7 @@ func TestServeChaosFaultSchedules(t *testing.T) {
 // servedRound configures one scripted run against a fresh served
 // instance.
 type servedRound struct {
-	mopts  core.MetricParallelOptions
+	mopts  core.Options
 	hooks  core.InjectionHooks
 	scfg   func(*server.Config)
 	ctxFor func(step int) context.Context
@@ -391,7 +391,7 @@ func settleServeGoroutines(t *testing.T, baseline int) {
 // includes the orphaned-but-durable op — converging back to the
 // reference digest.
 func TestServeChaosSwapWindowPanic(t *testing.T) {
-	mopts := core.MetricParallelOptions{Workers: 1, Hubs: 4}
+	mopts := core.Options{Workers: 1, Hubs: 4}
 	digests := srvPrefixDigests(t, mopts)
 	want := digests[len(digests)-1]
 	armed := true
@@ -447,7 +447,7 @@ func TestServeChaosSwapWindowPanic(t *testing.T) {
 // never anything else; after the kill the server's mutation path must
 // answer typed wedged responses while reads keep serving.
 func TestServeKillSchedules(t *testing.T) {
-	mopts := core.MetricParallelOptions{Workers: 1, Hubs: 4}
+	mopts := core.Options{Workers: 1, Hubs: 4}
 	digests := srvPrefixDigests(t, mopts)
 	script := srvScript()
 

@@ -22,7 +22,7 @@ func TestCoalescePolicyMetric(t *testing.T) {
 	}
 	for _, p := range policies {
 		inc, err := NewIncrementalMetric(metric.MustEuclidean(pts[:20]), 1.5,
-			MetricParallelOptions{Workers: 1, Hubs: 4})
+			Options{Workers: 1, Hubs: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func TestCoalescePolicyGraph(t *testing.T) {
 	held := edges[len(edges)-15:]
 	base := g.Subgraph(edges[:len(edges)-15])
 	for _, p := range []IncrementalPolicy{{CoalesceUntilQuery: true}, {MinBatch: 5}} {
-		inc, err := NewIncrementalGraph(base, 3, ParallelOptions{Workers: 1})
+		inc, err := NewIncrementalGraph(base, 3, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func TestSetPolicyFlushesPending(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	pts := gen.UniformPoints(rng, 24, 2)
 	inc, err := NewIncrementalMetric(metric.MustEuclidean(pts[:20]), 1.5,
-		MetricParallelOptions{Workers: 1})
+		Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

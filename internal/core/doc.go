@@ -13,13 +13,14 @@
 // t * w(u, v). On graphs the candidates are the input's edges; on metrics
 // they are all n(n-1)/2 interpoint distances ("path-greedy").
 //
-// # The batched-parallel engines and the frozen-snapshot invariant
+// # One batched-certification driver and the frozen-snapshot invariant
 //
-// Both scan loops — GreedyGraphParallel for graphs and
-// GreedyMetricFastParallel for metrics — parallelize the same way, and
-// both rest on one invariant: spanner distances only shrink as the greedy
-// scan adds edges, so any skip certified against a frozen snapshot H0 of
-// the growing spanner stays correct for every later spanner H ⊇ H0.
+// GreedyGraphParallel, GreedyMetricFastParallel, and every build and
+// replay of IncrementalSpanner run one scan driver (scan.run), configured
+// by one Options struct and reporting one Stats struct. The driver rests
+// on one invariant: spanner distances only shrink as the greedy scan adds
+// edges, so any skip certified against a frozen snapshot H0 of the
+// growing spanner stays correct for every later spanner H ⊇ H0.
 // Concretely, if delta_{H0}(u, v) <= t * w(u, v) then the sequential
 // algorithm — which would test (u, v) against some H ⊇ H0 — would also
 // skip it, because delta_H <= delta_{H0}. Certification is therefore safe
@@ -27,30 +28,39 @@
 // only the pairs the snapshot fails to certify are replayed serially, in
 // exact greedy order, against the live spanner. Every accept/reject
 // decision thus matches the sequential scan, and the output — edge
-// sequence, weight, counters — is deterministic and bit-identical
+// sequence, weight, examined count — is deterministic and bit-identical
 // regardless of worker count, batch width, or goroutine scheduling.
 // (The frozen-snapshot discipline — workers write only owner-indexed
-// slots, never captured snapshot state — is machine-checked by the
-// frozensnap analyzer; map-order and wall-clock nondeterminism in these
-// paths by mapdet and detpure. See README "Static analysis".)
+// slots, never captured snapshot state, also inside the certifier methods
+// a worker calls — is machine-checked by the frozensnap analyzer;
+// map-order and wall-clock nondeterminism in these paths by mapdet and
+// detpure. See README "Static analysis".)
 //
-// The two engines differ only in the certification primitive:
+// The driver owns everything the modes share: the batch loop, the
+// adaptive width (it grows while snapshots certify almost everything and
+// shrinks when the snapshot goes stale too fast, capped by
+// Budget.MaxBatchWidth), the worker fan-out with per-worker error slots,
+// panic capture, join, and post-join cancellation check, the in-scan
+// budget ladder, the accept bookkeeping, and the OnBatch/OnCertify hook
+// points. Each batch runs a serial pre-pass over the cheap certificates,
+// a snapshot pass fanned out over the workers, and a serial pass over the
+// survivors. At one worker the same loop skips the pre-pass and the
+// snapshot pass and settles each candidate inline, so a single-worker
+// scan walks the same budget ladder at the same batch boundaries.
 //
-//   - GreedyGraphParallel answers each query with bounded bidirectional
-//     Dijkstra on the snapshot (two balls of radius ~t*w/2 instead of one
-//     of radius t*w).
-//   - GreedyMetricFastParallel maintains the cached distance-bound matrix
-//     of GreedyMetricFastSerial (the Bose et al. [BCF+10] trick): cached
-//     upper bounds certify most skips with no search at all, and the rows
-//     that need recomputing are refreshed concurrently — each row is owned
-//     by exactly one worker, so a batch's refreshes need no locking. A
-//     refreshed row computed on H0 is again a valid row of upper bounds
-//     for every later H, by the same monotonicity.
+// The two modes differ only in the certifier they plug in:
 //
-// Both engines scan in adaptive weight batches: the batch width grows
-// while snapshots certify almost everything and shrinks when the snapshot
-// goes stale too fast (too many pairs fall through to the serial
-// re-check).
+//   - The graph certifier answers each query with bounded bidirectional
+//     Dijkstra (two balls of radius ~t*w/2 instead of one of radius t*w)
+//     after the hub-label check.
+//   - The metric certifier maintains the cached distance-bound rows of
+//     GreedyMetricFastSerial (the Bose et al. [BCF+10] trick): cached
+//     upper bounds certify most skips with no search at all, then the hub
+//     labels; the rows that still need recomputing are refreshed
+//     concurrently — each row is owned by exactly one worker, so a batch's
+//     refreshes need no locking — and survivors decide on a live
+//     refresh. A refreshed row computed on H0 is again a valid row of
+//     upper bounds for every later H, by the same monotonicity.
 //
 // # The streaming candidate supply and the sparse bound rows
 //
@@ -170,7 +180,9 @@
 // and, inside a batch, after each certification search but before its
 // decision commits — a truncated search can report "not within reach"
 // spuriously, so no decision derived from one is ever recorded (the
-// ctxcommit analyzer machine-checks this check-before-commit shape). A
+// ctxcommit analyzer machine-checks this check-before-commit shape, also
+// when the search hides behind a certifier method called through its
+// interface). A
 // cancelled or deadline-expired build returns the exact decided prefix
 // (Result.Partial set) with ErrCancelled; worker pools are always
 // joined before returning. Budget pressure walks a degradation ladder
@@ -178,7 +190,10 @@
 // hub oracle dropped, bound rows dropped) in which every rung is
 // output-invariant — each merely disables a fast path whose soundness
 // argument never affected decisions — and is recorded in the stats'
-// Degradations log. Worker panics are converted to ErrEnginePanic;
+// Degradations log. The in-scan rungs run at the driver's batch
+// boundaries for every worker count, so a workers=1 build honors
+// Budget.MaxBytes after its scan starts too (TestBudgetDegradationLadder
+// walks the ladder at workers 1 and 4). Worker panics are converted to ErrEnginePanic;
 // checksum-guarded bound rows (GuardRows) surface bit flips as
 // ErrCorruptState, verified before every fold, overwrite, and
 // cache-certified skip, and incremental rebases drop rather than

@@ -58,7 +58,7 @@ func deleteAt(alive []int, dense []int) []int {
 func TestDeleteMatchesFromScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for kind, m := range hubTestMetrics(t, rng, 36) {
-		for oi, opts := range []MetricParallelOptions{
+		for oi, opts := range []Options{
 			{Workers: 1},
 			{Workers: 4, Hubs: 4},
 			{Workers: 3, BatchSize: 9, BucketPairs: 41, Hubs: 4, GuardRows: true},
@@ -114,7 +114,7 @@ func TestDynamicMixedMatchesFromScratch(t *testing.T) {
 				alive[i] = i
 			}
 			pool := 20
-			inc, err := NewIncrementalMetric(restrictMetric(m, alive), 1.6, MetricParallelOptions{Workers: 3, Hubs: 4})
+			inc, err := NewIncrementalMetric(restrictMetric(m, alive), 1.6, Options{Workers: 3, Hubs: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -164,7 +164,7 @@ func TestDynamicMixedMatchesFromScratch(t *testing.T) {
 func TestDeleteEdgesMatchesFromScratch(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		for _, workers := range []int{1, 3} {
-			inc, err := NewIncrementalGraph(g, 1.6, ParallelOptions{Workers: workers, Hubs: 4})
+			inc, err := NewIncrementalGraph(g, 1.6, Options{Workers: workers, Hubs: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -222,7 +222,7 @@ func TestDeleteRejectedEdgeIsFree(t *testing.T) {
 	g.MustAddEdge(1, 2, 1)
 	g.MustAddEdge(2, 3, 1)
 	g.MustAddEdge(0, 2, 2.1) // rejected at t=2: d(0,2)=2 <= 2*2.1
-	inc, err := NewIncrementalGraph(g, 2, ParallelOptions{})
+	inc, err := NewIncrementalGraph(g, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestDeleteEverythingAndRegrow(t *testing.T) {
 		pts[i] = []float64{rng.Float64() * 10, rng.Float64() * 10}
 	}
 	m := metric.MustEuclidean(pts)
-	inc, err := NewIncrementalMetric(m, 1.5, MetricParallelOptions{Workers: 2, Hubs: 2})
+	inc, err := NewIncrementalMetric(m, 1.5, Options{Workers: 2, Hubs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestDeleteThenReinsertSamePoint(t *testing.T) {
 		pts[i] = []float64{rng.Float64() * 8, rng.Float64() * 8}
 	}
 	m := metric.MustEuclidean(pts)
-	inc, err := NewIncrementalMetric(m, 1.6, MetricParallelOptions{Workers: 2, Hubs: 3})
+	inc, err := NewIncrementalMetric(m, 1.6, Options{Workers: 2, Hubs: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestDeleteHubVertex(t *testing.T) {
 		pts[i] = []float64{rng.Float64() * 12, rng.Float64() * 12}
 	}
 	m := metric.MustEuclidean(pts)
-	inc, err := NewIncrementalMetric(m, 1.5, MetricParallelOptions{Workers: 3, Hubs: 4})
+	inc, err := NewIncrementalMetric(m, 1.5, Options{Workers: 3, Hubs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestDeleteHubVertex(t *testing.T) {
 // candidate pairs (disconnected-alike points).
 func TestDeleteInfiniteWeights(t *testing.T) {
 	full := infMetric{n: 12} // pair (0, 11) has weight +Inf
-	inc, err := NewIncrementalMetric(full, 2, MetricParallelOptions{Workers: 2})
+	inc, err := NewIncrementalMetric(full, 2, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +390,7 @@ func TestDeleteValidation(t *testing.T) {
 		pts[i] = []float64{rng.Float64(), rng.Float64()}
 	}
 	m := metric.MustEuclidean(pts)
-	inc, err := NewIncrementalMetric(m, 1.5, MetricParallelOptions{})
+	inc, err := NewIncrementalMetric(m, 1.5, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +417,7 @@ func TestDeleteValidation(t *testing.T) {
 	g := graph.New(4)
 	g.MustAddEdge(0, 1, 1)
 	g.MustAddEdge(1, 2, 1)
-	ginc, err := NewIncrementalGraph(g, 2, ParallelOptions{})
+	ginc, err := NewIncrementalGraph(g, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +451,7 @@ func TestDeleteDuringCoalesceWithPendingInserts(t *testing.T) {
 	}
 	m := metric.MustEuclidean(pts)
 	alive := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
-	inc, err := NewIncrementalMetric(restrictMetric(m, alive), 1.6, MetricParallelOptions{Workers: 2, Hubs: 3})
+	inc, err := NewIncrementalMetric(restrictMetric(m, alive), 1.6, Options{Workers: 2, Hubs: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,7 +490,7 @@ func TestDeleteResultIsDenseRenumbering(t *testing.T) {
 		pts[i] = []float64{rng.Float64() * 4, rng.Float64() * 4}
 	}
 	m := metric.MustEuclidean(pts)
-	inc, err := NewIncrementalMetric(m, 1.4, MetricParallelOptions{Workers: 2})
+	inc, err := NewIncrementalMetric(m, 1.4, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

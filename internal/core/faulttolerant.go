@@ -74,10 +74,6 @@ type FaultTolerantStats struct {
 	Degradations []string
 }
 
-func (st *FaultTolerantStats) degradationSink() func(string) {
-	return func(step string) { st.Degradations = append(st.Degradations, step) }
-}
-
 // FaultTolerantGreedyOpts is FaultTolerantGreedy with the hub-label fast
 // path and probe counters; see FaultTolerantOptions.
 func FaultTolerantGreedyOpts(m metric.Metric, t float64, f int, opts FaultTolerantOptions) (*Result, error) {
@@ -93,7 +89,7 @@ func FaultTolerantGreedyOpts(m metric.Metric, t float64, f int, opts FaultTolera
 	}
 	*stats = FaultTolerantStats{}
 	if f == 0 {
-		return GreedyMetricFastParallelOpts(m, t, MetricParallelOptions{
+		return GreedyMetricFastParallelOpts(m, t, Options{
 			Hubs:   opts.Hubs,
 			Ctx:    opts.Ctx,
 			Budget: opts.Budget,
@@ -105,7 +101,7 @@ func FaultTolerantGreedyOpts(m metric.Metric, t float64, f int, opts FaultTolera
 	if n <= 1 {
 		return res, nil
 	}
-	env := newScanEnv(opts.Ctx, opts.Budget, opts.Inject, stats.degradationSink())
+	env := newScanEnv(opts.Ctx, opts.Budget, opts.Inject, logTo(&stats.Degradations))
 	err := ftScan(m, t, f, opts, env, res, stats)
 	if err != nil {
 		res.Partial = true

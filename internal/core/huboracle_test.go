@@ -118,7 +118,7 @@ func TestHubOracleRebaseAcrossInsertions(t *testing.T) {
 	pts := gen.UniformPoints(rng, 40, 2)
 	for _, batch := range []int{1, 3, 7} {
 		inc, err := NewIncrementalMetric(metric.MustEuclidean(pts[:25]), 1.5,
-			MetricParallelOptions{Workers: 1, Hubs: 4})
+			Options{Workers: 1, Hubs: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func TestMetricEngineEquivalenceAcrossHubs(t *testing.T) {
 		}
 		for _, hubs := range []int{0, 1, 4, 16} {
 			for _, workers := range []int{1, 4} {
-				got, err := GreedyMetricFastParallelOpts(m, 1.6, MetricParallelOptions{
+				got, err := GreedyMetricFastParallelOpts(m, 1.6, Options{
 					Workers: workers, Hubs: hubs,
 				})
 				if err != nil {
@@ -197,7 +197,7 @@ func TestGraphEngineEquivalenceAcrossHubs(t *testing.T) {
 		}
 		for _, hubs := range []int{0, 1, 4, 16} {
 			for _, workers := range []int{1, 4} {
-				got, err := GreedyGraphParallelOpts(g, 3, ParallelOptions{
+				got, err := GreedyGraphParallelOpts(g, 3, Options{
 					Workers: workers, Hubs: hubs,
 				})
 				if err != nil {
@@ -217,7 +217,7 @@ func TestIncrementalEquivalenceAcrossHubs(t *testing.T) {
 	pts := gen.UniformPoints(rng, 36, 2)
 	for _, hubs := range []int{0, 1, 4, 16} {
 		inc, err := NewIncrementalMetric(metric.MustEuclidean(pts[:20]), 1.5,
-			MetricParallelOptions{Workers: 1, Hubs: hubs})
+			Options{Workers: 1, Hubs: hubs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +238,7 @@ func TestIncrementalEquivalenceAcrossHubs(t *testing.T) {
 	held := edges[len(edges)-12:]
 	base := g.Subgraph(edges[:len(edges)-12])
 	for _, hubs := range []int{0, 4} {
-		inc, err := NewIncrementalGraph(base, 3, ParallelOptions{Workers: 1, Hubs: hubs})
+		inc, err := NewIncrementalGraph(base, 3, Options{Workers: 1, Hubs: hubs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -381,9 +381,9 @@ func TestHubSelection(t *testing.T) {
 func TestIncrementalHubsFromTinyStart(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	pts := gen.UniformPoints(rng, 30, 2)
-	var stats MetricParallelStats
+	var stats Stats
 	inc, err := NewIncrementalMetric(metric.MustEuclidean(pts[:1]), 1.5,
-		MetricParallelOptions{Workers: 1, Hubs: 4, Stats: &stats})
+		Options{Workers: 1, Hubs: 4, Stats: &stats})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,16 +91,18 @@ import (
 type IncrementalSpanner struct {
 	t float64
 
+	// opts are the engine options the initial build and every replay run
+	// under.
+	opts Options
+
 	// Metric mode: dyn is the stable-id view over the caller's metrics
 	// (nil in graph mode).
 	dyn   *dynMetric
-	mopts MetricParallelOptions
 	bound *boundStore
 
 	// Graph mode. The spanner owns g (a private clone grown by
 	// InsertEdges and shrunk by DeleteEdges).
-	g     *graph.Graph
-	gopts ParallelOptions
+	g *graph.Graph
 
 	// counts is the candidate set's maintained weight histogram: built
 	// once at construction, then each inserted candidate is tallied and
@@ -274,8 +276,7 @@ func (s *IncrementalSpanner) SetPolicy(p IncrementalPolicy) error {
 // preserves the pre-flush state, so the same pending updates can be
 // flushed again under a fresh context.
 func (s *IncrementalSpanner) SetContext(ctx context.Context) {
-	s.mopts.Ctx = ctx
-	s.gopts.Ctx = ctx
+	s.opts.Ctx = ctx
 }
 
 // Pending reports how many updated elements (inserted plus deleted) await
@@ -303,17 +304,15 @@ func checkpointInterval(n int) int {
 // via Delete. Workers, BatchSize, BucketPairs, and Stats of opts apply to
 // the initial build and to every replay; Source and Materialize are
 // rejected.
-func NewIncrementalMetric(m metric.Metric, t float64, opts MetricParallelOptions) (*IncrementalSpanner, error) {
+func NewIncrementalMetric(m metric.Metric, t float64, opts Options) (*IncrementalSpanner, error) {
 	if !validStretch(t) {
 		return nil, errInvalidStretch(t)
 	}
 	if opts.Source != nil || opts.Materialize {
 		return nil, errSupplyOption
 	}
-	s := &IncrementalSpanner{t: t, dyn: newDynMetric(m), mopts: opts}
+	s := &IncrementalSpanner{t: t, dyn: newDynMetric(m), opts: opts}
 	n := m.N()
-	s.res = &Result{N: n, Stretch: t}
-	s.resView = s.res
 	s.bound = newBoundStore(n)
 	if opts.GuardRows {
 		s.bound.setGuard()
@@ -329,32 +328,10 @@ func NewIncrementalMetric(m metric.Metric, t float64, opts MetricParallelOptions
 			s.counts.add(m.Dist(i, j))
 		}
 	}
-	h := graph.New(n)
-	st := s.scanStats()
-	hubs := opts.Hubs
-	resolveHubBudget(opts.Budget, st.degradationSink(), &hubs, n)
-	if hubs > 0 && n > 0 {
-		// Hubs are selected once, on the initial points, and their
-		// arrays carry the same growth slack as the bound rows. The
-		// oracle exists even when the initial set is too small to scan,
-		// so insertions that grow the spanner still get the fast path.
-		s.oracle = NewHubOracle(SelectMetricHubs(m, hubs), h, boundRowSlack(n))
-		s.oracle.EnableCheckpoints(checkpointInterval(n))
-	}
-	if n > 1 {
-		sc := &metricScan{
-			t:       t,
-			workers: opts.Workers,
-			h:       h,
-			bound:   s.bound,
-			oracle:  s.oracle,
-			res:     s.res,
-			stats:   st,
-			env:     s.scanEnvFor(st.degradationSink()),
-		}
-		if err := sc.run(newMetricSourceSeeded(s.dyn, opts.BucketPairs, s.counts), opts.BatchSize); err != nil {
-			return nil, fmt.Errorf("core: incremental initial build aborted: %w", err)
-		}
+	// Hubs are selected once, on the initial points, and their arrays
+	// carry the same growth slack as the bound rows.
+	if err := s.build(n, boundRowSlack(n), func(k int) []int { return SelectMetricHubs(m, k) }); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -365,61 +342,71 @@ func NewIncrementalMetric(m metric.Metric, t float64, opts MetricParallelOptions
 // do not affect the maintained state. Workers, BatchSize, BucketPairs,
 // and Stats of opts apply to the initial build and to every replay;
 // Source and Materialize are rejected.
-func NewIncrementalGraph(g *graph.Graph, t float64, opts ParallelOptions) (*IncrementalSpanner, error) {
+func NewIncrementalGraph(g *graph.Graph, t float64, opts Options) (*IncrementalSpanner, error) {
 	if !validStretch(t) {
 		return nil, errInvalidStretch(t)
 	}
 	if opts.Source != nil || opts.Materialize {
 		return nil, errSupplyOption
 	}
-	s := &IncrementalSpanner{t: t, g: g.Clone(), gopts: opts}
-	s.res = &Result{N: g.N(), Stretch: t}
-	s.resView = s.res
+	s := &IncrementalSpanner{t: t, g: g.Clone(), opts: opts}
 	for _, e := range s.g.Edges() {
 		s.counts.add(e.W)
 	}
-	h := graph.New(g.N())
-	st := s.graphScanStats()
-	hubs := opts.Hubs
-	resolveHubBudget(opts.Budget, st.degradationSink(), &hubs, g.N())
-	if hubs > 0 {
-		s.oracle = NewHubOracle(SelectGraphHubs(s.g, hubs), h, 0)
-		s.oracle.EnableCheckpoints(checkpointInterval(g.N()))
-	}
-	sc := &graphScan{
-		t:       t,
-		workers: opts.Workers,
-		h:       h,
-		oracle:  s.oracle,
-		res:     s.res,
-		stats:   st,
-		env:     s.scanEnvFor(st.degradationSink()),
-	}
-	if err := sc.run(newGraphEdgeSourceSeeded(s.g, opts.BucketPairs, s.counts), opts.BatchSize); err != nil {
-		return nil, fmt.Errorf("core: incremental initial build aborted: %w", err)
+	if err := s.build(g.N(), 0, func(k int) []int { return SelectGraphHubs(s.g, k) }); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
-// scanStats returns the stats sink for a metric-mode scan — the caller's
-// Stats, zeroed so each build or replay reports its own counters — or a
-// scratch struct so the engine always has one to fill.
-func (s *IncrementalSpanner) scanStats() *MetricParallelStats {
-	st := s.mopts.Stats
-	if st == nil {
-		st = &MetricParallelStats{}
+// build runs a constructor's initial scan over n vertices: the hub count
+// is resolved under the byte budget, the oracle installed on the hubs
+// pick selects (with slack growth headroom per array and a checkpoint
+// ring), and the whole supply drained. The oracle exists even when a
+// metric's initial set is too small to scan, so insertions that grow the
+// spanner still get the fast path.
+func (s *IncrementalSpanner) build(n, slack int, pick func(k int) []int) error {
+	s.res = &Result{N: n, Stretch: s.t}
+	s.resView = s.res
+	h := graph.New(n)
+	sc := newScan(s.t, h, s.res, s.opts)
+	hubs := s.opts.Hubs
+	resolveHubBudget(s.opts.Budget, logTo(&sc.stats.Degradations), &hubs, n)
+	if hubs > 0 && n > 0 {
+		s.oracle = NewHubOracle(pick(hubs), h, slack)
+		s.oracle.EnableCheckpoints(checkpointInterval(n))
 	}
-	*st = MetricParallelStats{}
-	return st
+	if s.dyn != nil && n <= 1 {
+		return nil
+	}
+	if err := s.certify(sc).run(s.source(nil), s.opts.BatchSize); err != nil {
+		return fmt.Errorf("core: incremental initial build aborted: %w", err)
+	}
+	return nil
 }
 
-func (s *IncrementalSpanner) graphScanStats() *ParallelStats {
-	st := s.gopts.Stats
-	if st == nil {
-		st = &ParallelStats{}
+// certify installs the maintained oracle and the mode's certifier on sc.
+func (s *IncrementalSpanner) certify(sc *scan) *scan {
+	sc.oracle = s.oracle
+	if s.dyn != nil {
+		sc.certifyMetric(s.bound)
+	} else {
+		sc.certifyGraph()
 	}
-	*st = ParallelStats{}
-	return st
+	return sc
+}
+
+// source returns the maintained candidate supply, resumed at cut unless
+// cut is nil, seeded with (a copy of) the maintained weight histogram.
+func (s *IncrementalSpanner) source(cut *graph.Edge) CandidateSource {
+	var src *bucketedSource
+	if s.dyn != nil {
+		src = newMetricSourceSeeded(s.dyn, s.opts.BucketPairs, s.counts)
+	} else {
+		src = newGraphEdgeSourceSeeded(s.g, s.opts.BucketPairs, s.counts)
+	}
+	src.cut = cut
+	return src
 }
 
 // Result returns the maintained spanner, flushing any updates a
@@ -474,14 +461,12 @@ func (s *IncrementalSpanner) Flush() (err error) {
 	// recover above, a cancellation is observed by the replay scan before
 	// any decision commits, and checkpoint corruption is caught by the
 	// restore-time digests inside the rebases below.
-	var corrupter Corrupter
-	hooks := s.gopts.Inject
-	if s.dyn != nil {
-		hooks = s.mopts.Inject
-		corrupter = rowCorrupter{b: s.bound}
-	}
-	if hooks.OnRebase != nil {
-		hooks.OnRebase(keep, corrupter)
+	if hook := s.opts.Inject.OnRebase; hook != nil {
+		var corrupter Corrupter
+		if s.dyn != nil {
+			corrupter = rowCorrupter{b: s.bound}
+		}
+		hook(keep, corrupter)
 	}
 	if s.oracle != nil {
 		slack := 0
@@ -492,34 +477,9 @@ func (s *IncrementalSpanner) Flush() (err error) {
 	}
 	if s.dyn != nil {
 		s.bound.rebase(keep, n)
-		st := s.scanStats()
-		sc := &metricScan{
-			t:       s.t,
-			workers: s.mopts.Workers,
-			h:       h,
-			bound:   s.bound,
-			oracle:  s.oracle,
-			res:     res,
-			stats:   st,
-			env:     s.scanEnvFor(st.degradationSink()),
-		}
-		if err := sc.run(newMetricSourceAfter(s.dyn, s.mopts.BucketPairs, cut, s.counts), s.mopts.BatchSize); err != nil {
-			return fmt.Errorf("core: flush of %d pending operations aborted; pre-flush state preserved: %w", s.pendingOps, err)
-		}
-	} else {
-		st := s.graphScanStats()
-		sc := &graphScan{
-			t:       s.t,
-			workers: s.gopts.Workers,
-			h:       h,
-			oracle:  s.oracle,
-			res:     res,
-			stats:   st,
-			env:     s.scanEnvFor(st.degradationSink()),
-		}
-		if err := sc.run(newGraphEdgeSourceAfter(s.g, s.gopts.BucketPairs, cut, s.counts), s.gopts.BatchSize); err != nil {
-			return fmt.Errorf("core: flush of %d pending operations aborted; pre-flush state preserved: %w", s.pendingOps, err)
-		}
+	}
+	if err := s.certify(newScan(s.t, h, res, s.opts)).run(s.source(&cut), s.opts.BatchSize); err != nil {
+		return fmt.Errorf("core: flush of %d pending operations aborted; pre-flush state preserved: %w", s.pendingOps, err)
 	}
 	s.res = res
 	s.resView = s.remapResult(res)
@@ -554,15 +514,6 @@ func (s *IncrementalSpanner) remapResult(res *Result) *Result {
 		out.Edges[i] = graph.Edge{U: pos[e.U], V: pos[e.V], W: e.W}
 	}
 	return out
-}
-
-// scanEnvFor builds the run environment for one replay from the mode's
-// options (both modes share the incremental spanner's context).
-func (s *IncrementalSpanner) scanEnvFor(record func(string)) *scanEnv {
-	if s.dyn != nil {
-		return newScanEnv(s.mopts.Ctx, s.mopts.Budget, s.mopts.Inject, record)
-	}
-	return newScanEnv(s.gopts.Ctx, s.gopts.Budget, s.gopts.Inject, record)
 }
 
 // notePending folds one update batch's earliest disturbed scan position

@@ -74,7 +74,7 @@ func TestIncrementalMetricMatchesFromScratch(t *testing.T) {
 	for name, m := range testMetrics(t) {
 		n := m.N()
 		for _, stretch := range []float64{1.3, 2} {
-			for _, opts := range []MetricParallelOptions{
+			for _, opts := range []Options{
 				{Workers: 1},
 				{Workers: 4},
 				{Workers: 3, BatchSize: 9, BucketPairs: 41},
@@ -119,7 +119,7 @@ func TestIncrementalMetricPermutedInsertionOrders(t *testing.T) {
 		rng.Shuffle(len(pts), func(i, j int) { pts[i], pts[j] = pts[j], pts[i] })
 		m := metric.MustEuclidean(pts)
 		start := 12 + rng.Intn(12)
-		inc, err := NewIncrementalMetric(subMetric(m, start), 1.5, MetricParallelOptions{Workers: 1 + trial%4})
+		inc, err := NewIncrementalMetric(subMetric(m, start), 1.5, Options{Workers: 1 + trial%4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +155,7 @@ func TestIncrementalMetricTies(t *testing.T) {
 	pts = append(pts, []float64{5, 2}, []float64{5, 0}, []float64{0, 5})
 	m := metric.MustEuclidean(pts)
 	for _, workers := range []int{1, 4} {
-		inc, err := NewIncrementalMetric(subMetric(m, 10), 1.4, MetricParallelOptions{Workers: workers})
+		inc, err := NewIncrementalMetric(subMetric(m, 10), 1.4, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +177,7 @@ func TestIncrementalMetricTies(t *testing.T) {
 // the replay too.
 func TestIncrementalMetricInfiniteWeights(t *testing.T) {
 	full := infMetric{n: 12}
-	inc, err := NewIncrementalMetric(prefixMetric{m: full, n: 7}, 2, MetricParallelOptions{Workers: 2})
+	inc, err := NewIncrementalMetric(prefixMetric{m: full, n: 7}, 2, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestIncrementalGraphMatchesFromScratch(t *testing.T) {
 				for _, e := range edges[:start] {
 					g0.MustAddEdge(e.U, e.V, e.W)
 				}
-				inc, err := NewIncrementalGraph(g0, stretch, ParallelOptions{Workers: workers})
+				inc, err := NewIncrementalGraph(g0, stretch, Options{Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -242,13 +242,13 @@ func TestIncrementalReplaySkipsPreservedWork(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	pts := gen.UniformPoints(rng, 80, 2)
 	m := metric.MustEuclidean(pts)
-	var fullStats MetricParallelStats
+	var fullStats Stats
 	if _, err := GreedyMetricFastParallelOpts(withPoint(m, []float64{25, 25}), 1.5,
-		MetricParallelOptions{Workers: 1, Stats: &fullStats}); err != nil {
+		Options{Workers: 1, Stats: &fullStats}); err != nil {
 		t.Fatal(err)
 	}
-	var incStats MetricParallelStats
-	inc, err := NewIncrementalMetric(m, 1.5, MetricParallelOptions{Workers: 1, Stats: &incStats})
+	var incStats Stats
+	inc, err := NewIncrementalMetric(m, 1.5, Options{Workers: 1, Stats: &incStats})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,8 +279,8 @@ func TestIncrementalCachedRowsSurvive(t *testing.T) {
 		pts[i] = []float64{float64(i)}
 	}
 	m := metric.MustEuclidean(pts)
-	var incStats MetricParallelStats
-	inc, err := NewIncrementalMetric(m, 1.1, MetricParallelOptions{Workers: 1, Stats: &incStats})
+	var incStats Stats
+	inc, err := NewIncrementalMetric(m, 1.1, Options{Workers: 1, Stats: &incStats})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,16 +322,16 @@ func withPoint(m *metric.Euclidean, p []float64) *metric.Euclidean {
 // paths, and that a failed insertion leaves the maintained state intact.
 func TestIncrementalValidation(t *testing.T) {
 	m := metric.MustEuclidean([][]float64{{0, 0}, {1, 0}, {0, 1}})
-	if _, err := NewIncrementalMetric(m, 0.5, MetricParallelOptions{}); err == nil {
+	if _, err := NewIncrementalMetric(m, 0.5, Options{}); err == nil {
 		t.Fatal("bad stretch accepted")
 	}
-	if _, err := NewIncrementalMetric(m, 2, MetricParallelOptions{Materialize: true}); err == nil {
+	if _, err := NewIncrementalMetric(m, 2, Options{Materialize: true}); err == nil {
 		t.Fatal("Materialize accepted")
 	}
-	if _, err := NewIncrementalMetric(m, 2, MetricParallelOptions{Source: NewMetricSource(m, 0)}); err == nil {
+	if _, err := NewIncrementalMetric(m, 2, Options{Source: NewMetricSource(m, 0)}); err == nil {
 		t.Fatal("Source accepted")
 	}
-	inc, err := NewIncrementalMetric(m, 2, MetricParallelOptions{})
+	inc, err := NewIncrementalMetric(m, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestIncrementalValidation(t *testing.T) {
 
 	g := graph.New(3)
 	g.MustAddEdge(0, 1, 1)
-	ginc, err := NewIncrementalGraph(g, 2, ParallelOptions{})
+	ginc, err := NewIncrementalGraph(g, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +380,7 @@ func TestIncrementalFromEmpty(t *testing.T) {
 	pts := gen.UniformPoints(rng, 20, 2)
 	m := metric.MustEuclidean(pts)
 	for _, start := range []int{0, 1} {
-		inc, err := NewIncrementalMetric(subMetric(m, start), 1.5, MetricParallelOptions{Workers: 2})
+		inc, err := NewIncrementalMetric(subMetric(m, start), 1.5, Options{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -402,7 +402,7 @@ func TestIncrementalFromEmpty(t *testing.T) {
 func TestIncrementalResultIsSnapshot(t *testing.T) {
 	rng := rand.New(rand.NewSource(85))
 	m := metric.MustEuclidean(gen.UniformPoints(rng, 30, 2))
-	inc, err := NewIncrementalMetric(subMetric(m, 20), 1.5, MetricParallelOptions{})
+	inc, err := NewIncrementalMetric(subMetric(m, 20), 1.5, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -167,7 +167,7 @@ func TestIncrementalMaintainsInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(65))
 	m := metric.MustEuclidean(gen.UniformPoints(rng, 42, 2))
 	const tt = 1.5
-	inc, err := NewIncrementalMetric(subMetric(m, 14), tt, MetricParallelOptions{Workers: 2})
+	inc, err := NewIncrementalMetric(subMetric(m, 14), tt, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ func TestGreedyMetricFastParallelEquivalence(t *testing.T) {
 			}
 			// Pathological batch widths must not change decisions.
 			for _, batch := range []int{1, 7, 100000} {
-				got, err := GreedyMetricFastParallelOpts(m, stretch, MetricParallelOptions{Workers: 4, BatchSize: batch})
+				got, err := GreedyMetricFastParallelOpts(m, stretch, Options{Workers: 4, BatchSize: batch})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -128,8 +128,8 @@ func TestGreedyMetricFastParallelStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	m := metric.MustEuclidean(gen.UniformPoints(rng, 80, 2))
 	for _, workers := range []int{1, 4} {
-		var stats MetricParallelStats
-		res, err := GreedyMetricFastParallelOpts(m, 1.5, MetricParallelOptions{Workers: workers, Stats: &stats})
+		var stats Stats
+		res, err := GreedyMetricFastParallelOpts(m, 1.5, Options{Workers: workers, Stats: &stats})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -28,8 +28,8 @@ type CandidateSource interface {
 // MaterializedSource adapts an explicit, already-sorted candidate slice to
 // the CandidateSource interface. It is the bridge to the classic
 // materialize-then-sort pipeline: the engines use it when
-// (Metric)ParallelOptions.Materialize is set, and benchmarks use it to
-// measure the memory gap against the streamed supplies.
+// Options.Materialize is set, and benchmarks use it to measure the memory
+// gap against the streamed supplies.
 type MaterializedSource struct {
 	edges []graph.Edge
 	pos   int
@@ -106,11 +106,10 @@ func (e graphEdgeEnumerator) Pairs(lo, hi float64, fn func(u, v int, w float64))
 }
 
 // DefaultBucketPairs is the default cap on the number of candidate pairs a
-// bucketed source holds materialized at once; see BucketPairs on
-// ParallelOptions and MetricParallelOptions. Buckets larger than the cap
-// are subdivided into narrower weight ranges before materialization, so
-// peak supply memory is O(cap) edges at the price of one extra counting
-// pass per subdivision.
+// bucketed source holds materialized at once; see Options.BucketPairs.
+// Buckets larger than the cap are subdivided into narrower weight ranges
+// before materialization, so peak supply memory is O(cap) edges at the
+// price of one extra counting pass per subdivision.
 const DefaultBucketPairs = 1 << 19
 
 // maxSubranges bounds how many sub-ranges one oversized bucket is split
@@ -230,16 +229,6 @@ func newMetricSourceSeeded(m metric.Metric, bucketPairs int, counts pairCounts) 
 	return s
 }
 
-// newMetricSourceAfter is newMetricSourceSeeded with the scan resumed at
-// cut: candidates strictly before cut in scan order are counted into
-// Skipped instead of emitted, and whole weight buckets below the cut are
-// skipped by count alone without ever enumerating their pairs.
-func newMetricSourceAfter(m metric.Metric, bucketPairs int, cut graph.Edge, counts pairCounts) *bucketedSource {
-	s := newMetricSourceSeeded(m, bucketPairs, counts)
-	s.cut = &cut
-	return s
-}
-
 // NewGraphEdgeSource returns the streaming supply over g's edge list in
 // greedy scan order. It replaces the sorted O(m) copy of SortedEdges with
 // per-bucket collection: one O(m) counting pass, then for each weight
@@ -254,14 +243,6 @@ func NewGraphEdgeSource(g *graph.Graph, bucketPairs int) CandidateSource {
 func newGraphEdgeSourceSeeded(g *graph.Graph, bucketPairs int, counts pairCounts) *bucketedSource {
 	s := newBucketedSource(graphEdgeEnumerator{g: g}, bucketPairs)
 	s.seed = &counts
-	return s
-}
-
-// newGraphEdgeSourceAfter is NewGraphEdgeSource resumed at cut; see
-// newMetricSourceAfter.
-func newGraphEdgeSourceAfter(g *graph.Graph, bucketPairs int, cut graph.Edge, counts pairCounts) *bucketedSource {
-	s := newGraphEdgeSourceSeeded(g, bucketPairs, counts)
-	s.cut = &cut
 	return s
 }
 

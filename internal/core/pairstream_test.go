@@ -114,7 +114,7 @@ func TestGreedyMetricSupplyParallelEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 3, 8} {
-				for _, opts := range []MetricParallelOptions{
+				for _, opts := range []Options{
 					{Workers: workers},
 					{Workers: workers, Materialize: true},
 					{Workers: workers, BucketPairs: 41},
@@ -145,7 +145,7 @@ func TestGreedyGraphSupplyParallelEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 4} {
-				for _, opts := range []ParallelOptions{
+				for _, opts := range []Options{
 					{Workers: workers},
 					{Workers: workers, Materialize: true},
 					{Workers: workers, BucketPairs: 29},
@@ -171,8 +171,8 @@ func TestGreedyGraphSupplyParallelEquivalence(t *testing.T) {
 func TestSparseBoundRowsParallelStats(t *testing.T) {
 	for name, m := range testMetrics(t) {
 		for _, workers := range []int{1, 4} {
-			var stats MetricParallelStats
-			res, err := GreedyMetricFastParallelOpts(m, 2, MetricParallelOptions{Workers: workers, Stats: &stats})
+			var stats Stats
+			res, err := GreedyMetricFastParallelOpts(m, 2, Options{Workers: workers, Stats: &stats})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -257,6 +257,16 @@ func TestStreamedPairOrderSeededCounts(t *testing.T) {
 			t.Fatalf("%s: Skipped() = %d, want %d", name, src.Skipped(), len(want)/2)
 		}
 	}
+}
+
+// newMetricSourceAfter is the seeded metric supply resumed at cut, the
+// way IncrementalSpanner replays: candidates strictly before cut in scan
+// order are counted into Skipped instead of emitted, and whole weight
+// buckets below the cut are skipped by count alone.
+func newMetricSourceAfter(m metric.Metric, bucketPairs int, cut graph.Edge, counts pairCounts) *bucketedSource {
+	s := newMetricSourceSeeded(m, bucketPairs, counts)
+	s.cut = &cut
+	return s
 }
 
 // hugeMetric pins the top-of-range bucketing: one pair lands in the

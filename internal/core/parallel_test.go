@@ -77,7 +77,7 @@ func TestGreedyGraphParallelEquivalence(t *testing.T) {
 			}
 			// Pathological batch widths must not change decisions.
 			for _, batch := range []int{1, 7, 100000} {
-				got, err := GreedyGraphParallelOpts(g, stretch, ParallelOptions{Workers: 4, BatchSize: batch})
+				got, err := GreedyGraphParallelOpts(g, stretch, Options{Workers: 4, BatchSize: batch})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -136,8 +136,8 @@ func TestGreedyMetricMatchesGraphEngine(t *testing.T) {
 func TestGreedyGraphParallelStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	g := gen.ErdosRenyi(rng, 100, 0.3, 0.5, 10)
-	var stats ParallelStats
-	res, err := GreedyGraphParallelOpts(g, 3, ParallelOptions{Workers: 4, Stats: &stats})
+	var stats Stats
+	res, err := GreedyGraphParallelOpts(g, 3, Options{Workers: 4, Stats: &stats})
 	if err != nil {
 		t.Fatal(err)
 	}

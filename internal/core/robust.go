@@ -83,9 +83,10 @@ type Corrupter interface {
 // real ones would land. Zero hooks cost the hot paths nothing.
 type InjectionHooks struct {
 	// OnCertify runs before a certification query decides a candidate:
-	// in parallel workers (concurrently!) and in the serial decision
-	// paths. A panic raised here models a worker panic; a sleep models a
-	// stalled certification.
+	// in parallel workers (concurrently!) before each unit of snapshot
+	// work, and in the serial pass before each exact decision. The
+	// fault-tolerant scan fires it once per candidate. A panic raised here
+	// models a worker panic; a sleep models a stalled certification.
 	OnCertify func(e graph.Edge)
 	// OnBatch runs serially at each batch boundary, before the batch is
 	// pulled, with the 0-based batch index and the engine's Corrupter
@@ -216,14 +217,11 @@ func (e *scanEnv) onCertify(edge graph.Edge) {
 	}
 }
 
-// degradationSink returns the record callback newScanEnv and the budget
-// resolvers append degradation-ladder steps to.
-func (st *ParallelStats) degradationSink() func(string) {
-	return func(step string) { st.Degradations = append(st.Degradations, step) }
-}
-
-func (st *MetricParallelStats) degradationSink() func(string) {
-	return func(step string) { st.Degradations = append(st.Degradations, step) }
+// logTo returns the record callback newScanEnv and the budget resolvers
+// append degradation-ladder steps to: the Degradations log of the run's
+// stats.
+func logTo(steps *[]string) func(string) {
+	return func(step string) { *steps = append(*steps, step) }
 }
 
 // panicErr converts a recovered panic value into the typed engine error,

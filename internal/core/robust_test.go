@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -84,11 +85,11 @@ func TestCancelBeforeStartAbortsAllEngines(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	res, err := GreedyGraphParallelOpts(g, 2, ParallelOptions{Ctx: ctx})
+	res, err := GreedyGraphParallelOpts(g, 2, Options{Ctx: ctx})
 	if !errors.Is(err, ErrCancelled) || !res.Partial || res.Size() != 0 {
 		t.Fatalf("graph: err=%v partial=%v size=%d", err, res.Partial, res.Size())
 	}
-	res, err = GreedyMetricFastParallelOpts(m, 2, MetricParallelOptions{Ctx: ctx})
+	res, err = GreedyMetricFastParallelOpts(m, 2, Options{Ctx: ctx})
 	if !errors.Is(err, ErrCancelled) || !res.Partial || res.Size() != 0 {
 		t.Fatalf("metric: err=%v partial=%v size=%d", err, res.Partial, res.Size())
 	}
@@ -96,7 +97,7 @@ func TestCancelBeforeStartAbortsAllEngines(t *testing.T) {
 	if !errors.Is(err, ErrCancelled) || !res.Partial || res.Size() != 0 {
 		t.Fatalf("faulttolerant: err=%v partial=%v size=%d", err, res.Partial, res.Size())
 	}
-	if _, err := NewIncrementalMetric(m, 2, MetricParallelOptions{Ctx: ctx}); !errors.Is(err, ErrCancelled) {
+	if _, err := NewIncrementalMetric(m, 2, Options{Ctx: ctx}); !errors.Is(err, ErrCancelled) {
 		t.Fatalf("incremental constructor: %v", err)
 	}
 }
@@ -125,7 +126,7 @@ func TestCancelMidScanReturnsExactPrefix(t *testing.T) {
 					cancel()
 				}
 			}}
-			res, err := GreedyGraphParallelOpts(g, 2, ParallelOptions{Workers: workers, Ctx: ctx, Inject: hooks})
+			res, err := GreedyGraphParallelOpts(g, 2, Options{Workers: workers, Ctx: ctx, Inject: hooks})
 			if err != nil {
 				if !errors.Is(err, ErrCancelled) {
 					t.Fatalf("graph at=%d: %v", at, err)
@@ -141,7 +142,7 @@ func TestCancelMidScanReturnsExactPrefix(t *testing.T) {
 					cancel()
 				}
 			}}
-			res, err = GreedyMetricFastParallelOpts(m, 1.8, MetricParallelOptions{Workers: workers, Ctx: ctx, Inject: hooks})
+			res, err = GreedyMetricFastParallelOpts(m, 1.8, Options{Workers: workers, Ctx: ctx, Inject: hooks})
 			if err != nil {
 				if !errors.Is(err, ErrCancelled) {
 					t.Fatalf("metric at=%d: %v", at, err)
@@ -159,7 +160,7 @@ func TestBudgetDeadlineAborts(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	g := robustGraph(rng, 24, 60)
 	b := Budget{Deadline: time.Now().Add(-time.Second)}
-	res, err := GreedyGraphParallelOpts(g, 2, ParallelOptions{Budget: b})
+	res, err := GreedyGraphParallelOpts(g, 2, Options{Budget: b})
 	if !errors.Is(err, ErrCancelled) || !res.Partial {
 		t.Fatalf("err=%v partial=%v", err, res.Partial)
 	}
@@ -168,7 +169,11 @@ func TestBudgetDeadlineAborts(t *testing.T) {
 // TestBudgetDegradationLadder: a tight byte budget walks the ladder —
 // recorded step by step in the stats — and the output stays bit-identical
 // to the unbudgeted build, because every knob the ladder turns is
-// output-invariant.
+// output-invariant. The ladder runs at batch boundaries of the one scan
+// loop, so a single-worker scan walks it too: the in-scan steps (hub
+// oracle or cached rows dropped) must appear at workers=1 as well. One
+// worker pools 2 searchers instead of 5, so it gets half the budget to
+// reach those rungs on the same instances.
 func TestBudgetDegradationLadder(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	m := robustPoints(t, rng, 40)
@@ -176,40 +181,60 @@ func TestBudgetDegradationLadder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stats MetricParallelStats
-	res, err := GreedyMetricFastParallelOpts(m, 1.8, MetricParallelOptions{
-		Workers: 4,
-		Hubs:    DefaultHubs(40),
-		Budget:  Budget{MaxBytes: 16 << 10},
-		Stats:   &stats,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats.Degradations) == 0 {
-		t.Fatalf("16KiB budget on 40 points recorded no degradation steps")
-	}
-	assertSameResult(t, ref, res)
-
 	g := robustGraph(rng, 40, 120)
 	gref, err := GreedyGraph(g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var gstats ParallelStats
-	gres, err := GreedyGraphParallelOpts(g, 2, ParallelOptions{
-		Workers: 4,
-		Hubs:    DefaultHubs(40),
-		Budget:  Budget{MaxBytes: 16 << 10},
-		Stats:   &gstats,
-	})
-	if err != nil {
-		t.Fatal(err)
+	inScan := func(steps []string) bool {
+		for _, s := range steps {
+			if strings.HasPrefix(s, "hub oracle") || strings.HasPrefix(s, "cached bound rows") {
+				return true
+			}
+		}
+		return false
 	}
-	if len(gstats.Degradations) == 0 {
-		t.Fatalf("graph: 16KiB budget recorded no degradation steps")
+	for _, tc := range []struct {
+		workers  int
+		maxBytes int64
+	}{{1, 8 << 10}, {4, 16 << 10}} {
+		workers, budget := tc.workers, Budget{MaxBytes: tc.maxBytes}
+		var stats Stats
+		res, err := GreedyMetricFastParallelOpts(m, 1.8, Options{
+			Workers: workers,
+			Hubs:    DefaultHubs(40),
+			Budget:  budget,
+			Stats:   &stats,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(stats.Degradations) == 0 {
+			t.Fatalf("workers=%d: %d-byte budget on 40 points recorded no degradation steps", workers, tc.maxBytes)
+		}
+		if !inScan(stats.Degradations) {
+			t.Fatalf("workers=%d: no in-scan ladder step logged: %q", workers, stats.Degradations)
+		}
+		assertSameResult(t, ref, res)
+
+		var gstats Stats
+		gres, err := GreedyGraphParallelOpts(g, 2, Options{
+			Workers: workers,
+			Hubs:    DefaultHubs(40),
+			Budget:  budget,
+			Stats:   &gstats,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(gstats.Degradations) == 0 {
+			t.Fatalf("graph workers=%d: %d-byte budget recorded no degradation steps", workers, tc.maxBytes)
+		}
+		if !inScan(gstats.Degradations) {
+			t.Fatalf("graph workers=%d: no in-scan ladder step logged: %q", workers, gstats.Degradations)
+		}
+		assertSameResult(t, gref, gres)
 	}
-	assertSameResult(t, gref, gres)
 }
 
 // TestBudgetMaxBatchWidth: the batch-width cap is honored and output is
@@ -221,8 +246,8 @@ func TestBudgetMaxBatchWidth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stats ParallelStats
-	res, err := GreedyGraphParallelOpts(g, 2, ParallelOptions{
+	var stats Stats
+	res, err := GreedyGraphParallelOpts(g, 2, Options{
 		Workers: 4,
 		Budget:  Budget{MaxBatchWidth: 7},
 		Stats:   &stats,
@@ -261,7 +286,7 @@ func TestPanicBecomesTypedError(t *testing.T) {
 				panic("robust_test: injected panic")
 			}
 		}}
-		res, err := GreedyGraphParallelOpts(g, 2, ParallelOptions{Workers: workers, Hubs: 4, Ctx: context.Background(), Inject: hooks})
+		res, err := GreedyGraphParallelOpts(g, 2, Options{Workers: workers, Hubs: 4, Ctx: context.Background(), Inject: hooks})
 		if !errors.Is(err, ErrEnginePanic) {
 			t.Fatalf("graph workers=%d: %v", workers, err)
 		}
@@ -269,7 +294,7 @@ func TestPanicBecomesTypedError(t *testing.T) {
 		drainGoroutines(t, baseline)
 
 		n.Store(0)
-		res, err = GreedyMetricFastParallelOpts(m, 1.8, MetricParallelOptions{Workers: workers, Hubs: 4, Inject: hooks})
+		res, err = GreedyMetricFastParallelOpts(m, 1.8, Options{Workers: workers, Hubs: 4, Inject: hooks})
 		if !errors.Is(err, ErrEnginePanic) {
 			t.Fatalf("metric workers=%d: %v", workers, err)
 		}
@@ -350,7 +375,7 @@ func TestCancelledFlushPreservesPendingState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	inc, err := NewIncrementalMetric(base, 1.8, MetricParallelOptions{Workers: 2, Hubs: 3, GuardRows: true})
+	inc, err := NewIncrementalMetric(base, 1.8, Options{Workers: 2, Hubs: 3, GuardRows: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,11 +439,11 @@ func TestCancelDrainsWorkerPools(t *testing.T) {
 			drainGoroutines(t, baseline)
 		}
 		run(func(ctx context.Context, hooks InjectionHooks) error {
-			_, err := GreedyGraphParallelOpts(g, 2, ParallelOptions{Workers: 4, Hubs: 4, Ctx: ctx, Inject: hooks})
+			_, err := GreedyGraphParallelOpts(g, 2, Options{Workers: 4, Hubs: 4, Ctx: ctx, Inject: hooks})
 			return err
 		})
 		run(func(ctx context.Context, hooks InjectionHooks) error {
-			_, err := GreedyMetricFastParallelOpts(m, 1.8, MetricParallelOptions{Workers: 4, Hubs: 4, Ctx: ctx, Inject: hooks})
+			_, err := GreedyMetricFastParallelOpts(m, 1.8, Options{Workers: 4, Hubs: 4, Ctx: ctx, Inject: hooks})
 			return err
 		})
 		run(func(ctx context.Context, hooks InjectionHooks) error {
@@ -426,7 +451,7 @@ func TestCancelDrainsWorkerPools(t *testing.T) {
 			return err
 		})
 		run(func(ctx context.Context, hooks InjectionHooks) error {
-			inc, err := NewIncrementalMetric(m, 1.8, MetricParallelOptions{Workers: 4, Hubs: 4, Ctx: ctx, Inject: hooks})
+			inc, err := NewIncrementalMetric(m, 1.8, Options{Workers: 4, Hubs: 4, Ctx: ctx, Inject: hooks})
 			if err != nil {
 				return err
 			}
@@ -481,7 +506,7 @@ func TestFlushRetryConverges(t *testing.T) {
 			cancelCur.Load().(context.CancelFunc)()
 		}
 	}}
-	inc, err := NewIncrementalMetric(base, 1.7, MetricParallelOptions{
+	inc, err := NewIncrementalMetric(base, 1.7, Options{
 		Workers: 3, Hubs: 3, GuardRows: true, Inject: hooks,
 	})
 	if err != nil {

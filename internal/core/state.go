@@ -256,7 +256,7 @@ func validateEdges(edges []graph.Edge, n int, dead []bool) error {
 // length, epoch, and histogram total is checked and a violation returns an
 // error wrapping ErrCorruptState; it does not re-verify distances against
 // the metric payload (the persistence layer's digests own byte integrity).
-func ImportIncremental(st *SpannerState, mopts MetricParallelOptions, gopts ParallelOptions) (*IncrementalSpanner, error) {
+func ImportIncremental(st *SpannerState, mopts, gopts Options) (*IncrementalSpanner, error) {
 	if st == nil {
 		return nil, corrupt("nil state")
 	}
@@ -272,7 +272,7 @@ func ImportIncremental(st *SpannerState, mopts MetricParallelOptions, gopts Para
 	return importMetric(st, mopts)
 }
 
-func importGraph(st *SpannerState, opts ParallelOptions) (*IncrementalSpanner, error) {
+func importGraph(st *SpannerState, opts Options) (*IncrementalSpanner, error) {
 	if st.GraphN < 0 {
 		return nil, corrupt("negative vertex count %d", st.GraphN)
 	}
@@ -285,7 +285,7 @@ func importGraph(st *SpannerState, opts ParallelOptions) (*IncrementalSpanner, e
 	if err := validateEdges(st.Edges, st.GraphN, nil); err != nil {
 		return nil, err
 	}
-	s := &IncrementalSpanner{t: st.T, g: g, gopts: opts, policy: st.Policy}
+	s := &IncrementalSpanner{t: st.T, g: g, opts: opts, policy: st.Policy}
 	for _, e := range s.g.Edges() {
 		s.counts.add(e.W)
 	}
@@ -298,7 +298,7 @@ func importGraph(st *SpannerState, opts ParallelOptions) (*IncrementalSpanner, e
 	return s, nil
 }
 
-func importMetric(st *SpannerState, opts MetricParallelOptions) (*IncrementalSpanner, error) {
+func importMetric(st *SpannerState, opts Options) (*IncrementalSpanner, error) {
 	ln := len(st.Live)
 	if st.Cap < 0 || ln > st.Cap {
 		return nil, corrupt("%d live ids exceed stable capacity %d", ln, st.Cap)
@@ -357,7 +357,7 @@ func importMetric(st *SpannerState, opts MetricParallelOptions) (*IncrementalSpa
 	if err := validateEdges(st.Edges, st.Cap, d.dead); err != nil {
 		return nil, err
 	}
-	s := &IncrementalSpanner{t: st.T, dyn: d, mopts: opts, policy: st.Policy}
+	s := &IncrementalSpanner{t: st.T, dyn: d, opts: opts, policy: st.Policy}
 	s.anyDeleted = ln < st.Cap
 	// The maintained histogram must tally exactly the live candidate
 	// pairs; a drifted total would desynchronize the resumed supply's
@@ -450,7 +450,7 @@ func (s *IncrementalSpanner) importBounds(st *SpannerState) error {
 		b.rows[u] = r
 		b.epochs[u] = ep
 	}
-	if s.mopts.GuardRows {
+	if s.opts.GuardRows {
 		b.setGuard()
 	}
 	b.enableCheckpoints(checkpointInterval(n))

@@ -55,7 +55,7 @@ func driveMetric(t *testing.T, inc *IncrementalSpanner, uni metric.Metric, alive
 // option matrix covering hubs and guarded rows.
 func TestStateRoundTripMetric(t *testing.T) {
 	for kind := 0; kind < 3; kind++ {
-		for ci, opts := range []MetricParallelOptions{
+		for ci, opts := range []Options{
 			{Workers: 1},
 			{Workers: 2, Hubs: 4},
 			{Workers: 1, Hubs: 3, GuardRows: true},
@@ -77,7 +77,7 @@ func TestStateRoundTripMetric(t *testing.T) {
 				t.Fatalf("%s: export left %d ops pending", label, inc.Pending())
 			}
 			opts2 := opts
-			imp, err := ImportIncremental(st, opts2, ParallelOptions{})
+			imp, err := ImportIncremental(st, opts2, Options{})
 			if err != nil {
 				t.Fatalf("%s: import: %v", label, err)
 			}
@@ -118,7 +118,7 @@ func TestStateRoundTripGraph(t *testing.T) {
 	}
 	g.MustAddEdge(0, 9, 7)
 	g.MustAddEdge(2, 7, 2.5)
-	for _, opts := range []ParallelOptions{{Workers: 1}, {Workers: 2, Hubs: 3}} {
+	for _, opts := range []Options{{Workers: 1}, {Workers: 2, Hubs: 3}} {
 		label := fmt.Sprintf("hubs%d", opts.Hubs)
 		inc, err := NewIncrementalGraph(g, 1.5, opts)
 		if err != nil {
@@ -137,7 +137,7 @@ func TestStateRoundTripGraph(t *testing.T) {
 		if !st.GraphMode {
 			t.Fatalf("%s: exported state not graph mode", label)
 		}
-		imp, err := ImportIncremental(st, MetricParallelOptions{}, opts)
+		imp, err := ImportIncremental(st, Options{}, opts)
 		if err != nil {
 			t.Fatalf("%s: import: %v", label, err)
 		}
@@ -163,7 +163,7 @@ func TestStateRoundTripGraph(t *testing.T) {
 func TestStateExportFlushesPending(t *testing.T) {
 	uni := traceMetric(1)
 	alive := []int{0, 1, 2, 3, 4, 5}
-	inc, err := NewIncrementalMetric(restrictMetric(uni, alive), 1.6, MetricParallelOptions{Workers: 1})
+	inc, err := NewIncrementalMetric(restrictMetric(uni, alive), 1.6, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestImportRejectsCorruptState(t *testing.T) {
 	uni := traceMetric(1)
 	alive := []int{0, 1, 2, 3, 4, 5, 6}
 	build := func() *SpannerState {
-		inc, err := NewIncrementalMetric(restrictMetric(uni, alive), 1.6, MetricParallelOptions{Workers: 1, Hubs: 3})
+		inc, err := NewIncrementalMetric(restrictMetric(uni, alive), 1.6, Options{Workers: 1, Hubs: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,13 +250,13 @@ func TestImportRejectsCorruptState(t *testing.T) {
 	for _, tc := range cases {
 		st := build()
 		tc.mut(st)
-		if _, err := ImportIncremental(st, MetricParallelOptions{Workers: 1}, ParallelOptions{}); !errors.Is(err, ErrCorruptState) {
+		if _, err := ImportIncremental(st, Options{Workers: 1}, Options{}); !errors.Is(err, ErrCorruptState) {
 			t.Errorf("%s: got %v, want ErrCorruptState", tc.name, err)
 		}
 	}
 	// A pristine state still imports: the corruption cases above are not
 	// rejecting everything.
-	if _, err := ImportIncremental(build(), MetricParallelOptions{Workers: 1}, ParallelOptions{}); err != nil {
+	if _, err := ImportIncremental(build(), Options{Workers: 1}, Options{}); err != nil {
 		t.Errorf("pristine state rejected: %v", err)
 	}
 }

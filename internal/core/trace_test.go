@@ -139,7 +139,7 @@ func resultDigest(res *Result) uint64 { return ResultDigest(res) }
 // from-scratch serial reference, differential-checking every quiesce
 // point, and returns the final result's digest. init is the initial
 // point count (clamped to the universe).
-func runTrace(t testing.TB, kind, init int, ops []traceOp, opts MetricParallelOptions, label string) uint64 {
+func runTrace(t testing.TB, kind, init int, ops []traceOp, opts Options, label string) uint64 {
 	t.Helper()
 	uni := traceMetric(kind)
 	if init < 1 {
@@ -230,7 +230,7 @@ func runTrace(t testing.TB, kind, init int, ops []traceOp, opts MetricParallelOp
 
 // traceOptsMatrix is the worker x hub sweep every deterministic trace
 // runs under; all cells must agree bit for bit.
-var traceOptsMatrix = []MetricParallelOptions{
+var traceOptsMatrix = []Options{
 	{Workers: 1},
 	{Workers: 1, Hubs: 4},
 	{Workers: 3, Hubs: 0, GuardRows: true},
@@ -272,8 +272,8 @@ func FuzzDynamicTrace(f *testing.F) {
 			t.Skip()
 		}
 		kind, ops := decodeTrace(data)
-		a := runTrace(t, kind, 8, ops, MetricParallelOptions{Workers: 1}, "w1")
-		b := runTrace(t, kind, 8, ops, MetricParallelOptions{Workers: 3, Hubs: 4}, "w3h4")
+		a := runTrace(t, kind, 8, ops, Options{Workers: 1}, "w1")
+		b := runTrace(t, kind, 8, ops, Options{Workers: 3, Hubs: 4}, "w3h4")
 		if a != b {
 			t.Fatalf("digest mismatch across engines: %x vs %x", a, b)
 		}
@@ -378,8 +378,8 @@ func TestGoldenTraces(t *testing.T) {
 	for _, path := range paths {
 		t.Run(filepath.Base(path), func(t *testing.T) {
 			kind, init, ops, expect, hasExpect := parseTraceScript(t, path)
-			a := runTrace(t, kind, init, ops, MetricParallelOptions{Workers: 1}, "w1")
-			b := runTrace(t, kind, init, ops, MetricParallelOptions{Workers: 3, Hubs: 4, GuardRows: true}, "w3h4")
+			a := runTrace(t, kind, init, ops, Options{Workers: 1}, "w1")
+			b := runTrace(t, kind, init, ops, Options{Workers: 3, Hubs: 4, GuardRows: true}, "w3h4")
 			if a != b {
 				t.Fatalf("digest mismatch across engines: %x vs %x", a, b)
 			}

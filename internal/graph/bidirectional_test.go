@@ -98,3 +98,29 @@ func TestBidirectionalDistanceStillExact(t *testing.T) {
 		}
 	}
 }
+
+func TestBidirectionalMatchesDijkstra(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 10; trial++ {
+		g := randomConnectedGraph(rng, 50, 100)
+		for q := 0; q < 30; q++ {
+			u, v := rng.Intn(50), rng.Intn(50)
+			want := g.DijkstraTo(u, v)
+			got := g.BidirectionalDistance(u, v)
+			if math.Abs(got-want) > 1e-9 {
+				t.Fatalf("(%d->%d): bidirectional %v, dijkstra %v", u, v, got, want)
+			}
+		}
+	}
+}
+
+func TestBidirectionalUnreachableAndSelf(t *testing.T) {
+	g := New(4)
+	g.MustAddEdge(0, 1, 2)
+	if d := g.BidirectionalDistance(0, 3); !math.IsInf(d, 1) {
+		t.Fatalf("unreachable = %v, want Inf", d)
+	}
+	if d := g.BidirectionalDistance(2, 2); d != 0 {
+		t.Fatalf("self distance = %v, want 0", d)
+	}
+}

@@ -61,23 +61,3 @@ func (g *Graph) GirthUnweighted() int {
 	}
 	return best
 }
-
-// HasProperTSpanner reports whether g admits a t-spanner that omits at least
-// one edge, by checking each edge e for an alternative path of weight at
-// most t*w(e) in g - e. Exponentially cheaper than enumerating subgraphs and
-// exact: a proper t-spanner exists iff some single edge is removable,
-// because removing one removable edge keeps all other alternative paths
-// (their weights only matter against g's distances, which only grow).
-// Intended for small instances (Figure 1 scale); O(m * Dijkstra).
-func (g *Graph) HasProperTSpanner(t float64) bool {
-	for _, e := range g.edges {
-		rest, err := g.WithoutEdge(e)
-		if err != nil {
-			continue
-		}
-		if d, ok := rest.DistanceWithin(e.U, e.V, t*e.W); ok && d <= t*e.W {
-			return true
-		}
-	}
-	return false
-}

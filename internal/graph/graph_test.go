@@ -507,20 +507,3 @@ func TestUnionFindQuickProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestHasProperTSpanner(t *testing.T) {
-	// Triangle with unit weights: removing any edge leaves a 2-hop path, so
-	// a proper 2-spanner exists but a proper 1.5-spanner does not.
-	tri := mustGraph(t, 3, [][3]float64{{0, 1, 1}, {1, 2, 1}, {0, 2, 1}})
-	if !tri.HasProperTSpanner(2) {
-		t.Fatal("triangle must have proper 2-spanner")
-	}
-	if tri.HasProperTSpanner(1.5) {
-		t.Fatal("triangle must not have proper 1.5-spanner")
-	}
-	// A tree never has a proper spanner for any t.
-	tree := pathGraph(5)
-	if tree.HasProperTSpanner(100) {
-		t.Fatal("tree cannot have a proper spanner")
-	}
-}

@@ -136,25 +136,6 @@ func TestWeightQuantiles(t *testing.T) {
 	}
 }
 
-func TestAPSPParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, workers := range []int{0, 1, 3, 16} {
-		g := randomConnectedGraph(rng, 40, 80)
-		serial := g.APSP()
-		parallel := g.APSPParallel(workers)
-		for i := range serial {
-			for j := range serial[i] {
-				if serial[i][j] != parallel[i][j] {
-					t.Fatalf("workers=%d: APSP mismatch at (%d, %d)", workers, i, j)
-				}
-			}
-		}
-	}
-	if got := New(0).APSPParallel(4); len(got) != 0 {
-		t.Fatal("empty graph APSPParallel wrong")
-	}
-}
-
 func TestSearcherMatchesGraphMethods(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randomConnectedGraph(rng, 30, 60)

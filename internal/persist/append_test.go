@@ -14,7 +14,7 @@ import (
 // OpSeq), rejects malformed rows without logging them, and survives a
 // close/reopen round trip.
 func TestPersistAppendPoints(t *testing.T) {
-	o := Options{Metric: core.MetricParallelOptions{Workers: 1}}
+	o := Options{Metric: core.Options{Workers: 1}}
 	pts := euclidPts()
 
 	dirA, dirB := t.TempDir(), t.TempDir()

@@ -21,8 +21,8 @@ type Options struct {
 	// imported at Open; they must describe the same determinism-neutral
 	// knobs (workers, hubs, guards) the writer used or wants now — the
 	// result contract makes all of them output-invariant.
-	Metric core.MetricParallelOptions
-	Graph  core.ParallelOptions
+	Metric core.Options
+	Graph  core.Options
 	// NoSync skips every fsync. Only for benchmarks measuring encode
 	// cost; it voids the crash-recovery guarantee.
 	NoSync bool

@@ -42,7 +42,7 @@ func newEuclidDurable(t *testing.T, dir string, o Options) *Durable {
 // operations that keep matching an undisturbed twin.
 func TestPersistDurableLifecycle(t *testing.T) {
 	dir := t.TempDir()
-	o := Options{Metric: core.MetricParallelOptions{Workers: 1, Hubs: 3}}
+	o := Options{Metric: core.Options{Workers: 1, Hubs: 3}}
 	pts := euclidPts()
 
 	// Twin: the same ops on a plain engine, for digest comparison.
@@ -131,7 +131,7 @@ func curPts(pts [][]float64, idx []int) [][]float64 {
 // edge updates.
 func TestPersistDurableGraph(t *testing.T) {
 	dir := t.TempDir()
-	o := Options{Graph: core.ParallelOptions{Workers: 1, Hubs: 3}}
+	o := Options{Graph: core.Options{Workers: 1, Hubs: 3}}
 	build := func() *core.IncrementalSpanner {
 		g := graph.New(10)
 		for i := 0; i < 9; i++ {
@@ -182,7 +182,7 @@ func TestPersistOpenErrors(t *testing.T) {
 		t.Fatalf("empty dir: got %v, want ErrNoState", err)
 	}
 
-	o := Options{Metric: core.MetricParallelOptions{Workers: 1}}
+	o := Options{Metric: core.Options{Workers: 1}}
 	mk := func() string {
 		dir := t.TempDir()
 		d := newEuclidDurable(t, dir, o)
@@ -259,7 +259,7 @@ func TestPersistOpenErrors(t *testing.T) {
 // state and keeps accepting new operations.
 func TestPersistWalTailTruncation(t *testing.T) {
 	dir := t.TempDir()
-	o := Options{Metric: core.MetricParallelOptions{Workers: 1}}
+	o := Options{Metric: core.Options{Workers: 1}}
 	d := newEuclidDurable(t, dir, o)
 	if err := d.Insert(mustEuclid(t, euclidPts()[:10])); err != nil {
 		t.Fatal(err)

@@ -35,7 +35,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		}
 		// A structurally plausible decode must still be survivable: the
 		// semantic layer may reject it, but only with its typed error.
-		if _, err := core.ImportIncremental(st, core.MetricParallelOptions{Workers: 1, Hubs: len(st.Hubs)}, core.ParallelOptions{Workers: 1, Hubs: len(st.Hubs)}); err != nil {
+		if _, err := core.ImportIncremental(st, core.Options{Workers: 1, Hubs: len(st.Hubs)}, core.Options{Workers: 1, Hubs: len(st.Hubs)}); err != nil {
 			if !errors.Is(err, core.ErrCorruptState) && !errors.Is(err, graph.ErrInvalidInput) {
 				t.Fatalf("untyped import error: %v", err)
 			}

@@ -15,7 +15,7 @@ import (
 // writes. Closing the holder releases the directory.
 func TestLockSecondOpenRejected(t *testing.T) {
 	dir := t.TempDir()
-	o := Options{Metric: core.MetricParallelOptions{Workers: 1}}
+	o := Options{Metric: core.Options{Workers: 1}}
 	d := newEuclidDurable(t, dir, o)
 
 	if _, err := Open(dir, o); !errors.Is(err, ErrLocked) {
@@ -49,7 +49,7 @@ func TestLockSecondOpenRejected(t *testing.T) {
 // provably live pid (our own) must still be honored.
 func TestLockStaleRecovery(t *testing.T) {
 	dir := t.TempDir()
-	o := Options{Metric: core.MetricParallelOptions{Workers: 1}}
+	o := Options{Metric: core.Options{Workers: 1}}
 	d := newEuclidDurable(t, dir, o)
 	want := mustDigest(t, d)
 	if err := d.Close(); err != nil {
@@ -94,7 +94,7 @@ func TestLockStaleRecovery(t *testing.T) {
 // directory wedged for the next caller.
 func TestLockReleasedOnFailedOpen(t *testing.T) {
 	dir := t.TempDir()
-	o := Options{Metric: core.MetricParallelOptions{Workers: 1}}
+	o := Options{Metric: core.Options{Workers: 1}}
 	if _, err := Open(dir, o); !errors.Is(err, ErrNoState) {
 		t.Fatalf("Open empty dir: %v, want ErrNoState", err)
 	}
@@ -111,7 +111,7 @@ func TestLockReleasedOnFailedOpen(t *testing.T) {
 // breakable): recovery in the same process must not see ErrLocked.
 func TestLockDroppedOnSimulatedCrash(t *testing.T) {
 	dir := t.TempDir()
-	o := Options{Metric: core.MetricParallelOptions{Workers: 1}}
+	o := Options{Metric: core.Options{Workers: 1}}
 	d := newEuclidDurable(t, dir, o)
 	want := mustDigest(t, d)
 

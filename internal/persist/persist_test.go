@@ -62,7 +62,7 @@ func mustEuclid(t *testing.T, pts [][]float64) *metric.Euclidean {
 // buildMetricState drives a small maintained spanner through inserts,
 // deletes, and a policy change, then exports it. euclid selects the
 // coordinate universe, otherwise the +Inf matrix universe.
-func buildMetricState(t *testing.T, euclid bool, opts core.MetricParallelOptions) *core.SpannerState {
+func buildMetricState(t *testing.T, euclid bool, opts core.Options) *core.SpannerState {
 	t.Helper()
 	var inc *core.IncrementalSpanner
 	var err error
@@ -98,7 +98,7 @@ func buildMetricState(t *testing.T, euclid bool, opts core.MetricParallelOptions
 	return st
 }
 
-func buildGraphState(t *testing.T, opts core.ParallelOptions) *core.SpannerState {
+func buildGraphState(t *testing.T, opts core.Options) *core.SpannerState {
 	t.Helper()
 	g := graph.New(10)
 	for i := 0; i < 9; i++ {
@@ -122,7 +122,7 @@ func buildGraphState(t *testing.T, opts core.ParallelOptions) *core.SpannerState
 	return st
 }
 
-func stateDigest(t *testing.T, st *core.SpannerState, mopts core.MetricParallelOptions, gopts core.ParallelOptions) uint64 {
+func stateDigest(t *testing.T, st *core.SpannerState, mopts core.Options, gopts core.Options) uint64 {
 	t.Helper()
 	inc, err := core.ImportIncremental(st, mopts, gopts)
 	if err != nil {
@@ -144,13 +144,13 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		name string
 		st   *core.SpannerState
 	}{
-		{"euclid", buildMetricState(t, true, core.MetricParallelOptions{Workers: 1, Hubs: 3})},
-		{"matrix", buildMetricState(t, false, core.MetricParallelOptions{Workers: 1, GuardRows: true})},
-		{"graph", buildGraphState(t, core.ParallelOptions{Workers: 1, Hubs: 3})},
+		{"euclid", buildMetricState(t, true, core.Options{Workers: 1, Hubs: 3})},
+		{"matrix", buildMetricState(t, false, core.Options{Workers: 1, GuardRows: true})},
+		{"graph", buildGraphState(t, core.Options{Workers: 1, Hubs: 3})},
 	}
 	for _, tc := range cases {
-		mopts := core.MetricParallelOptions{Workers: 1, Hubs: len(tc.st.Hubs)}
-		gopts := core.ParallelOptions{Workers: 1, Hubs: len(tc.st.Hubs)}
+		mopts := core.Options{Workers: 1, Hubs: len(tc.st.Hubs)}
+		gopts := core.Options{Workers: 1, Hubs: len(tc.st.Hubs)}
 		want := stateDigest(t, tc.st, mopts, gopts)
 		data := EncodeSnapshot(tc.st, 42)
 		if !bytes.Equal(data, EncodeSnapshot(tc.st, 42)) {
@@ -172,7 +172,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // TestSnapshotVersionSkew: a foreign format version is refused with
 // ErrUnsupportedVersion before any of the file is trusted.
 func TestSnapshotVersionSkew(t *testing.T) {
-	data := EncodeSnapshot(buildMetricState(t, true, core.MetricParallelOptions{Workers: 1}), 0)
+	data := EncodeSnapshot(buildMetricState(t, true, core.Options{Workers: 1}), 0)
 	bad := append([]byte(nil), data...)
 	bad[8] = 99
 	if _, _, err := DecodeSnapshot(bad); !errors.Is(err, ErrUnsupportedVersion) {
@@ -186,7 +186,7 @@ func TestSnapshotVersionSkew(t *testing.T) {
 // TestSnapshotCorruption: truncations and bit flips are detected by the
 // digests and surface as ErrCorruptState naming the damaged section.
 func TestSnapshotCorruption(t *testing.T) {
-	data := EncodeSnapshot(buildMetricState(t, true, core.MetricParallelOptions{Workers: 1, Hubs: 3}), 7)
+	data := EncodeSnapshot(buildMetricState(t, true, core.Options{Workers: 1, Hubs: 3}), 7)
 	cases := []struct {
 		name    string
 		mutate  func([]byte) []byte
@@ -222,13 +222,13 @@ func TestSnapshotGolden(t *testing.T) {
 		st   func() *core.SpannerState
 	}{
 		{"snap_metric_v1.bin", func() *core.SpannerState {
-			return buildMetricState(t, true, core.MetricParallelOptions{Workers: 1, Hubs: 3})
+			return buildMetricState(t, true, core.Options{Workers: 1, Hubs: 3})
 		}},
 		{"snap_matrix_v1.bin", func() *core.SpannerState {
-			return buildMetricState(t, false, core.MetricParallelOptions{Workers: 1})
+			return buildMetricState(t, false, core.Options{Workers: 1})
 		}},
 		{"snap_graph_v1.bin", func() *core.SpannerState {
-			return buildGraphState(t, core.ParallelOptions{Workers: 1, Hubs: 3})
+			return buildGraphState(t, core.Options{Workers: 1, Hubs: 3})
 		}},
 	}
 	for _, tc := range cases {
@@ -257,7 +257,7 @@ func TestSnapshotGolden(t *testing.T) {
 		if opSeq != 11 {
 			t.Errorf("%s: opSeq %d, want 11", tc.file, opSeq)
 		}
-		if _, err := core.ImportIncremental(st, core.MetricParallelOptions{Workers: 1, Hubs: len(st.Hubs)}, core.ParallelOptions{Workers: 1, Hubs: len(st.Hubs)}); err != nil {
+		if _, err := core.ImportIncremental(st, core.Options{Workers: 1, Hubs: len(st.Hubs)}, core.Options{Workers: 1, Hubs: len(st.Hubs)}); err != nil {
 			t.Errorf("%s: import: %v", tc.file, err)
 		}
 	}

@@ -219,11 +219,11 @@ func TestPersistRecoverOneReplay(t *testing.T) {
 		o     Options
 	}{
 		{"euclid", func() *recoverWorld { return &recoverWorld{euclid: true, ids: []int{0, 1, 2, 3, 4, 5, 6, 7}, next: 8} },
-			metricRecoverScript(), Options{Metric: core.MetricParallelOptions{Workers: 1, Hubs: 3}}},
+			metricRecoverScript(), Options{Metric: core.Options{Workers: 1, Hubs: 3}}},
 		{"matrix", func() *recoverWorld { return &recoverWorld{ids: []int{0, 1, 2, 3, 4, 5, 6, 7}, next: 8} },
-			metricRecoverScript(), Options{Metric: core.MetricParallelOptions{Workers: 1, GuardRows: true}}},
+			metricRecoverScript(), Options{Metric: core.Options{Workers: 1, GuardRows: true}}},
 		{"graph", func() *recoverWorld { return &recoverWorld{g: recoverGraph()} },
-			graphRecoverScript(), Options{Graph: core.ParallelOptions{Workers: 1, Hubs: 3}}},
+			graphRecoverScript(), Options{Graph: core.Options{Workers: 1, Hubs: 3}}},
 	}
 	for _, m := range modes {
 		t.Run(m.name, func(t *testing.T) {
@@ -282,7 +282,7 @@ func TestPersistRecoverOneReplay(t *testing.T) {
 // corruption, releases the directory lock, and leaves the state on disk
 // intact for the next Open.
 func TestPersistRecoverTypedErrors(t *testing.T) {
-	o := Options{Metric: core.MetricParallelOptions{Workers: 1, Hubs: 3}}
+	o := Options{Metric: core.Options{Workers: 1, Hubs: 3}}
 	dir := t.TempDir()
 	d := newEuclidDurable(t, dir, o)
 	if err := d.Insert(mustEuclid(t, euclidPts()[:11])); err != nil {

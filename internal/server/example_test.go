@@ -34,7 +34,7 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	o := persist.Options{Metric: core.MetricParallelOptions{Workers: 1}}
+	o := persist.Options{Metric: core.Options{Workers: 1}}
 	inc, err := core.NewIncrementalMetric(eu, 1.6, o.Metric)
 	if err != nil {
 		panic(err)

@@ -101,7 +101,11 @@ func (s *Server) routes() *http.ServeMux {
 func (s *Server) contain(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		rw := &respWriter{ResponseWriter: w}
-		s.inflight.Add(1)
+		if !s.admit() {
+			s.counters.Rejected.Add(1)
+			s.writeError(rw, http.StatusServiceUnavailable, codeDraining, "server draining")
+			return
+		}
 		defer s.inflight.Done()
 		defer func() {
 			if p := recover(); p != nil {
@@ -113,13 +117,20 @@ func (s *Server) contain(h http.HandlerFunc) http.HandlerFunc {
 				_ = debug.Stack // stack kept reachable for a debugger; not logged per-request
 			}
 		}()
-		if s.draining.Load() {
-			s.counters.Rejected.Add(1)
-			s.writeError(rw, http.StatusServiceUnavailable, codeDraining, "server draining")
-			return
-		}
 		h(rw, r)
 	}
+}
+
+// admit counts one request into inflight unless Drain has started; see
+// Server.admitMu for why the check and the count share a lock.
+func (s *Server) admit() bool {
+	s.admitMu.Lock()
+	defer s.admitMu.Unlock()
+	if s.draining.Load() {
+		return false
+	}
+	s.inflight.Add(1)
+	return true
 }
 
 // read is the read-path middleware: admission control with a bounded

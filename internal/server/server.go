@@ -128,6 +128,11 @@ type Server struct {
 	draining atomic.Bool
 	drained  chan struct{} // closed when Drain has finished
 	drainErr error         // valid after drained is closed
+	// admitMu orders admission against Drain: contain counts a request
+	// into inflight only under it and only while draining is unset, and
+	// Drain sets draining under it, so every inflight.Add happens before
+	// Drain's inflight.Wait starts.
+	admitMu  sync.Mutex
 	inflight sync.WaitGroup
 
 	wedgeReason atomic.Pointer[string] // non-nil once the mutation path is wedged
@@ -278,7 +283,10 @@ func (s *Server) wedgedErr() error {
 // straight to cancelling in-flight work. Concurrent and repeated calls
 // are safe: every caller returns the first Drain's outcome.
 func (s *Server) Drain(ctx context.Context) error {
-	if !s.draining.CompareAndSwap(false, true) {
+	s.admitMu.Lock()
+	first := s.draining.CompareAndSwap(false, true)
+	s.admitMu.Unlock()
+	if !first {
 		select {
 		case <-s.drained:
 			return s.drainErr

@@ -39,7 +39,7 @@ func mustEuclid(t *testing.T, pts [][]float64) *metric.Euclidean {
 // fresh temp dir.
 func newTestDurable(t *testing.T, n int) *persist.Durable {
 	t.Helper()
-	o := persist.Options{Metric: core.MetricParallelOptions{Workers: 1}}
+	o := persist.Options{Metric: core.Options{Workers: 1}}
 	inc, err := core.NewIncrementalMetric(mustEuclid(t, testPts(n)), 1.6, o.Metric)
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +169,7 @@ func TestServeDistanceAndPath(t *testing.T) {
 func TestServeMutatePublishesSnapshot(t *testing.T) {
 	const n = 30
 	s, ts := newTestServer(t, n, nil)
-	twin, err := core.NewIncrementalMetric(mustEuclid(t, testPts(n)), 1.6, core.MetricParallelOptions{Workers: 1})
+	twin, err := core.NewIncrementalMetric(mustEuclid(t, testPts(n)), 1.6, core.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestServeMutatePublishesSnapshot(t *testing.T) {
 // and reopens the directory: the recovered digest must match what the
 // server was serving when it acknowledged the last mutation.
 func TestServeDrainRecovery(t *testing.T) {
-	o := persist.Options{Metric: core.MetricParallelOptions{Workers: 1}}
+	o := persist.Options{Metric: core.Options{Workers: 1}}
 	inc, err := core.NewIncrementalMetric(mustEuclid(t, testPts(20)), 1.6, o.Metric)
 	if err != nil {
 		t.Fatal(err)

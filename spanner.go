@@ -132,28 +132,30 @@ var (
 // full candidate set.
 type CandidateSource = core.CandidateSource
 
-// ParallelOptions re-exports the graph engine's tuning knobs (workers,
-// batch width, candidate supply, stats) and its robustness controls: Ctx
-// cancels the build at the next check point (typed ErrCancelled, prefix
-// Result), Budget bounds its resources with graceful degradation, and
-// Inject is the fault-injection surface the chaos harness drives.
-type ParallelOptions = core.ParallelOptions
-
-// ParallelStats re-exports the graph engine's counters.
-type ParallelStats = core.ParallelStats
-
-// MetricParallelOptions re-exports the metric engine's tuning knobs
-// (workers, batch width, candidate supply, bucket cap, stats) plus the
-// robustness controls (Ctx, Budget, Inject) and GuardRows, which arms
-// per-row checksums over the cached bound rows so a corrupted entry
+// ParallelOptions and MetricParallelOptions both re-export core.Options,
+// the one options struct of the batched engines: tuning knobs (workers,
+// batch width, candidate supply, bucket cap, hubs, stats) plus the
+// robustness controls — Ctx cancels the build at the next check point
+// (typed ErrCancelled, prefix Result), Budget bounds its resources with
+// graceful degradation, and Inject is the fault-injection surface the
+// chaos harness drives. GuardRows, honored by the metric engine only,
+// arms per-row checksums over the cached bound rows so a corrupted entry
 // surfaces as ErrCorruptState instead of silently certifying a wrong
-// skip.
-type MetricParallelOptions = core.MetricParallelOptions
+// skip. The two names are interchangeable.
+type (
+	ParallelOptions       = core.Options
+	MetricParallelOptions = core.Options
+)
 
-// MetricParallelStats re-exports the metric engine's counters, including
-// the sparse bound-row and streamed-supply memory figures and the
-// hub-label fast path's hit counters.
-type MetricParallelStats = core.MetricParallelStats
+// ParallelStats and MetricParallelStats both re-export core.Stats, the
+// one counter struct of the batched engines: certification outcomes, the
+// sparse bound-row and streamed-supply memory figures (metric rows stay 0
+// on graphs), the hub-label fast path's hit counters, and the budget
+// ladder's degradation log.
+type (
+	ParallelStats       = core.Stats
+	MetricParallelStats = core.Stats
+)
 
 // IncrementalPolicy re-exports the maintained spanner's batching policy:
 // the zero value replays every insertion immediately, CoalesceUntilQuery
@@ -305,7 +307,7 @@ type Incremental = core.IncrementalSpanner
 // appended) and Result for the current spanner. workers selects the
 // replay engine's concurrency (0 = GOMAXPROCS).
 func NewIncremental(m Metric, t float64, workers int) (*Incremental, error) {
-	return core.NewIncrementalMetric(m, t, core.MetricParallelOptions{Workers: workers})
+	return core.NewIncrementalMetric(m, t, core.Options{Workers: workers})
 }
 
 // NewIncrementalOpts is NewIncremental with explicit engine controls
@@ -319,7 +321,7 @@ func NewIncrementalOpts(m Metric, t float64, opts MetricParallelOptions) (*Incre
 // mutations of g are not observed) and returns it as a maintained spanner
 // ready for edge insertions via InsertEdges.
 func NewIncrementalGraph(g *Graph, t float64, workers int) (*Incremental, error) {
-	return core.NewIncrementalGraph(g, t, core.ParallelOptions{Workers: workers})
+	return core.NewIncrementalGraph(g, t, core.Options{Workers: workers})
 }
 
 // NewIncrementalGraphOpts is NewIncrementalGraph with explicit engine
@@ -361,8 +363,8 @@ func Load(path string, workers int) (*Incremental, error) {
 		return nil, err
 	}
 	return core.ImportIncremental(st,
-		core.MetricParallelOptions{Workers: workers},
-		core.ParallelOptions{Workers: workers})
+		core.Options{Workers: workers},
+		core.Options{Workers: workers})
 }
 
 // Durable re-exports the crash-safe maintained spanner: an Incremental
@@ -400,8 +402,8 @@ type DurableOptions = persist.Options
 // OpenDurable on a dir a live process already holds returns ErrLocked.
 func OpenDurable(dir string, workers int, build func() (*Incremental, error)) (*Durable, error) {
 	o := persist.Options{
-		Metric: core.MetricParallelOptions{Workers: workers},
-		Graph:  core.ParallelOptions{Workers: workers},
+		Metric: core.Options{Workers: workers},
+		Graph:  core.Options{Workers: workers},
 	}
 	d, err := persist.Open(dir, o)
 	if err == nil {
