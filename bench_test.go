@@ -143,7 +143,7 @@ func BenchmarkGreedyGraphParallel(b *testing.B) {
 		for _, w := range workerSet {
 			b.Run(fmt.Sprintf("n=%d/workers=%d", cfg.n, w), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := core.GreedyGraphParallel(g, 3, w); err != nil {
+					if _, err := core.GreedyGraphParallelOpts(g, 3, core.Options{Workers: w}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -188,11 +188,11 @@ func benchMetric(n int, seed int64) Metric {
 	return metric.MustEuclidean(gen.UniformPoints(rng, n, 2))
 }
 
-func BenchmarkGreedyMetricNaiveN128(b *testing.B) {
+func BenchmarkGreedyMetricSerialN128(b *testing.B) {
 	m := benchMetric(128, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.GreedyMetric(m, 1.5); err != nil {
+		if _, err := core.GreedyMetricFastSerial(m, 1.5); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -202,7 +202,7 @@ func BenchmarkGreedyMetricFastN128(b *testing.B) {
 	m := benchMetric(128, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.GreedyMetricFast(m, 1.5); err != nil {
+		if _, err := core.GreedyMetricFastParallelOpts(m, 1.5, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -212,7 +212,7 @@ func BenchmarkGreedyMetricFastN512(b *testing.B) {
 	m := benchMetric(512, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.GreedyMetricFast(m, 1.5); err != nil {
+		if _, err := core.GreedyMetricFastParallelOpts(m, 1.5, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -34,21 +34,21 @@ func ExampleGreedy() {
 	// size=4 weight=4
 }
 
-// ExampleGreedyParallel runs the batched-parallel graph engine and shows
-// its defining property: the output is bit-identical to the sequential
-// scan, for any worker count.
-func ExampleGreedyParallel() {
+// ExampleGreedyParallelOpts runs the batched-parallel graph engine with
+// an explicit worker count and shows its defining property: the output is
+// bit-identical for any worker count, and so to the sequential scan.
+func ExampleGreedyParallelOpts() {
 	g := spanner.NewGraph(4)
 	g.MustAddEdge(0, 1, 1)
 	g.MustAddEdge(1, 2, 1)
 	g.MustAddEdge(2, 3, 1)
 	g.MustAddEdge(3, 0, 1)
 	g.MustAddEdge(0, 2, 1.5)
-	seq, err := spanner.Greedy(g, 2)
+	seq, err := spanner.GreedyParallelOpts(g, 2, spanner.ParallelOptions{Workers: 1})
 	if err != nil {
 		panic(err)
 	}
-	par, err := spanner.GreedyParallel(g, 2, 4)
+	par, err := spanner.GreedyParallelOpts(g, 2, spanner.ParallelOptions{Workers: 4})
 	if err != nil {
 		panic(err)
 	}
@@ -61,15 +61,15 @@ func ExampleGreedyParallel() {
 	// identical output: true
 }
 
-// ExampleGreedyMetricFast spans a finite metric space — four points on a
+// ExampleGreedyMetric spans a finite metric space — four points on a
 // line — with the cached-bound path-greedy: only the consecutive gaps are
 // kept, since every longer pair is 2-spanned by the chain between them.
-func ExampleGreedyMetricFast() {
+func ExampleGreedyMetric() {
 	m, err := spanner.NewEuclidean([][]float64{{0}, {1}, {2}, {4}})
 	if err != nil {
 		panic(err)
 	}
-	res, err := spanner.GreedyMetricFast(m, 2)
+	res, err := spanner.GreedyMetric(m, 2)
 	if err != nil {
 		panic(err)
 	}
@@ -82,19 +82,19 @@ func ExampleGreedyMetricFast() {
 	// 2-3 w=2
 }
 
-// ExampleGreedyMetricParallel runs the batched cached-bound metric engine
-// with an explicit worker count; like the graph engine, its output is
-// bit-identical to the serial scan.
-func ExampleGreedyMetricParallel() {
+// ExampleGreedyMetricParallelOpts runs the batched cached-bound metric
+// engine with an explicit worker count; like the graph engine, its output
+// is bit-identical for any worker count, and so to the serial scan.
+func ExampleGreedyMetricParallelOpts() {
 	m, err := spanner.NewEuclidean([][]float64{{0, 0}, {1, 0}, {1, 1}, {0, 1}, {0.5, 0.5}})
 	if err != nil {
 		panic(err)
 	}
-	seq, err := spanner.GreedyMetricFast(m, 1.5)
+	seq, err := spanner.GreedyMetricParallelOpts(m, 1.5, spanner.MetricParallelOptions{Workers: 1})
 	if err != nil {
 		panic(err)
 	}
-	par, err := spanner.GreedyMetricParallel(m, 1.5, 4)
+	par, err := spanner.GreedyMetricParallelOpts(m, 1.5, spanner.MetricParallelOptions{Workers: 4})
 	if err != nil {
 		panic(err)
 	}
@@ -123,7 +123,7 @@ func ExampleGreedyMetricParallelOpts_hubs() {
 	if err != nil {
 		panic(err)
 	}
-	plain, err := spanner.GreedyMetricParallel(m, 1.5, 1)
+	plain, err := spanner.GreedyMetricParallelOpts(m, 1.5, spanner.MetricParallelOptions{Workers: 1})
 	if err != nil {
 		panic(err)
 	}

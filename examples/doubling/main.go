@@ -36,7 +36,7 @@ func run() error {
 	fmt.Printf("metric: %d clustered points in the plane, target stretch %.1f\n\n", m.N(), 1+eps)
 
 	start := time.Now()
-	exact, err := spanner.GreedyMetricFast(m, 1+eps)
+	exact, err := spanner.GreedyMetric(m, 1+eps)
 	if err != nil {
 		return err
 	}

@@ -36,7 +36,7 @@ func run() error {
 		return err
 	}
 
-	res, err := spanner.GreedyMetricFast(m, 1+eps)
+	res, err := spanner.GreedyMetric(m, 1+eps)
 	if err != nil {
 		return err
 	}

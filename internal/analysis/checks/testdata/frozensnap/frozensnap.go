@@ -148,3 +148,29 @@ func drive(c certifier, st *ParallelStats, n int) {
 		<-done
 	}
 }
+
+// HubOracle mimics the engine's hub oracle: Certify looks like a query,
+// but it syncs the arrays and moves the scan start, so it is no read-only
+// method of a shared oracle.
+type HubOracle struct{ lastHit int }
+
+func (o *HubOracle) Certify(u, v int) bool {
+	o.lastHit = u // want "worker callee Certify writes field lastHit of captured o"
+	return u != v
+}
+
+// hubWorkers certifies from workers on a captured oracle.
+func hubWorkers(o *HubOracle, n int) []bool {
+	out := make([]bool, n)
+	done := make(chan struct{}, n)
+	for w := 0; w < n; w++ {
+		go func(w int) {
+			out[w] = o.Certify(w, 0) // want "calls o.Certify on captured HubOracle state"
+			done <- struct{}{}
+		}(w)
+	}
+	for w := 0; w < n; w++ {
+		<-done
+	}
+	return out
+}

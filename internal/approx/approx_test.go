@@ -118,7 +118,7 @@ func TestGreedyLightnessComparableToExactGreedy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := core.GreedyMetric(m, 1+eps)
+	exact, err := core.GreedyMetricFastParallelOpts(m, 1+eps, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

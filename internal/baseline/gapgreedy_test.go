@@ -72,7 +72,7 @@ func TestGapGreedyKeepsMoreThanGreedy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	greedy, err := core.GreedyMetricFast(m, tt)
+	greedy, err := core.GreedyMetricFastParallelOpts(m, tt, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func BenchmarkGreedyMetricStreamed(b *testing.B) {
 	m := benchMetric(b, 220)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.GreedyMetricFastParallel(m, 1.5, 1); err != nil {
+		if _, err := core.GreedyMetricFastParallelOpts(m, 1.5, core.Options{Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -55,7 +55,7 @@ func BenchmarkGreedyMetricStreamedParallel(b *testing.B) {
 	m := benchMetric(b, 220)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.GreedyMetricFastParallel(m, 1.5, 4); err != nil {
+		if _, err := core.GreedyMetricFastParallelOpts(m, 1.5, core.Options{Workers: 4}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -93,7 +93,7 @@ func BenchmarkGreedyGraphStreamed(b *testing.B) {
 	g := gen.ErdosRenyi(rng, 200, 0.2, 0.5, 10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.GreedyGraphParallel(g, 3, 2); err != nil {
+		if _, err := core.GreedyGraphParallelOpts(g, 3, core.Options{Workers: 2}); err != nil {
 			b.Fatal(err)
 		}
 	}

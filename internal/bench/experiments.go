@@ -108,7 +108,7 @@ func E2GeneralGraphs(scale Scale, seed int64) (*Table, error) {
 			}
 			seqMS := time.Since(start).Seconds() * 1000
 			start = time.Now()
-			par, err := core.GreedyGraphParallel(g, t, 0)
+			par, err := core.GreedyGraphParallelOpts(g, t, core.Options{})
 			if err != nil {
 				return nil, err
 			}
@@ -179,7 +179,7 @@ func E4DoublingLightness(scale Scale, seed int64) (*Table, error) {
 					pts = gen.ClusteredPoints(rng, n, 2, 8, 0.02)
 				}
 				m := metric.MustEuclidean(pts)
-				res, err := core.GreedyMetricFast(m, 1+eps)
+				res, err := core.GreedyMetricFastParallelOpts(m, 1+eps, core.Options{})
 				if err != nil {
 					return nil, err
 				}
@@ -212,7 +212,7 @@ func E5ApproxGreedy(scale Scale, seed int64) (*Table, error) {
 		m := metric.MustEuclidean(gen.UniformPoints(rng, n, 2))
 
 		start := time.Now()
-		exact, err := core.GreedyMetricFast(m, 1+eps)
+		exact, err := core.GreedyMetricFastParallelOpts(m, 1+eps, core.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -275,7 +275,7 @@ func E6Comparison(scale Scale, seed int64) (*Table, error) {
 				return nil
 			}
 			if err := addTimed("greedy (seq)", func() (*graph.Graph, error) {
-				res, err := core.GreedyMetricFast(m, t)
+				res, err := core.GreedyMetricFastSerial(m, t)
 				if err != nil {
 					return nil, err
 				}
@@ -284,7 +284,7 @@ func E6Comparison(scale Scale, seed int64) (*Table, error) {
 				return nil, err
 			}
 			if err := addTimed("greedy (par)", func() (*graph.Graph, error) {
-				res, err := core.GreedyMetric(m, t)
+				res, err := core.GreedyMetricFastParallelOpts(m, t, core.Options{})
 				if err != nil {
 					return nil, err
 				}
@@ -428,7 +428,7 @@ func E9UnboundedDegree(scale Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := core.GreedyMetric(m, 1+eps)
+		res, err := core.GreedyMetricFastParallelOpts(m, 1+eps, core.Options{})
 		if err != nil {
 			return nil, err
 		}

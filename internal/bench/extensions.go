@@ -30,7 +30,7 @@ func E11FaultTolerance(scale Scale, seed int64) (*Table, error) {
 		m := metric.MustEuclidean(gen.UniformPoints(rng, n, 2))
 		for _, t := range []float64{1.8} {
 			for f := 0; f <= 2; f++ {
-				res, err := core.FaultTolerantGreedy(m, t, f)
+				res, err := core.FaultTolerantGreedyOpts(m, t, f, core.Options{})
 				if err != nil {
 					return nil, err
 				}

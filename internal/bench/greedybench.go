@@ -15,7 +15,7 @@ import (
 
 // The greedy-engine benchmark compares the sequential greedy scan
 // (core.GreedyGraph, one-sided bounded Dijkstra) against the
-// batched-parallel engine (core.GreedyGraphParallel, bounded bidirectional
+// batched-parallel engine (core.GreedyGraphParallelOpts, bounded bidirectional
 // search) and emits a machine-readable report. It follows the repeated-run
 // discipline of the benchmark-validation protocol in SNIPPETS.md: every
 // timing is measured reps times (>= 3 by default), the median is reported

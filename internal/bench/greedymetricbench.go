@@ -15,7 +15,7 @@ import (
 
 // The greedy-metric benchmark compares the serial cached-bound metric scan
 // (core.GreedyMetricFastSerial) against the batched-parallel metric engine
-// (core.GreedyMetricFastParallel, concurrent bound-matrix row refreshes)
+// (core.GreedyMetricFastParallelOpts, concurrent bound-matrix row refreshes)
 // and emits a machine-readable report, following the same repeated-run
 // discipline as GreedyBench: every timing is measured reps times (>= 3),
 // the median is reported alongside the raw samples, run-to-run spread is

@@ -175,7 +175,7 @@ func TestChaosPropertySuite(t *testing.T) {
 	t.Run("metric", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(43))
 		m := randomPoints(rng, 36)
-		ref, err := core.GreedyMetricFast(m, 1.8)
+		ref, err := core.GreedyMetricFastParallelOpts(m, 1.8, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +211,7 @@ func TestChaosPropertySuite(t *testing.T) {
 	t.Run("faulttolerant", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(47))
 		m := randomPoints(rng, 16)
-		ref, err := core.FaultTolerantGreedy(m, 2, 1)
+		ref, err := core.FaultTolerantGreedyOpts(m, 2, 1, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +224,7 @@ func TestChaosPropertySuite(t *testing.T) {
 					inj := chaos.New(sched)
 					ctx, hooks := inj.Arm(context.Background())
 					defer inj.Release()
-					opts := core.FaultTolerantOptions{Ctx: ctx, Inject: hooks, Budget: stallBudget(fault)}
+					opts := core.Options{Ctx: ctx, Inject: hooks, Budget: stallBudget(fault)}
 					if seed%2 == 0 {
 						opts.Hubs = core.DefaultHubs(16)
 					}
@@ -258,11 +258,11 @@ func TestChaosPropertySuite(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		refBase, err := core.GreedyMetricFast(base, 1.8)
+		refBase, err := core.GreedyMetricFastParallelOpts(base, 1.8, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		refUnion, err := core.GreedyMetricFast(union, 1.8)
+		refUnion, err := core.GreedyMetricFastParallelOpts(union, 1.8, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -353,11 +353,11 @@ func TestChaosPropertySuite(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		refBase, err := core.GreedyMetricFast(base, 1.8)
+		refBase, err := core.GreedyMetricFastParallelOpts(base, 1.8, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		refFinal, err := core.GreedyMetricFast(survMetric, 1.8)
+		refFinal, err := core.GreedyMetricFastParallelOpts(survMetric, 1.8, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -89,7 +89,10 @@ func errInvalidStretch(t float64) error {
 //
 // Complexity: O(m log m) for the sort plus one bounded Dijkstra per edge; in
 // the worst case O(m * (m_H + n) log n), the naive bound quoted in
-// Corollary 4 of the paper.
+// Corollary 4 of the paper. It is the serial reference the batched engine
+// (GreedyGraphParallelOpts) must reproduce, retained for the equivalence
+// tests and as the sequential baseline of the E2 and greedybench
+// experiments.
 func GreedyGraph(g *graph.Graph, t float64) (*Result, error) { //spannerlint:ignore ctxcommit serial reference: uncancellable by design, the parallel engine must match it bit for bit
 	if !validStretch(t) {
 		return nil, errInvalidStretch(t)
@@ -110,34 +113,12 @@ func GreedyGraph(g *graph.Graph, t float64) (*Result, error) { //spannerlint:ign
 	return res, nil
 }
 
-// GreedyMetric runs the greedy algorithm on a finite metric space by
-// examining all n(n-1)/2 interpoint distances in non-decreasing order, the
-// "path-greedy" of the geometric spanner literature. It is routed through
-// the batched cached-bound engine (GreedyMetricFastParallel), whose output
-// is identical to the naive sequential scan: every pair receives the exact
-// greedy accept/reject decision.
-func GreedyMetric(m metric.Metric, t float64) (*Result, error) {
-	return GreedyMetricFastParallel(m, t, 0)
-}
-
-// GreedyMetricFast is the cached-distance variant of the metric greedy
-// algorithm in the spirit of Bose et al. [BCF+10]: it maintains upper
-// bounds on current spanner distances (sparse rows, allocated on first
-// refresh) and refreshes a row with a full Dijkstra only when the cached
-// bound fails to certify a skip. It is routed through
-// GreedyMetricFastParallel, which streams candidates from the bucketed
-// supply and refreshes rows concurrently over all cores; the output is
-// bit-identical to the serial reference (GreedyMetricFastSerial) and to
-// GreedyMetric.
-func GreedyMetricFast(m metric.Metric, t float64) (*Result, error) {
-	return GreedyMetricFastParallel(m, t, 0)
-}
-
 // GreedyMetricFastSerial is the single-threaded cached-bound reference
-// implementation of the metric greedy algorithm. The batched-parallel
-// engine (GreedyMetricFastParallel) must reproduce its output bit for bit;
-// it is retained for the equivalence tests and as the sequential baseline
-// of the greedymetricbench experiment. On doubling metrics it performs a
+// implementation of the metric greedy algorithm ("path-greedy": all
+// n(n-1)/2 interpoint distances in non-decreasing order). The batched
+// engine (GreedyMetricFastParallelOpts) must reproduce its output bit for
+// bit; it is retained for the equivalence tests and as the sequential
+// baseline of the E6 and greedymetricbench experiments. On doubling metrics it performs a
 // small number of Dijkstra runs per accepted edge, giving near-quadratic
 // behaviour in practice, versus the cubic-ish naive bound.
 func GreedyMetricFastSerial(m metric.Metric, t float64) (*Result, error) { //spannerlint:ignore ctxcommit serial reference: uncancellable by design, the parallel engine must match it bit for bit

@@ -183,7 +183,7 @@ func TestGreedyMetricMatchesGraphOnCompleteGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	pts := gen.UniformPoints(rng, 25, 2)
 	m := metric.MustEuclidean(pts)
-	res, err := GreedyMetric(m, 1.5)
+	res, err := GreedyMetricFastParallelOpts(m, 1.5, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,11 +201,11 @@ func TestGreedyMetricFastIdenticalToNaive(t *testing.T) {
 		pts := gen.UniformPoints(rng, 30, 2)
 		m := metric.MustEuclidean(pts)
 		for _, tt := range []float64{1.1, 1.5, 2} {
-			a, err := GreedyMetric(m, tt)
+			a, err := GreedyMetricFastParallelOpts(m, tt, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := GreedyMetricFast(m, tt)
+			b, err := GreedyMetricFastSerial(m, tt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -226,12 +226,12 @@ func TestGreedyMetricFastIdenticalToNaive(t *testing.T) {
 
 func TestGreedyMetricFastDegenerate(t *testing.T) {
 	empty := metric.MustEuclidean(nil)
-	res, err := GreedyMetricFast(empty, 2)
+	res, err := GreedyMetricFastParallelOpts(empty, 2, Options{})
 	if err != nil || res.Size() != 0 {
 		t.Fatalf("empty metric: %v, size %d", err, res.Size())
 	}
 	one := metric.MustEuclidean([][]float64{{1, 1}})
-	res, err = GreedyMetricFast(one, 2)
+	res, err = GreedyMetricFastParallelOpts(one, 2, Options{})
 	if err != nil || res.Size() != 0 {
 		t.Fatalf("single point: %v, size %d", err, res.Size())
 	}
@@ -245,7 +245,7 @@ func TestSizeInjectionOnGreedyOutput(t *testing.T) {
 	pts := gen.UniformPoints(rng, 18, 2)
 	m := metric.MustEuclidean(pts)
 	const tt = 1.4
-	res, err := GreedyMetric(m, tt)
+	res, err := GreedyMetricFastParallelOpts(m, tt, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestSizeInjectionAgainstRicherSpanner(t *testing.T) {
 	pts := gen.UniformPoints(rng, 12, 2)
 	m := metric.MustEuclidean(pts)
 	const tt = 1.3
-	res, err := GreedyMetric(m, tt)
+	res, err := GreedyMetricFastParallelOpts(m, tt, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

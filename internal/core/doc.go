@@ -15,9 +15,13 @@
 //
 // # One batched-certification driver and the frozen-snapshot invariant
 //
-// GreedyGraphParallel, GreedyMetricFastParallel, and every build and
-// replay of IncrementalSpanner run one scan driver (scan.run), configured
-// by one Options struct and reporting one Stats struct. The driver rests
+// GreedyGraphParallelOpts, GreedyMetricFastParallelOpts,
+// FaultTolerantGreedyOpts, and every build and replay of
+// IncrementalSpanner run one scan driver (scan.run), configured by one
+// Options struct and reporting one Stats struct; only the serial
+// references GreedyGraph and GreedyMetricFastSerial, which the
+// equivalence tests and the sequential baselines compare against, keep
+// their own loops. The driver rests
 // on one invariant: spanner distances only shrink as the greedy scan adds
 // edges, so any skip certified against a frozen snapshot H0 of the
 // growing spanner stays correct for every later spanner H ⊇ H0.
@@ -48,7 +52,7 @@
 // snapshot pass and settles each candidate inline, so a single-worker
 // scan walks the same budget ladder at the same batch boundaries.
 //
-// The two modes differ only in the certifier they plug in:
+// The modes differ only in the certifier they plug in:
 //
 //   - The graph certifier answers each query with bounded bidirectional
 //     Dijkstra (two balls of radius ~t*w/2 instead of one of radius t*w)
@@ -61,6 +65,13 @@
 //     refreshes need no locking — and survivors decide on a live
 //     refresh. A refreshed row computed on H0 is again a valid row of
 //     upper bounds for every later H, by the same monotonicity.
+//   - The fault-tolerant certifier decides each candidate with one sweep
+//     over every fault set of at most f vertices — the hub labels'
+//     fault-avoiding certificate, then a masked bounded search on the
+//     live spanner. HubOracle.CertifyAvoiding syncs the oracle, so the
+//     sweep cannot run against a snapshot in workers; the engine runs at
+//     one worker and keeps the driver's batches, cancellation, budget
+//     ladder, hooks, and accounting.
 //
 // # The streaming candidate supply and the sparse bound rows
 //

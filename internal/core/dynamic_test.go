@@ -203,7 +203,7 @@ func TestDeleteEdgesMatchesFromScratch(t *testing.T) {
 				for _, e := range edges {
 					cur.MustAddEdge(e.U, e.V, e.W)
 				}
-				want, err := GreedyGraphParallel(cur, 1.6, 1)
+				want, err := GreedyGraphParallelOpts(cur, 1.6, Options{Workers: 1})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,15 +1,14 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/graph"
 	"repro/internal/metric"
 )
 
-// FaultTolerantGreedy computes an f-vertex-fault-tolerant t-spanner of a
-// finite metric space using the fault-tolerant greedy algorithm of
+// FaultTolerantGreedyOpts computes an f-vertex-fault-tolerant t-spanner of
+// a finite metric space using the fault-tolerant greedy algorithm of
 // Czumaj–Zhao (the construction whose doubling-metrics optimality is the
 // subject of the paper's citation [Sol14]): pairs are examined in
 // non-decreasing distance order, and pair (u, v) is added iff there exists
@@ -20,171 +19,71 @@ import (
 // every surviving pair (u, v), delta_{H-F}(u, v) <= t * d(u, v) — the
 // greedy exchange argument is identical to Algorithm 1's.
 //
-// Candidates are pulled from the streamed weight-bucketed supply
-// (NewMetricSource) instead of a materialized, globally sorted pair list,
-// so the scan's resident set is one weight bucket rather than all
-// n(n-1)/2 pairs; each fault set is probed with a masked bounded search on
-// the live spanner (Searcher.DistanceWithinMasked) rather than a per-set
-// graph copy. The output is bit-identical to the materialize-and-copy
-// reference (property-tested in faulttolerant_test.go).
+// The build runs on the one scan driver with the ftCert certifier, so
+// opts means what it means for the metric engine — supply, hubs, stats,
+// Ctx, Budget (including the in-scan ladder), and Inject — except Workers,
+// which is ignored: HubOracle.CertifyAvoiding syncs the oracle, so every
+// fault-set sweep runs in the serial pass and the scan is pinned to one
+// worker. Each fault set is probed on the live spanner, first against the
+// hub labels and then with a masked bounded search
+// (Searcher.DistanceWithinMasked), never on a per-set graph copy. The
+// output is bit-identical to the materialize-and-copy reference
+// (property-tested in faulttolerant_test.go) for every hub count; f = 0 is
+// the plain metric greedy.
 //
 // Checking all fault sets costs C(n, f) bounded searches per pair, so this
-// implementation supports the practically relevant f in {0, 1, 2}; f = 0
-// degenerates to GreedyMetric. Complexity O(n^{2+f} * search) — a
-// reference implementation for experiments and audits, not a large-n tool.
-func FaultTolerantGreedy(m metric.Metric, t float64, f int) (*Result, error) {
-	return FaultTolerantGreedyOpts(m, t, f, FaultTolerantOptions{})
-}
-
-// FaultTolerantOptions configures FaultTolerantGreedyOpts.
-type FaultTolerantOptions struct {
-	// Hubs enables the hub-label fast path for the per-fault-set probes:
-	// a probe is skipped when some hub h proves a surviving u-h-v path
-	// within the limit whose shortest-path trees avoid every fault (see
-	// HubOracle.CertifyAvoiding). Certificates are sound, so the output
-	// is bit-identical for every k; <= 0 disables the oracle.
-	Hubs int
-	// Stats, when non-nil, is filled with probe counters.
-	Stats *FaultTolerantStats
-
-	// Ctx, when non-nil, cancels the scan: the build stops at the next
-	// candidate boundary and returns the exact decided prefix (Partial
-	// set) with an error wrapping ErrCancelled. Nil means no cancellation.
-	Ctx context.Context
-	// Budget bounds the run (here: the deadline and batch width; the
-	// fault-tolerant scan holds no droppable caches beyond the hub
-	// oracle, which the byte budget may shrink before allocation).
-	Budget Budget
-	// Inject installs fault-injection hooks; see InjectionHooks.
-	Inject InjectionHooks
-}
-
-// FaultTolerantStats reports how the fault-tolerant greedy scan spent its
-// effort: every fault-set probe is answered either by a hub certificate
-// (no search) or by a masked bounded search.
-type FaultTolerantStats struct {
-	// MaskedSearches counts masked bounded Dijkstra probes run.
-	MaskedSearches int
-	// HubCertified counts fault-set probes the hub labels certified.
-	HubCertified int
-	// HubRelaxed is the hub arrays' total maintenance cost, in re-relaxed
-	// entries.
-	HubRelaxed int
-	// Degradations records each budget-degradation step taken, in order.
-	Degradations []string
-}
-
-// FaultTolerantGreedyOpts is FaultTolerantGreedy with the hub-label fast
-// path and probe counters; see FaultTolerantOptions.
-func FaultTolerantGreedyOpts(m metric.Metric, t float64, f int, opts FaultTolerantOptions) (*Result, error) {
-	if !validStretch(t) {
-		return nil, errInvalidStretch(t)
-	}
+// implementation supports the practically relevant f in {0, 1, 2}.
+// Complexity O(n^{2+f} * search) — a reference implementation for
+// experiments and audits, not a large-n tool.
+func FaultTolerantGreedyOpts(m metric.Metric, t float64, f int, opts Options) (*Result, error) {
 	if f < 0 || f > 2 {
 		return nil, fmt.Errorf("core: fault parameter %d out of supported range [0, 2]: %w", f, graph.ErrInvalidInput)
 	}
-	stats := opts.Stats
-	if stats == nil {
-		stats = &FaultTolerantStats{}
-	}
-	*stats = FaultTolerantStats{}
-	if f == 0 {
-		return GreedyMetricFastParallelOpts(m, t, Options{
-			Hubs:   opts.Hubs,
-			Ctx:    opts.Ctx,
-			Budget: opts.Budget,
-			Inject: opts.Inject,
-		})
-	}
-	n := m.N()
-	res := &Result{N: n, Stretch: t}
-	if n <= 1 {
-		return res, nil
-	}
-	env := newScanEnv(opts.Ctx, opts.Budget, opts.Inject, logTo(&stats.Degradations))
-	err := ftScan(m, t, f, opts, env, res, stats)
-	if err != nil {
-		res.Partial = true
-	}
-	return res, err
+	opts.Workers = 1
+	return build(t, opts, nil, m, f)
 }
 
-// ftScan is the fault-tolerant greedy main loop. The scan is serial, so
-// cancellation is checked at batch boundaries and after each candidate's
-// probes, before its accept/skip decision commits: an abandoned masked
-// search can only under-report coverage (claim "not covered" spuriously),
-// never fabricate a surviving path, so a decision is committed only when
-// the cancel predicate — monotone — was still false after its probes ran.
-// The deferred recover converts any panic (including one injected through
-// OnCertify or raised during hub re-relaxation in OnAccept) into a typed
-// ErrEnginePanic with the decided prefix preserved.
-func ftScan(m metric.Metric, t float64, f int, opts FaultTolerantOptions, env *scanEnv, res *Result, stats *FaultTolerantStats) (err error) {
-	defer capturePanic(&err)
-	n := m.N()
-	src := NewMetricSource(m, 0)
-	h := graph.New(n)
-	search := graph.NewSearcher(n)
-	search.SetStop(env.stopFn())
-	var oracle *HubOracle
-	hubs := opts.Hubs
-	if env != nil {
-		resolveHubBudget(env.budget, env.record, &hubs, n)
-	}
-	if hubs > 0 {
-		oracle = NewHubOracle(SelectMetricHubs(m, hubs), h, 0)
-	}
-	batch := env.clampBatch(maxBatch)
-	for batchNo := 0; ; batchNo++ {
-		if cerr := env.cancelled(); cerr != nil {
-			return cerr
-		}
-		env.onBatch(batchNo, nil)
-		pairs := src.NextBatch(batch)
-		if len(pairs) == 0 {
-			break
-		}
-		for _, e := range pairs {
-			env.onCertify(e)
-			covered := ftCovered(search, h, oracle, e, t, f, stats)
-			if env.active() {
-				if cerr := env.cancelled(); cerr != nil {
-					return cerr
-				}
-			}
-			if !covered {
-				h.MustAddEdge(e.U, e.V, e.W)
-				res.Edges = append(res.Edges, e)
-				res.Weight += e.W
-				if oracle != nil {
-					oracle.OnAccept(e)
-				}
-			}
-			res.EdgesExamined++
-		}
-	}
-	if oracle != nil {
-		stats.HubRelaxed = oracle.Relaxed()
-	}
-	return nil
+// ftCert certifies for the fault-tolerant greedy: a candidate is covered
+// only when every fault set of at most f vertices avoiding its endpoints
+// leaves a path within its limit (ftCovered). It keeps no cheap state to
+// settle from and runs no snapshot pass, so the scan, pinned to one
+// worker, decides every candidate with one exact sweep on its serial
+// searcher and its live hub oracle.
+type ftCert struct {
+	noCache
+	sc *scan
+	f  int
+}
+
+func (c *ftCert) settle(graph.Edge, float64) (bool, error)         { return false, nil }
+func (c *ftCert) prepare([]graph.Edge, []bool) ([]int32, error)    { return nil, nil }
+func (c *ftCert) snapshot(int, int) error                          { return nil }
+func (c *ftCert) certified(int, graph.Edge, float64) (bool, error) { return false, nil }
+
+func (c *ftCert) exact(_ int, e graph.Edge, limit float64, _ bool) (bool, error) {
+	sc := c.sc
+	return ftCovered(sc.serial, sc.h, sc.oracle, e, limit, c.f, sc.stats), nil
 }
 
 // ftCovered reports whether, for every fault set F with |F| <= f avoiding
 // e's endpoints, the current spanner minus F still connects e's endpoints
-// within t*w(e). Fault sets are enumerated directly (f <= 2); each is
-// probed first against the hub labels (a certificate proves a surviving
-// path without any search) and only then with the reusable searcher's
-// masked bounded search — no graph copy and no allocation per fault set
-// (asserted by TestFaultTolerantNoGraphCopies).
-func ftCovered(search *graph.Searcher, h *graph.Graph, oracle *HubOracle, e graph.Edge, t float64, f int, stats *FaultTolerantStats) bool {
-	limit := t * e.W
+// within limit; it needs f >= 1. Fault sets are enumerated directly
+// (f <= 2); each is probed first against the hub labels (a certificate
+// proves a surviving path without any search, counted in HubQueries and
+// HubSkips) and only then with the reusable searcher's masked bounded
+// search — no graph copy and no allocation per fault set (asserted by
+// TestFaultTolerantNoGraphCopies).
+func ftCovered(search *graph.Searcher, h *graph.Graph, oracle *HubOracle, e graph.Edge, limit float64, f int, stats *Stats) bool {
 	n := h.N()
 	var buf [2]int
 	probe := func(dead []int) bool {
-		if oracle != nil && oracle.CertifyAvoiding(e.U, e.V, limit, dead) {
-			stats.HubCertified++
-			return true
+		if oracle != nil {
+			stats.HubQueries++
+			if oracle.CertifyAvoiding(e.U, e.V, limit, dead) {
+				stats.HubSkips++
+				return true
+			}
 		}
-		stats.MaskedSearches++
 		_, within := search.DistanceWithinMasked(h, e.U, e.V, limit, dead)
 		return within
 	}

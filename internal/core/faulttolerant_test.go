@@ -97,7 +97,7 @@ func TestFaultTolerantGreedyMatchesReference(t *testing.T) {
 		tt := 1.2 + rng.Float64()
 		for f := 1; f <= 2; f++ {
 			want := faultTolerantGreedyReference(m, tt, f)
-			got, err := FaultTolerantGreedy(m, tt, f)
+			got, err := FaultTolerantGreedyOpts(m, tt, f, Options{})
 			if err != nil {
 				return false
 			}
@@ -126,18 +126,18 @@ func TestFaultTolerantGreedyMatchesReference(t *testing.T) {
 func TestFaultTolerantNoGraphCopies(t *testing.T) {
 	rng := rand.New(rand.NewSource(75))
 	m := metric.MustEuclidean(gen.UniformPoints(rng, 14, 2))
-	res, err := FaultTolerantGreedy(m, 1.6, 2)
+	res, err := FaultTolerantGreedyOpts(m, 1.6, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := res.Graph()
 	search := graph.NewSearcher(h.N())
 	e := res.Edges[len(res.Edges)-1]
-	var stats FaultTolerantStats
+	var stats Stats
 	// Warm-up materializes the searcher's lazily allocated mask buffer.
-	ftCovered(search, h, nil, e, 1.6, 2, &stats)
+	ftCovered(search, h, nil, e, 1.6*e.W, 2, &stats)
 	if allocs := testing.AllocsPerRun(10, func() {
-		ftCovered(search, h, nil, e, 1.6, 2, &stats)
+		ftCovered(search, h, nil, e, 1.6*e.W, 2, &stats)
 	}); allocs != 0 {
 		t.Fatalf("ftCovered allocated %.1f objects per full fault-set sweep, want 0", allocs)
 	}
@@ -164,13 +164,13 @@ func TestFaultTolerantNoGraphCopies(t *testing.T) {
 
 func TestFaultTolerantGreedyValidation(t *testing.T) {
 	m := metric.MustEuclidean([][]float64{{0, 0}, {1, 1}})
-	if _, err := FaultTolerantGreedy(m, 0.5, 1); err == nil {
+	if _, err := FaultTolerantGreedyOpts(m, 0.5, 1, Options{}); err == nil {
 		t.Fatal("bad stretch accepted")
 	}
-	if _, err := FaultTolerantGreedy(m, 2, -1); err == nil {
+	if _, err := FaultTolerantGreedyOpts(m, 2, -1, Options{}); err == nil {
 		t.Fatal("negative f accepted")
 	}
-	if _, err := FaultTolerantGreedy(m, 2, 3); err == nil {
+	if _, err := FaultTolerantGreedyOpts(m, 2, 3, Options{}); err == nil {
 		t.Fatal("unsupported f accepted")
 	}
 }
@@ -178,11 +178,11 @@ func TestFaultTolerantGreedyValidation(t *testing.T) {
 func TestFaultTolerantZeroFaultsEqualsGreedy(t *testing.T) {
 	rng := rand.New(rand.NewSource(70))
 	m := metric.MustEuclidean(gen.UniformPoints(rng, 20, 2))
-	a, err := FaultTolerantGreedy(m, 1.5, 0)
+	a, err := FaultTolerantGreedyOpts(m, 1.5, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := GreedyMetric(m, 1.5)
+	b, err := GreedyMetricFastParallelOpts(m, 1.5, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestFaultTolerantOneFaultSurvives(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	m := metric.MustEuclidean(gen.UniformPoints(rng, 16, 2))
 	const tt = 1.8
-	res, err := FaultTolerantGreedy(m, tt, 1)
+	res, err := FaultTolerantGreedyOpts(m, tt, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestFaultTolerantTwoFaultsSurvive(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	m := metric.MustEuclidean(gen.UniformPoints(rng, 10, 2))
 	const tt = 2.0
-	res, err := FaultTolerantGreedy(m, tt, 2)
+	res, err := FaultTolerantGreedyOpts(m, tt, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestFaultToleranceCostsEdges(t *testing.T) {
 	const tt = 1.6
 	prev := -1
 	for f := 0; f <= 2; f++ {
-		res, err := FaultTolerantGreedy(m, tt, f)
+		res, err := FaultTolerantGreedyOpts(m, tt, f, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +247,7 @@ func TestFaultTolerantMinDegree(t *testing.T) {
 	// 2-point metrics. Check on a real instance.
 	rng := rand.New(rand.NewSource(74))
 	m := metric.MustEuclidean(gen.UniformPoints(rng, 12, 2))
-	res, err := FaultTolerantGreedy(m, 2, 1)
+	res, err := FaultTolerantGreedyOpts(m, 2, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestVerifyFaultToleranceDetectsFragileSpanner(t *testing.T) {
 	// A path spanner of collinear points dies with any interior failure.
 	pts := [][]float64{{0}, {1}, {2}, {3}}
 	m := metric.MustEuclidean(pts)
-	res, err := GreedyMetric(m, 1.1) // the path 0-1-2-3
+	res, err := GreedyMetricFastParallelOpts(m, 1.1, Options{}) // the path 0-1-2-3
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,8 +86,7 @@ type HubOracle struct {
 
 	// Maintenance counters for benchmarks (query counters live in the
 	// engine stats, which are zeroed per build or insertion).
-	relaxed   int
-	refreshes int
+	relaxed int
 	// reselected counts hubs re-sampled after their vertex was deleted
 	// (lifetime; surfaced as Stats.HubsReselected).
 	reselected int
@@ -283,10 +282,8 @@ func (o *HubOracle) Reselected() int { return o.reselected }
 func (o *HubOracle) Hubs() []int { return o.hubs }
 
 // Relaxed reports the total number of hub-array entries improved by the
-// dirty-radius maintenance, and Refreshes the number of full per-hub
-// Dijkstra refreshes (rebase repairs only; a one-shot build performs none).
-func (o *HubOracle) Relaxed() int   { return o.relaxed }
-func (o *HubOracle) Refreshes() int { return o.refreshes }
+// dirty-radius maintenance.
+func (o *HubOracle) Relaxed() int { return o.relaxed }
 
 // Epoch reports the accepted-edge count the arrays are synced to. Between
 // OnAccept and the next query it lags the live spanner; bounds proven at
@@ -309,7 +306,6 @@ func (o *HubOracle) sync() {
 	case o.stale:
 		for i, hub := range o.hubs {
 			o.search.BoundedDistances(o.h, hub, graph.Inf, o.rows[i])
-			o.refreshes++
 		}
 		o.stale = false
 	case len(o.pending) == 0:

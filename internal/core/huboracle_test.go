@@ -265,18 +265,18 @@ func TestFaultTolerantEquivalenceAcrossHubs(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	m := metric.MustEuclidean(gen.UniformPoints(rng, 18, 2))
 	for _, f := range []int{1, 2} {
-		ref, err := FaultTolerantGreedy(m, 1.6, f)
+		ref, err := FaultTolerantGreedyOpts(m, 1.6, f, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, hubs := range []int{1, 4, 16} {
-			var stats FaultTolerantStats
-			got, err := FaultTolerantGreedyOpts(m, 1.6, f, FaultTolerantOptions{Hubs: hubs, Stats: &stats})
+			var stats Stats
+			got, err := FaultTolerantGreedyOpts(m, 1.6, f, Options{Hubs: hubs, Stats: &stats})
 			if err != nil {
 				t.Fatal(err)
 			}
 			assertSameResult(t, ref, got)
-			if f == 2 && hubs == 16 && stats.HubCertified == 0 {
+			if f == 2 && hubs == 16 && stats.HubSkips == 0 {
 				t.Errorf("f=%d hubs=%d: hub fast path never certified a probe", f, hubs)
 			}
 		}
@@ -289,7 +289,7 @@ func TestFaultTolerantEquivalenceAcrossHubs(t *testing.T) {
 func TestCertifyAvoidingSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	m := metric.MustEuclidean(gen.UniformPoints(rng, 20, 2))
-	res, err := GreedyMetric(m, 1.5)
+	res, err := GreedyMetricFastParallelOpts(m, 1.5, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

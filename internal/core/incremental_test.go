@@ -133,7 +133,7 @@ func TestIncrementalMetricPermutedInsertionOrders(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		want, err := GreedyMetric(m, 1.5)
+		want, err := GreedyMetricFastParallelOpts(m, 1.5, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +163,7 @@ func TestIncrementalMetricTies(t *testing.T) {
 			if err := inc.Insert(subMetric(m, k)); err != nil {
 				t.Fatal(err)
 			}
-			want, err := GreedyMetricFastParallel(subMetric(m, k), 1.4, workers)
+			want, err := GreedyMetricFastParallelOpts(subMetric(m, k), 1.4, Options{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -224,7 +224,7 @@ func TestIncrementalGraphMatchesFromScratch(t *testing.T) {
 					}
 					k = next
 				}
-				want, err := GreedyGraphParallel(g, stretch, workers)
+				want, err := GreedyGraphParallelOpts(g, stretch, Options{Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -389,7 +389,7 @@ func TestIncrementalFromEmpty(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		want, err := GreedyMetric(m, 1.5)
+		want, err := GreedyMetricFastParallelOpts(m, 1.5, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,11 +21,11 @@ func TestGreedyScaleInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := GreedyMetric(base, 1.5)
+	a, err := GreedyMetricFastParallelOpts(base, 1.5, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := GreedyMetric(scaled, 1.5)
+	b, err := GreedyMetricFastParallelOpts(scaled, 1.5, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestGreedyOnLPMetrics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := GreedyMetricFast(m, 1.4)
+		res, err := GreedyMetricFastParallelOpts(m, 1.4, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +74,7 @@ func TestGreedyOnSnowflake(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := GreedyMetricFast(sf, 1.3)
+	res, err := GreedyMetricFastParallelOpts(sf, 1.3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestGreedyOnSnowflake(t *testing.T) {
 func TestGreedyStretchOneOnMetricKeepsAll(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	m := metric.MustEuclidean(gen.UniformPoints(rng, 15, 2))
-	res, err := GreedyMetric(m, 1)
+	res, err := GreedyMetricFastParallelOpts(m, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestGreedyCollinearPoints(t *testing.T) {
 		pts[i] = []float64{float64(i) * 1.37}
 	}
 	m := metric.MustEuclidean(pts)
-	res, err := GreedyMetric(m, 1.0001)
+	res, err := GreedyMetricFastParallelOpts(m, 1.0001, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestGreedySizeMonotoneInStretchQuick(t *testing.T) {
 		m := metric.MustEuclidean(gen.UniformPoints(rng, 18, 2))
 		prev := math.MaxInt
 		for _, tt := range []float64{1.05, 1.2, 1.5, 2, 3} {
-			res, err := GreedyMetricFast(m, tt)
+			res, err := GreedyMetricFastParallelOpts(m, tt, Options{})
 			if err != nil || res.Size() > prev {
 				return false
 			}
@@ -149,7 +149,7 @@ func TestGreedyUnboundedDegreeGadget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := GreedyMetric(m, 1+eps)
+	res, err := GreedyMetricFastParallelOpts(m, 1+eps, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestGreedyGraphMetricConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	const tt = 2.0
-	onMetric, err := GreedyMetricFast(m, tt)
+	onMetric, err := GreedyMetricFastParallelOpts(m, tt, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,7 +58,7 @@ func TestGreedyMetricFastParallelEquivalence(t *testing.T) {
 			}
 			equalResults(t, fmt.Sprintf("%s/t=%v/naive", name, stretch), want, naive)
 			for _, workers := range workerCounts {
-				got, err := GreedyMetricFastParallel(m, stretch, workers)
+				got, err := GreedyMetricFastParallelOpts(m, stretch, Options{Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -84,12 +84,12 @@ func TestGreedyMetricFastParallelEquivalence(t *testing.T) {
 func TestGreedyMetricFastParallelDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	m := metric.MustEuclidean(gen.UniformPoints(rng, 90, 2))
-	first, err := GreedyMetricFastParallel(m, 1.5, 4)
+	first, err := GreedyMetricFastParallelOpts(m, 1.5, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		again, err := GreedyMetricFastParallel(m, 1.5, 4)
+		again, err := GreedyMetricFastParallelOpts(m, 1.5, Options{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,9 +97,10 @@ func TestGreedyMetricFastParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestGreedyMetricRoutingIdentity checks the public entry points:
-// GreedyMetric and GreedyMetricFast both route through the batched engine
-// and must still match the serial reference exactly.
+// TestGreedyMetricRoutingIdentity checks the metric routes the public
+// entry points take: the batched engine with zero Options (what
+// spanner.GreedyMetric runs) and the fault-tolerant engine at f = 0 must
+// both match the serial reference exactly.
 func TestGreedyMetricRoutingIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	m := metric.MustEuclidean(gen.UniformPoints(rng, 70, 2))
@@ -108,16 +109,16 @@ func TestGreedyMetricRoutingIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		viaMetric, err := GreedyMetric(m, stretch)
+		viaDefault, err := GreedyMetricFastParallelOpts(m, stretch, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		equalResults(t, fmt.Sprintf("GreedyMetric/t=%v", stretch), want, viaMetric)
-		viaFast, err := GreedyMetricFast(m, stretch)
+		equalResults(t, fmt.Sprintf("GreedyMetricFastParallelOpts/t=%v", stretch), want, viaDefault)
+		viaFT, err := FaultTolerantGreedyOpts(m, stretch, 0, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		equalResults(t, fmt.Sprintf("GreedyMetricFast/t=%v", stretch), want, viaFast)
+		equalResults(t, fmt.Sprintf("FaultTolerantGreedyOpts/f=0/t=%v", stretch), want, viaFT)
 	}
 }
 
@@ -155,26 +156,26 @@ func TestGreedyMetricFastParallelStats(t *testing.T) {
 func TestGreedyMetricFastParallelEdgeCases(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		empty := metric.MustEuclidean(nil)
-		res, err := GreedyMetricFastParallel(empty, 2, workers)
+		res, err := GreedyMetricFastParallelOpts(empty, 2, Options{Workers: workers})
 		if err != nil || res.Size() != 0 {
 			t.Fatalf("empty metric: res=%+v err=%v", res, err)
 		}
 		single := metric.MustEuclidean([][]float64{{0, 0}})
-		res, err = GreedyMetricFastParallel(single, 2, workers)
+		res, err = GreedyMetricFastParallelOpts(single, 2, Options{Workers: workers})
 		if err != nil || res.Size() != 0 || res.N != 1 {
 			t.Fatalf("single point: res=%+v err=%v", res, err)
 		}
 		two := metric.MustEuclidean([][]float64{{0, 0}, {1, 0}})
-		res, err = GreedyMetricFastParallel(two, 2, workers)
+		res, err = GreedyMetricFastParallelOpts(two, 2, Options{Workers: workers})
 		if err != nil || res.Size() != 1 {
 			t.Fatalf("two points: res=%+v err=%v", res, err)
 		}
 	}
 	m := metric.MustEuclidean([][]float64{{0}, {1}, {2}})
-	if _, err := GreedyMetricFastParallel(m, 0.5, 2); err == nil {
+	if _, err := GreedyMetricFastParallelOpts(m, 0.5, Options{Workers: 2}); err == nil {
 		t.Fatal("stretch < 1 accepted")
 	}
-	if _, err := GreedyMetricFastParallel(m, math.NaN(), 2); err == nil {
+	if _, err := GreedyMetricFastParallelOpts(m, math.NaN(), Options{Workers: 2}); err == nil {
 		t.Fatal("NaN stretch accepted")
 	}
 }

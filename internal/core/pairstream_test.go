@@ -223,7 +223,7 @@ func TestStreamedPairOrderInfiniteWeights(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {
-		res, err := GreedyMetricFastParallel(m, 2, workers)
+		res, err := GreedyMetricFastParallelOpts(m, 2, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

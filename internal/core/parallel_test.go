@@ -68,7 +68,7 @@ func TestGreedyGraphParallelEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, workers := range workerCounts {
-				got, err := GreedyGraphParallel(g, stretch, workers)
+				got, err := GreedyGraphParallelOpts(g, stretch, Options{Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -94,12 +94,12 @@ func TestGreedyGraphParallelEquivalence(t *testing.T) {
 func TestGreedyGraphParallelDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := gen.ErdosRenyi(rng, 150, 0.2, 0.5, 10)
-	first, err := GreedyGraphParallel(g, 3, 4)
+	first, err := GreedyGraphParallelOpts(g, 3, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		again, err := GreedyGraphParallel(g, 3, 4)
+		again, err := GreedyGraphParallelOpts(g, 3, Options{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,11 +116,11 @@ func TestGreedyMetricMatchesGraphEngine(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	m := metric.MustEuclidean(gen.UniformPoints(rng, 70, 2))
 	for _, stretch := range []float64{1.2, 1.5, 2} {
-		a, err := GreedyMetric(m, stretch)
+		a, err := GreedyMetricFastParallelOpts(m, stretch, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := GreedyGraphParallel(metric.CompleteGraph(m), stretch, 4)
+		b, err := GreedyGraphParallelOpts(metric.CompleteGraph(m), stretch, Options{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,19 +157,19 @@ func TestGreedyGraphParallelStats(t *testing.T) {
 // TestGreedyGraphParallelEdgeCases covers empty and trivial inputs.
 func TestGreedyGraphParallelEdgeCases(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		res, err := GreedyGraphParallel(graph.New(0), 2, workers)
+		res, err := GreedyGraphParallelOpts(graph.New(0), 2, Options{Workers: workers})
 		if err != nil || res.Size() != 0 {
 			t.Fatalf("empty graph: res=%+v err=%v", res, err)
 		}
-		res, err = GreedyGraphParallel(graph.New(5), 2, workers)
+		res, err = GreedyGraphParallelOpts(graph.New(5), 2, Options{Workers: workers})
 		if err != nil || res.Size() != 0 || res.N != 5 {
 			t.Fatalf("edgeless graph: res=%+v err=%v", res, err)
 		}
 	}
-	if _, err := GreedyGraphParallel(graph.New(3), 0.5, 2); err == nil {
+	if _, err := GreedyGraphParallelOpts(graph.New(3), 0.5, Options{Workers: 2}); err == nil {
 		t.Fatal("stretch < 1 accepted")
 	}
-	if _, err := GreedyGraphParallel(graph.New(3), math.NaN(), 2); err == nil {
+	if _, err := GreedyGraphParallelOpts(graph.New(3), math.NaN(), Options{Workers: 2}); err == nil {
 		t.Fatal("NaN stretch accepted")
 	}
 }

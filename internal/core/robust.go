@@ -230,16 +230,6 @@ func panicErr(p any) error {
 	return fmt.Errorf("%w: %v\n%s", ErrEnginePanic, p, debug.Stack())
 }
 
-// capturePanic is the deferred run-level recover of every engine: it
-// converts a panic anywhere in the scan's serial sections (including hub
-// re-relaxation, supply refills, and injected serial faults) into a typed
-// error instead of crossing the API boundary as a crash.
-func capturePanic(err *error) {
-	if p := recover(); p != nil {
-		*err = panicErr(p)
-	}
-}
-
 // firstWorkerErr selects the error a joined worker pool reports: panics
 // win over cancellations (a cancellation is recoverable and expected; a
 // panic is the bug the caller must see), earlier workers win ties.

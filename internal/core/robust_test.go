@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -93,7 +94,7 @@ func TestCancelBeforeStartAbortsAllEngines(t *testing.T) {
 	if !errors.Is(err, ErrCancelled) || !res.Partial || res.Size() != 0 {
 		t.Fatalf("metric: err=%v partial=%v size=%d", err, res.Partial, res.Size())
 	}
-	res, err = FaultTolerantGreedyOpts(m, 2, 1, FaultTolerantOptions{Ctx: ctx})
+	res, err = FaultTolerantGreedyOpts(m, 2, 1, Options{Ctx: ctx})
 	if !errors.Is(err, ErrCancelled) || !res.Partial || res.Size() != 0 {
 		t.Fatalf("faulttolerant: err=%v partial=%v size=%d", err, res.Partial, res.Size())
 	}
@@ -113,7 +114,7 @@ func TestCancelMidScanReturnsExactPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mref, err := GreedyMetricFast(m, 1.8)
+	mref, err := GreedyMetricFastParallelOpts(m, 1.8, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,11 +174,13 @@ func TestBudgetDeadlineAborts(t *testing.T) {
 // loop, so a single-worker scan walks it too: the in-scan steps (hub
 // oracle or cached rows dropped) must appear at workers=1 as well. One
 // worker pools 2 searchers instead of 5, so it gets half the budget to
-// reach those rungs on the same instances.
+// reach those rungs on the same instances. The fault-tolerant engine runs
+// on the same loop at one worker, so it walks the ladder too, and at
+// f = 0 it reports into the caller's Stats like the metric engine.
 func TestBudgetDegradationLadder(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	m := robustPoints(t, rng, 40)
-	ref, err := GreedyMetricFast(m, 1.8)
+	ref, err := GreedyMetricFastParallelOpts(m, 1.8, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,6 +238,41 @@ func TestBudgetDegradationLadder(t *testing.T) {
 		}
 		assertSameResult(t, gref, gres)
 	}
+
+	ftm := robustPoints(t, rng, 16)
+	ftRef, err := FaultTolerantGreedyOpts(ftm, 1.8, 1, Options{Hubs: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ftStats Stats
+	ftRes, err := FaultTolerantGreedyOpts(ftm, 1.8, 1, Options{
+		Hubs:   4,
+		Budget: Budget{MaxBytes: 2500},
+		Stats:  &ftStats,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const hubStep = "hub oracle (4 hubs) dropped under byte budget"
+	if !slices.Contains(ftStats.Degradations, hubStep) {
+		t.Fatalf("fault-tolerant f=1: no %q step logged: %q", hubStep, ftStats.Degradations)
+	}
+	assertSameResult(t, ftRef, ftRes)
+
+	var zeroStats Stats
+	zres, err := FaultTolerantGreedyOpts(m, 1.8, 0, Options{
+		Hubs:   DefaultHubs(40),
+		Budget: Budget{MaxBytes: 8 << 10},
+		Stats:  &zeroStats,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if zeroStats.Kept != zres.Size() || zeroStats.Batches == 0 || !inScan(zeroStats.Degradations) {
+		t.Fatalf("fault-tolerant f=0 stats not filled: kept %d of %d, %d batches, steps %q",
+			zeroStats.Kept, zres.Size(), zeroStats.Batches, zeroStats.Degradations)
+	}
+	assertSameResult(t, ref, zres)
 }
 
 // TestBudgetMaxBatchWidth: the batch-width cap is honored and output is
@@ -274,7 +312,7 @@ func TestPanicBecomesTypedError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mref, err := GreedyMetricFast(m, 1.8)
+	mref, err := GreedyMetricFastParallelOpts(m, 1.8, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,11 +404,11 @@ func TestCancelledFlushPreservesPendingState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refBase, err := GreedyMetricFast(base, 1.8)
+	refBase, err := GreedyMetricFastParallelOpts(base, 1.8, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	refUnion, err := GreedyMetricFast(union, 1.8)
+	refUnion, err := GreedyMetricFastParallelOpts(union, 1.8, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +485,7 @@ func TestCancelDrainsWorkerPools(t *testing.T) {
 			return err
 		})
 		run(func(ctx context.Context, hooks InjectionHooks) error {
-			_, err := FaultTolerantGreedyOpts(m, 2, 1, FaultTolerantOptions{Hubs: 4, Ctx: ctx, Inject: hooks})
+			_, err := FaultTolerantGreedyOpts(m, 2, 1, Options{Hubs: 4, Ctx: ctx, Inject: hooks})
 			return err
 		})
 		run(func(ctx context.Context, hooks InjectionHooks) error {
@@ -482,7 +520,7 @@ func TestFlushRetryConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refBase, err := GreedyMetricFast(base, 1.7)
+	refBase, err := GreedyMetricFastParallelOpts(base, 1.7, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,7 +532,7 @@ func TestFlushRetryConverges(t *testing.T) {
 			alive = append(alive, i)
 		}
 	}
-	refFinal, err := GreedyMetricFast(restrictMetric(union, alive), 1.7)
+	refFinal, err := GreedyMetricFastParallelOpts(restrictMetric(union, alive), 1.7, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

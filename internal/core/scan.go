@@ -10,16 +10,19 @@ import (
 	"repro/internal/metric"
 )
 
-// Options configures the batched engines (GreedyGraphParallelOpts,
-// GreedyMetricFastParallelOpts) and the maintained IncrementalSpanner.
-// Every field applies to both modes except GuardRows, which only the
-// metric engine's bound rows honor.
+// Options configures every engine on the scan driver
+// (GreedyGraphParallelOpts, GreedyMetricFastParallelOpts,
+// FaultTolerantGreedyOpts) and the maintained IncrementalSpanner. Every
+// field applies to every engine with two exceptions: GuardRows, which
+// only the metric engine's bound rows honor, and Workers, which the
+// fault-tolerant engine ignores.
 type Options struct {
 	// Workers is the number of goroutines certifying against the frozen
 	// snapshot concurrently; 0 selects GOMAXPROCS. With Workers == 1 the
 	// snapshot pass is skipped and every candidate is decided serially
 	// against the live spanner — still with the bidirectional query
-	// primitive on graphs and the cached bound rows on metrics.
+	// primitive on graphs and the cached bound rows on metrics. The
+	// fault-tolerant engine always runs at one worker.
 	Workers int
 	// BatchSize fixes the number of sorted candidates examined per
 	// certification round. 0 (the default) selects adaptive batching: the
@@ -86,10 +89,13 @@ type (
 	MetricParallelOptions = Options
 )
 
-// Stats reports how a batched engine spent its effort. CachedSkips +
-// HubSkips + CertifiedSkips + SerialSkips + Kept equals the number of
-// candidates examined; graphs cache no rows, so their CachedSkips and
-// row counters stay 0.
+// Stats reports how an engine on the scan driver spent its effort.
+// CachedSkips + HubSkips + CertifiedSkips + SerialSkips + Kept equals the
+// number of candidates examined; graphs cache no rows, so their
+// CachedSkips and row counters stay 0. The fault-tolerant engine with
+// f >= 1 decides every candidate with one serial fault-set sweep, so
+// there SerialSkips + Kept equals the candidates examined and the hub
+// counters count fault-set probes, not candidates.
 type Stats struct {
 	// Batches is the number of certification rounds.
 	Batches int
@@ -188,16 +194,16 @@ func adaptBatch(batch, survivors, span int) int {
 	return batch
 }
 
-// GreedyGraphParallel computes the greedy t-spanner of g like GreedyGraph,
-// but fans the per-edge distance queries out over `workers` goroutines
-// (0 selects GOMAXPROCS). The output — edge sequence, weight, and
-// EdgesExamined — is deterministic (independent of workers, batching, and
-// scheduling) and identical to GreedyGraph's, with one caveat: the
-// bidirectional search sums path weights in a different order than the
-// one-sided search, so the two engines could in principle disagree on an
-// edge whose alternative-path length ties t*w within a float64 ulp. No
-// such tie occurs in any of the repo's test families; the equivalence
-// tests assert exact identity.
+// GreedyGraphParallelOpts computes the greedy t-spanner of g like
+// GreedyGraph, but fans the per-edge distance queries out over
+// opts.Workers goroutines (0 selects GOMAXPROCS). The output — edge
+// sequence, weight, and EdgesExamined — is deterministic (independent of
+// workers, batching, supply, and scheduling) and identical to
+// GreedyGraph's, with one caveat: the bidirectional search sums path
+// weights in a different order than the one-sided search, so the two
+// engines could in principle disagree on an edge whose alternative-path
+// length ties t*w within a float64 ulp. No such tie occurs in any of the
+// repo's test families; the equivalence tests assert exact identity.
 //
 // The engine scans the sorted edge list in batches. Within a batch, every
 // edge (u, v) is tested concurrently against the *frozen* spanner snapshot
@@ -209,21 +215,15 @@ func adaptBatch(batch, survivors, span int) int {
 // accept/reject decision matches the sequential scan bit for bit. Distance
 // queries use bounded bidirectional Dijkstra (Searcher.BidirDistanceWithin),
 // which explores two balls of radius ~t*w/2 instead of one of radius t*w.
-func GreedyGraphParallel(g *graph.Graph, t float64, workers int) (*Result, error) {
-	return GreedyGraphParallelOpts(g, t, Options{Workers: workers})
-}
-
-// GreedyGraphParallelOpts is GreedyGraphParallel with explicit batching
-// and supply controls; see Options.
 func GreedyGraphParallelOpts(g *graph.Graph, t float64, opts Options) (*Result, error) {
-	return build(t, opts, g, nil)
+	return build(t, opts, g, nil, 0)
 }
 
-// GreedyMetricFastParallel computes the greedy t-spanner of a finite metric
-// space like GreedyMetricFastSerial — cached distance bounds in the spirit
-// of Bose et al. [BCF+10] — but refreshes the cached bound rows
-// concurrently over `workers` goroutines (0 selects GOMAXPROCS) and pulls
-// candidates from the streamed weight-bucketed supply instead of a
+// GreedyMetricFastParallelOpts computes the greedy t-spanner of a finite
+// metric space like GreedyMetricFastSerial — cached distance bounds in the
+// spirit of Bose et al. [BCF+10] — but refreshes the cached bound rows
+// concurrently over opts.Workers goroutines (0 selects GOMAXPROCS) and
+// pulls candidates from the streamed weight-bucketed supply instead of a
 // materialized, globally sorted pair list. The output — edge sequence,
 // weight, and EdgesExamined — is deterministic (independent of workers,
 // batching, bucketing, and scheduling) and bit-identical to
@@ -241,22 +241,17 @@ func GreedyGraphParallelOpts(g *graph.Graph, t float64, opts Options) (*Result, 
 // snapshot cannot certify are re-decided serially, in exact greedy order,
 // on exact float64 distances against the live spanner — exactly the serial
 // algorithm's decision procedure.
-func GreedyMetricFastParallel(m metric.Metric, t float64, workers int) (*Result, error) {
-	return GreedyMetricFastParallelOpts(m, t, Options{Workers: workers})
-}
-
-// GreedyMetricFastParallelOpts is GreedyMetricFastParallel with explicit
-// batching and supply controls; see Options.
 func GreedyMetricFastParallelOpts(m metric.Metric, t float64, opts Options) (*Result, error) {
-	return build(t, opts, nil, m)
+	return build(t, opts, nil, m, 0)
 }
 
-// build is the setup both one-shot batched builds share; exactly one of g
-// and m is non-nil. It validates the stretch, prepares the scan, resolves
-// the default supply and then the hub count under the byte budget (each
+// build is the setup every one-shot build shares; exactly one of g and m
+// is non-nil, and f > 0 (metrics only) selects the fault-tolerant
+// certifier. It validates the stretch, prepares the scan, resolves the
+// default supply and then the hub count under the byte budget (each
 // degradation logged in that order), installs the oracle and the mode's
 // certifier, and drains the supply.
-func build(t float64, opts Options, g *graph.Graph, m metric.Metric) (*Result, error) {
+func build(t float64, opts Options, g *graph.Graph, m metric.Metric, f int) (*Result, error) {
 	if !validStretch(t) {
 		return nil, errInvalidStretch(t)
 	}
@@ -299,11 +294,15 @@ func build(t float64, opts Options, g *graph.Graph, m metric.Metric) (*Result, e
 		if hubs > 0 {
 			sc.oracle = NewHubOracle(SelectMetricHubs(m, hubs), sc.h, 0)
 		}
-		bound := newBoundStore(n)
-		if opts.GuardRows {
-			bound.setGuard()
+		if f > 0 {
+			sc.cert = &ftCert{sc: sc, f: f}
+		} else {
+			bound := newBoundStore(n)
+			if opts.GuardRows {
+				bound.setGuard()
+			}
+			sc.certifyMetric(bound)
 		}
-		sc.certifyMetric(bound)
 	}
 	return res, sc.run(src, opts.BatchSize)
 }

@@ -44,15 +44,6 @@ func (g *Graph) DijkstraTo(src, dst int) float64 {
 	return sp.Dist[dst]
 }
 
-// DijkstraBounded computes shortest paths from src but abandons any vertex
-// whose tentative distance exceeds limit. Distances in the result that
-// exceed limit are unreliable and reported as Inf. This is the workhorse of
-// the greedy spanner: to decide whether delta_H(u, v) > t*w(u, v) we run a
-// bounded search with limit t*w and never explore further than necessary.
-func (g *Graph) DijkstraBounded(src int, limit float64) *ShortestPaths {
-	return g.dijkstra(src, -1, limit, nil)
-}
-
 // DistanceWithin reports the shortest-path distance from src to dst if it is
 // at most limit, and (Inf, false) otherwise. It settles only vertices within
 // distance limit of src, so the cost scales with the size of that ball.
@@ -276,21 +267,4 @@ func (g *Graph) APSP() [][]float64 {
 		scratch.reset()
 	}
 	return out
-}
-
-// Eccentricity returns the maximum finite shortest-path distance from v, and
-// whether all vertices are reachable from v.
-func (g *Graph) Eccentricity(v int) (float64, bool) {
-	sp := g.Dijkstra(v)
-	ecc, all := 0.0, true
-	for _, d := range sp.Dist {
-		if d == Inf {
-			all = false
-			continue
-		}
-		if d > ecc {
-			ecc = d
-		}
-	}
-	return ecc, all
 }

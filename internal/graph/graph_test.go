@@ -223,23 +223,6 @@ func TestDistanceWithin(t *testing.T) {
 	}
 }
 
-func TestDijkstraBoundedMatchesFull(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 10; trial++ {
-		g := randomConnectedGraph(rng, 40, 80)
-		full := g.Dijkstra(0)
-		limit := 8.0
-		bounded := g.DijkstraBounded(0, limit)
-		for v := 0; v < g.N(); v++ {
-			if full.Dist[v] <= limit {
-				if bounded.Dist[v] != full.Dist[v] {
-					t.Fatalf("bounded Dist[%d] = %v, full = %v", v, bounded.Dist[v], full.Dist[v])
-				}
-			}
-		}
-	}
-}
-
 // bellmanFord is an independent O(nm) reference implementation.
 func bellmanFord(g *Graph, src int) []float64 {
 	dist := make([]float64, g.N())
@@ -422,20 +405,6 @@ func TestSecondShortestPath(t *testing.T) {
 	eq := mustGraph(t, 4, [][3]float64{{0, 1, 1}, {1, 3, 1}, {0, 2, 1}, {2, 3, 1}})
 	if d := eq.SecondShortestPath(0, 3); d != 2 {
 		t.Fatalf("second shortest with tie = %v, want 2", d)
-	}
-}
-
-func TestEccentricity(t *testing.T) {
-	g := pathGraph(5)
-	ecc, all := g.Eccentricity(0)
-	if !all || ecc != 4 {
-		t.Fatalf("Eccentricity = %v, %v; want 4, true", ecc, all)
-	}
-	disc := New(3)
-	disc.MustAddEdge(0, 1, 2)
-	ecc, all = disc.Eccentricity(0)
-	if all || ecc != 2 {
-		t.Fatalf("Eccentricity = %v, %v; want 2, false", ecc, all)
 	}
 }
 

@@ -93,49 +93,6 @@ func TestWriteDOT(t *testing.T) {
 	}
 }
 
-func TestComputeStats(t *testing.T) {
-	g := pathGraph(5)
-	s := g.ComputeStats()
-	if s.N != 5 || s.M != 4 || s.Weight != 4 {
-		t.Fatalf("basic stats wrong: %+v", s)
-	}
-	if s.MaxDegree != 2 || s.AvgDegree != 1.6 {
-		t.Fatalf("degree stats wrong: %+v", s)
-	}
-	if s.Diameter != 4 || s.HopRadius != 4 || s.Components != 1 {
-		t.Fatalf("distance stats wrong: %+v", s)
-	}
-	disc := New(3)
-	ds := disc.ComputeStats()
-	if ds.Components != 3 || !isInf(ds.Diameter) {
-		t.Fatalf("disconnected stats wrong: %+v", ds)
-	}
-}
-
-func isInf(v float64) bool { return v > 1e300 }
-
-func TestDegreeHistogram(t *testing.T) {
-	g := pathGraph(4) // degrees 1,2,2,1
-	h := g.DegreeHistogram()
-	if len(h) != 3 || h[0] != 0 || h[1] != 2 || h[2] != 2 {
-		t.Fatalf("histogram = %v", h)
-	}
-}
-
-func TestWeightQuantiles(t *testing.T) {
-	g := New(6)
-	for i := 0; i < 5; i++ {
-		g.MustAddEdge(i, i+1, float64(i+1))
-	}
-	qs := g.WeightQuantiles(1) // median
-	if len(qs) != 1 || qs[0] != 3 {
-		t.Fatalf("median = %v, want [3]", qs)
-	}
-	if g.WeightQuantiles(0) != nil || New(2).WeightQuantiles(3) != nil {
-		t.Fatal("degenerate quantiles should be nil")
-	}
-}
-
 func TestSearcherMatchesGraphMethods(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randomConnectedGraph(rng, 30, 60)

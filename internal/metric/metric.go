@@ -154,9 +154,6 @@ func (m *FlatMatrix) N() int { return m.n }
 // Dist returns the stored distance between i and j.
 func (m *FlatMatrix) Dist(i, j int) float64 { return m.d[i*m.n+j] }
 
-// Flat returns the backing row-major array (shared storage; do not modify).
-func (m *FlatMatrix) Flat() []float64 { return m.d }
-
 // FromGraph returns the shortest-path metric M_G induced by a connected
 // graph g (Section 2 of the paper). It materializes the full n x n distance
 // matrix via APSP. Returns graph.ErrDisconnected if g is not connected.

@@ -872,7 +872,3 @@ func (d *Durable) Gen() uint64 { return d.gen }
 // OpSeq returns the number of operations logged since the state was
 // created (across all generations).
 func (d *Durable) OpSeq() uint64 { return d.opSeq }
-
-// CrashPoints returns how many IO points have consulted the crash hook
-// so far; the chaos suite uses a counting pass to enumerate the schedule.
-func (d *Durable) CrashPoints() int { return d.crashSeq }

@@ -4,11 +4,12 @@
 //
 // The package exposes three families of constructions:
 //
-//   - Greedy / GreedyParallel / GreedyMetric / GreedyMetricFast /
-//     GreedyMetricParallel — Algorithm 1 of the paper: the greedy
+//   - Greedy / GreedyParallelOpts and GreedyMetric /
+//     GreedyMetricParallelOpts — Algorithm 1 of the paper: the greedy
 //     t-spanner for weighted graphs and finite metric spaces,
-//     existentially optimal in size and lightness (Theorems 4 and 5).
-//     Both engines share the batched-certification architecture: sorted
+//     existentially optimal in size and lightness (Theorems 4 and 5),
+//     one plain entry and one options entry per input kind. Both
+//     engines share the batched-certification architecture: sorted
 //     candidates are scanned in adaptive batches, skips are certified
 //     concurrently against a frozen spanner snapshot (bounded
 //     bidirectional Dijkstra on graphs; cached bound-row refreshes on
@@ -164,14 +165,6 @@ type (
 // Incremental.SetPolicy.
 type IncrementalPolicy = core.IncrementalPolicy
 
-// FaultTolerantOptions re-exports the fault-tolerant engine's knobs (hub
-// count, probe counters) and robustness controls (Ctx, Budget, Inject).
-type FaultTolerantOptions = core.FaultTolerantOptions
-
-// FaultTolerantStats re-exports the fault-tolerant engine's probe
-// counters.
-type FaultTolerantStats = core.FaultTolerantStats
-
 // Metric re-exports the finite metric-space interface.
 type Metric = metric.Metric
 
@@ -200,66 +193,46 @@ func MetricFromGraph(g *Graph) (Metric, error) { return metric.FromGraph(g) }
 
 // Greedy computes the greedy t-spanner of a weighted graph (Algorithm 1 of
 // the paper): edges are examined in non-decreasing weight order, and (u, v)
-// is kept iff the current spanner distance exceeds t*w(u, v).
-func Greedy(g *Graph, t float64) (*Result, error) { return core.GreedyGraph(g, t) }
-
-// GreedyParallel computes the same spanner as Greedy — identical edge
-// sequence, weight, and counters — using the batched-parallel engine:
-// skip-certification queries fan out over `workers` goroutines (0 selects
-// GOMAXPROCS) against a frozen snapshot of the growing spanner, and only
-// the uncertified edges are re-examined serially in exact greedy order.
-// Distance queries use bounded bidirectional Dijkstra, which explores two
-// balls of radius ~t*w/2 instead of the one-sided ball of radius t*w, so
-// even workers=1 is markedly faster than Greedy on non-trivial inputs.
-func GreedyParallel(g *Graph, t float64, workers int) (*Result, error) {
-	return core.GreedyGraphParallel(g, t, workers)
+// is kept iff the current spanner distance exceeds t*w(u, v). It runs the
+// batched engine of GreedyParallelOpts with default options: GOMAXPROCS
+// workers certifying skips against a frozen snapshot of the growing
+// spanner with bounded bidirectional Dijkstra, and the uncertified edges
+// re-examined serially in exact greedy order, so the output — edge
+// sequence, weight, and counters — is that of the sequential scan.
+func Greedy(g *Graph, t float64) (*Result, error) {
+	return core.GreedyGraphParallelOpts(g, t, core.Options{})
 }
 
-// GreedyParallelOpts is GreedyParallel with explicit batching and
-// candidate-supply controls. By default the engine streams candidates from
-// a weight-bucketed supply (NewGraphEdgeSource) instead of sorting a full
-// copy of the edge list; set Materialize to force the classic sorted-copy
-// supply, or Source to plug in a custom one. Output is bit-identical to
-// Greedy for any supply that emits the edges in greedy scan order.
+// GreedyParallelOpts is Greedy with explicit engine controls: the worker
+// count (0 selects GOMAXPROCS), batching, hubs, stats, cancellation, and
+// budget. By default the engine streams candidates from a weight-bucketed
+// supply (NewGraphCandidateSource) instead of sorting a full copy of the
+// edge list; set Materialize to force the classic sorted-copy supply, or
+// Source to plug in a custom one. Output is bit-identical to Greedy for
+// any supply that emits the edges in greedy scan order.
 func GreedyParallelOpts(g *Graph, t float64, opts ParallelOptions) (*Result, error) {
 	return core.GreedyGraphParallelOpts(g, t, opts)
 }
 
 // GreedyMetric computes the greedy t-spanner of a finite metric space by
-// examining all pairwise distances ("path-greedy"). It is routed through
-// the batched cached-bound metric engine (GreedyMetricParallel with
-// GOMAXPROCS workers); the output is the same deterministic spanner the
-// sequential scan produces.
-func GreedyMetric(m Metric, t float64) (*Result, error) { return core.GreedyMetric(m, t) }
-
-// GreedyMetricFast is GreedyMetric with cached distance bounds in the
-// spirit of Bose et al. [BCF+10]: a matrix of upper bounds on spanner
-// distances certifies most skips without any search, and a row is
-// recomputed only when its cached bound fails. It too is routed through
-// the batched-parallel metric engine and returns the identical spanner
-// with near-quadratic practical running time.
-func GreedyMetricFast(m Metric, t float64) (*Result, error) { return core.GreedyMetricFast(m, t) }
-
-// GreedyMetricParallel computes the same spanner as GreedyMetric and
-// GreedyMetricFast — identical edge sequence, weight, and counters — with
-// explicit control over the worker count (0 selects GOMAXPROCS). The
-// engine pulls the pairs in scan order from the streamed weight-bucketed
-// supply and examines them in adaptive batches: cached bounds certify
-// most skips outright, the remaining sparse bound rows are refreshed
-// concurrently against a frozen snapshot of the growing spanner (valid
-// because cached upper bounds only tighten as edges are added), and only
-// the uncertified pairs are re-examined serially in exact greedy order.
-func GreedyMetricParallel(m Metric, t float64, workers int) (*Result, error) {
-	return core.GreedyMetricFastParallel(m, t, workers)
+// examining all pairwise distances ("path-greedy"). It runs the batched
+// cached-bound engine of GreedyMetricParallelOpts with default options:
+// cached distance bounds in the spirit of Bose et al. [BCF+10] certify
+// most skips with no search, the remaining sparse bound rows are refreshed
+// concurrently against a frozen snapshot of the growing spanner, and only
+// the uncertified pairs are re-examined serially in exact greedy order,
+// so the output is the deterministic spanner of the sequential scan.
+func GreedyMetric(m Metric, t float64) (*Result, error) {
+	return core.GreedyMetricFastParallelOpts(m, t, core.Options{})
 }
 
-// GreedyMetricParallelOpts is GreedyMetricParallel with explicit batching
-// and candidate-supply controls. By default the engine streams the
-// n(n-1)/2 candidate pairs from a weight-bucketed supply (grid-bucketed on
-// Euclidean metrics, so a bucket is produced without touching farther
-// pairs at all) and keeps distance bounds in sparse rows allocated on
-// first refresh — memory scales with the spanner's working set, not with
-// n^2. Set Materialize to force the classic materialize-then-sort supply,
+// GreedyMetricParallelOpts is GreedyMetric with explicit engine controls.
+// By default the engine streams the n(n-1)/2 candidate pairs from a
+// weight-bucketed supply (grid-bucketed on Euclidean metrics, so a bucket
+// is produced without touching farther pairs at all) and keeps distance
+// bounds in sparse rows allocated on first refresh — memory scales with
+// the spanner's working set, not with n^2. Set Workers to fix the worker
+// count, Materialize to force the classic materialize-then-sort supply,
 // BucketPairs to cap the streamed supply's resident bucket, or Source to
 // plug in a custom supply. Output is bit-identical in every mode.
 func GreedyMetricParallelOpts(m Metric, t float64, opts MetricParallelOptions) (*Result, error) {
@@ -461,14 +434,16 @@ func BaswanaSen(rng *rand.Rand, g *Graph, k int) (*Graph, error) {
 // metric (Czumaj–Zhao style greedy; the [Sol14] direction the paper cites).
 // Supported for f in {0, 1, 2}; see internal/core for the cost model.
 func FaultTolerantGreedy(m Metric, t float64, f int) (*Result, error) {
-	return core.FaultTolerantGreedy(m, t, f)
+	return core.FaultTolerantGreedyOpts(m, t, f, core.Options{})
 }
 
-// FaultTolerantGreedyOpts is FaultTolerantGreedy with the hub-label fast
-// path enabled: with Hubs > 0, per-fault-set probes that some hub label
-// proves survivable skip their masked search. Output is bit-identical for
-// every hub count.
-func FaultTolerantGreedyOpts(m Metric, t float64, f int, opts FaultTolerantOptions) (*Result, error) {
+// FaultTolerantGreedyOpts is FaultTolerantGreedy with explicit engine
+// controls; they mean what they mean for GreedyMetricParallelOpts, except
+// that Workers is ignored (the fault-set sweep runs serially). With
+// Hubs > 0, per-fault-set probes that some hub label proves survivable
+// skip their masked search, counted in Stats.HubQueries and HubSkips.
+// Output is bit-identical for every hub count.
+func FaultTolerantGreedyOpts(m Metric, t float64, f int, opts MetricParallelOptions) (*Result, error) {
 	return core.FaultTolerantGreedyOpts(m, t, f, opts)
 }
 

@@ -1,8 +1,13 @@
 package spanner
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/gen"
+	"repro/internal/metric"
 )
 
 // TestPublicAPIRoundTrip exercises the facade end to end: build a graph,
@@ -43,13 +48,11 @@ func TestPublicAPIMetric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := GreedyMetricFast(m, 1.5)
+	serial, err := core.GreedyMetricFastSerial(m, 1.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Size() != fast.Size() {
-		t.Fatalf("naive and fast greedy disagree: %d vs %d", res.Size(), fast.Size())
-	}
+	sameResult(t, "GreedyMetric", serial, res)
 	if _, err := VerifyMetricSpanner(res.Graph(), m, 1.5); err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +253,7 @@ func TestPublicAPIHubsAndPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ftHub, err := FaultTolerantGreedyOpts(m, 1.6, 1, FaultTolerantOptions{Hubs: 4})
+	ftHub, err := FaultTolerantGreedyOpts(m, 1.6, 1, MetricParallelOptions{Hubs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,5 +290,54 @@ func TestPublicAPIHubsAndPolicy(t *testing.T) {
 	if res.Size() != want.Size() || res.Weight != want.Weight || res.EdgesExamined != want.EdgesExamined {
 		t.Fatalf("coalesced: (%d, %v, %d) vs (%d, %v, %d)",
 			res.Size(), res.Weight, res.EdgesExamined, want.Size(), want.Weight, want.EdgesExamined)
+	}
+}
+
+// sameResult fails unless got reproduces want's edge sequence, weight,
+// and examined count exactly.
+func sameResult(t *testing.T, label string, want, got *Result) {
+	t.Helper()
+	if len(got.Edges) != len(want.Edges) || got.Weight != want.Weight || got.EdgesExamined != want.EdgesExamined {
+		t.Fatalf("%s: (%d edges, weight %v, examined %d), want (%d, %v, %d)", label,
+			len(got.Edges), got.Weight, got.EdgesExamined, len(want.Edges), want.Weight, want.EdgesExamined)
+	}
+	for i := range want.Edges {
+		if got.Edges[i] != want.Edges[i] {
+			t.Fatalf("%s: edge %d is %v, want %v", label, i, got.Edges[i], want.Edges[i])
+		}
+	}
+}
+
+// TestGreedyMatchesSerialReference: Greedy runs the batched engine, so it
+// must reproduce the serial reference core.GreedyGraph exactly — edge
+// sequence, weight, and examined count — across the internal/gen graph
+// families.
+func TestGreedyMatchesSerialReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	geo, _ := gen.RandomGeometric(rng, 120, 0.2)
+	families := []struct {
+		name string
+		g    *Graph
+	}{
+		{"erdos-renyi-sparse", gen.ErdosRenyi(rng, 120, 0.05, 0.5, 10)},
+		{"erdos-renyi-dense", gen.ErdosRenyi(rng, 60, 0.5, 0.5, 10)},
+		{"grid", gen.WeightedPerturbation(rng, gen.Grid(10, 8), 0.3)},
+		{"hypercube", gen.WeightedPerturbation(rng, gen.Hypercube(6), 0.2)},
+		{"petersen", gen.Petersen()},
+		{"geometric", geo},
+		{"complete-euclidean", metric.CompleteGraph(metric.MustEuclidean(gen.UniformPoints(rng, 40, 2)))},
+	}
+	for _, fam := range families {
+		for _, stretch := range []float64{1, 1.5, 3} {
+			want, err := core.GreedyGraph(fam.g, stretch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Greedy(fam.g, stretch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResult(t, fmt.Sprintf("%s/t=%v", fam.name, stretch), want, got)
+		}
 	}
 }
