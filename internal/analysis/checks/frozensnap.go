@@ -26,7 +26,11 @@ import (
 // level down, to the in-package functions and methods a worker literal
 // calls — for a call through an interface, every in-package
 // implementation — where the receiver and package state are the shared
-// side and the callee's parameters and locals are the worker's own.
+// side and the callee's parameters and locals are the worker's own. A go
+// statement that names its function (go f(x), go s.m(x)) is checked the
+// same way: the callee's body is the worker, its parameters were handed
+// over and are the goroutine's own, and a method's receiver is shared, so
+// a frozen receiver's mutating method is flagged at the go statement.
 // Writes that are genuinely safe (e.g. a fold row owned by exactly one
 // worker) carry a //spannerlint:ignore frozensnap <reason> annotation.
 var Frozensnap = &framework.Analyzer{
@@ -70,6 +74,18 @@ func runFrozensnap(pass *framework.Pass) error {
 		}
 	}
 	followed := make(map[*ast.FuncDecl]bool)
+	follow := func(fds []*ast.FuncDecl) {
+		for _, fd := range fds {
+			if followed[fd] {
+				continue
+			}
+			followed[fd] = true
+			params := fd.Type.Params.Pos() // after the receiver, which is shared
+			checkWorker(pass, info, "worker callee "+fd.Name.Name, fd.Body, func(obj types.Object) bool {
+				return params <= obj.Pos() && obj.Pos() <= fd.End()
+			})
+		}
+	}
 	for _, f := range pass.Unit.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			gs, ok := n.(*ast.GoStmt)
@@ -78,21 +94,18 @@ func runFrozensnap(pass *framework.Pass) error {
 			}
 			lit, ok := gs.Call.Fun.(*ast.FuncLit)
 			if !ok {
+				// go f(x) or go s.m(x): the callee's body is the worker,
+				// its parameters are the goroutine's own (the arguments
+				// were handed over), and a method's receiver is shared.
+				// Calls in the arguments run before the goroutine starts.
+				checkSharedCall(pass, info, "go statement", gs.Call, func(types.Object) bool { return false })
+				follow(callees(info, []*ast.CallExpr{gs.Call}, decls))
 				return true
 			}
 			checkWorker(pass, info, "worker closure", lit.Body, func(obj types.Object) bool {
 				return lit.Pos() <= obj.Pos() && obj.Pos() <= lit.End()
 			})
-			for _, fd := range callees(info, lit.Body, decls) {
-				if followed[fd] {
-					continue
-				}
-				followed[fd] = true
-				params := fd.Type.Params.Pos() // after the receiver, which is shared
-				checkWorker(pass, info, "worker callee "+fd.Name.Name, fd.Body, func(obj types.Object) bool {
-					return params <= obj.Pos() && obj.Pos() <= fd.End()
-				})
-			}
+			follow(callees(info, callsIn(lit.Body), decls))
 			// Nested go statements inside the literal are visited again by
 			// the outer Inspect; their own literals get their own pass.
 			return true
@@ -101,23 +114,18 @@ func runFrozensnap(pass *framework.Pass) error {
 	return nil
 }
 
-// callees lists, in declaration order, the in-package declarations a
-// worker body calls directly: functions named by a plain identifier,
-// concrete methods, and every implementation of an interface method.
-func callees(info *types.Info, body *ast.BlockStmt, decls []*ast.FuncDecl) []*ast.FuncDecl {
+// callees lists, in declaration order, the in-package declarations the
+// given calls run: functions named by a plain identifier, concrete
+// methods, and every implementation of an interface method.
+func callees(info *types.Info, calls []*ast.CallExpr, decls []*ast.FuncDecl) []*ast.FuncDecl {
 	var called []*types.Func
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
+	for _, call := range calls {
 		if f, ok := calledIdent(info, call).(*types.Func); ok {
 			called = append(called, f)
 		} else if m := calledMethod(info, call); m != nil {
 			called = append(called, m)
 		}
-		return true
-	})
+	}
 	var out []*ast.FuncDecl
 	for _, fd := range decls {
 		fn, ok := info.Defs[fd.Name].(*types.Func)
@@ -132,6 +140,18 @@ func callees(info *types.Info, body *ast.BlockStmt, decls []*ast.FuncDecl) []*as
 		}
 	}
 	return out
+}
+
+// callsIn lists the calls in a worker body.
+func callsIn(body *ast.BlockStmt) []*ast.CallExpr {
+	var calls []*ast.CallExpr
+	ast.Inspect(body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			calls = append(calls, call)
+		}
+		return true
+	})
+	return calls
 }
 
 // checkWorker walks one worker body: a go literal's, or that of a
@@ -194,30 +214,36 @@ func checkWorker(pass *framework.Pass, info *types.Info, subject string, body *a
 		case *ast.IncDecStmt:
 			flagWrite(n.TokPos, n.X)
 		case *ast.CallExpr:
-			sel, ok := n.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			root := rootIdent(sel.X)
-			if root == nil {
-				return true
-			}
-			obj := capturedVar(root)
-			if obj == nil || frozenReadOnly[sel.Sel.Name] {
-				return true
-			}
-			// The method's own receiver type decides, so a frozen value
-			// reached through a field of a non-frozen root is caught too.
-			tname := namedTypeName(info.TypeOf(sel.X))
-			if !frozenTypes[tname] {
-				tname = namedTypeName(obj.Type())
-			}
-			if frozenTypes[tname] {
-				pass.Reportf(n.Pos(), "%s calls %s on captured %s state: certification snapshots are frozen; only read-only methods are allowed", subject, exprString(sel), tname)
-			}
+			checkSharedCall(pass, info, subject, n, local)
 		}
 		return true
 	})
+}
+
+// checkSharedCall flags a method call on a captured value of a frozen
+// type unless the method is read-only.
+func checkSharedCall(pass *framework.Pass, info *types.Info, subject string, call *ast.CallExpr, local func(types.Object) bool) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return
+	}
+	root := rootIdent(sel.X)
+	if root == nil {
+		return
+	}
+	v, ok := info.Uses[root].(*types.Var)
+	if !ok || v.IsField() || local(v) || frozenReadOnly[sel.Sel.Name] {
+		return
+	}
+	// The method's own receiver type decides, so a frozen value reached
+	// through a field of a non-frozen root is caught too.
+	tname := namedTypeName(info.TypeOf(sel.X))
+	if !frozenTypes[tname] {
+		tname = namedTypeName(v.Type())
+	}
+	if frozenTypes[tname] {
+		pass.Reportf(call.Pos(), "%s calls %s on captured %s state: certification snapshots are frozen; only read-only methods are allowed", subject, exprString(sel), tname)
+	}
 }
 
 // allIndicesLocal walks the selector/index chain of an lvalue and

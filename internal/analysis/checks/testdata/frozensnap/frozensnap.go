@@ -174,3 +174,69 @@ func hubWorkers(o *HubOracle, n int) []bool {
 	}
 	return out
 }
+
+// tallyWorker and record are goroutine bodies started by name rather than
+// as literals: the go statement's callee is the worker, so its package
+// state and its receiver are shared.
+func tallyWorker(w int, done chan<- struct{}) {
+	tally += w // want "worker callee tallyWorker writes captured variable tally"
+	done <- struct{}{}
+}
+
+func (c *rowCert) record(w int, done chan<- struct{}) {
+	c.last = w // want "worker callee record writes field last of captured c"
+	done <- struct{}{}
+}
+
+// spawnNamed starts workers through named functions and methods.
+func spawnNamed(c *rowCert, bound *boundStore, n int) {
+	done := make(chan struct{}, 3*n)
+	for w := 0; w < n; w++ {
+		go tallyWorker(w, done)
+		go c.record(w, done)
+		go bound.foldRow(w) // want "go statement calls bound.foldRow on captured boundStore state"
+		done <- struct{}{}
+	}
+	for w := 0; w < 3*n; w++ {
+		<-done
+	}
+}
+
+// feed is state a producer goroutine owns outright: handed over by
+// parameter and returned only through its channel, so the producer may
+// write it freely.
+type feed struct {
+	next int
+	buf  []int
+}
+
+func produce(f *feed, out chan<- []int, done chan<- struct{}) {
+	defer close(done)
+	for i := 0; i < 3; i++ {
+		f.next++
+		f.buf = append(f.buf[:0], f.next)
+		out <- f.buf
+	}
+	close(out)
+}
+
+var feeds int
+
+// newFeed runs in the spawning goroutine, as every argument of a go
+// statement does, so its package-state write is no worker's.
+func newFeed() *feed {
+	feeds++
+	return &feed{}
+}
+
+// startProducer hands a fresh feed to its producer and keeps no alias.
+func startProducer() int {
+	out, done := make(chan []int), make(chan struct{})
+	go produce(newFeed(), out, done)
+	sum := 0
+	for b := range out {
+		sum += b[0]
+	}
+	<-done
+	return sum
+}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"runtime/debug"
@@ -18,9 +19,11 @@ import (
 // floor — the bytes the classic pipeline provably allocates before its
 // first greedy decision (24 bytes per sorted pair plus the 8-byte dense
 // bound matrix), computed analytically so the guard never has to run the
-// slow path. The test is gated behind ALLOC_GUARD=1 because the sampled
-// MemStats probe briefly stops the world and the build takes seconds; CI
-// runs it as a dedicated step.
+// slow path. It runs at one worker and at the default worker count, the
+// one spannerd and the benchmark build with; both hold the supply's two
+// in-flight buckets. The test is gated behind ALLOC_GUARD=1 because the
+// sampled MemStats probe briefly stops the world and the builds take
+// seconds; CI runs it as a dedicated step.
 func TestAllocRegressionGuardMetricN4000(t *testing.T) {
 	if os.Getenv("ALLOC_GUARD") != "1" {
 		t.Skip("set ALLOC_GUARD=1 to run the n=4000 alloc-regression guard")
@@ -34,25 +37,29 @@ func TestAllocRegressionGuardMetricN4000(t *testing.T) {
 	const n = 4000
 	rng := rand.New(rand.NewSource(42))
 	m := metric.MustEuclidean(gen.UniformPoints(rng, n, 2))
-	var stats core.Stats
-	peak, total, err := measureAlloc(func() error {
-		res, err := core.GreedyMetricFastParallelOpts(m, 1.5, core.Options{Workers: 1, Stats: &stats})
-		if err == nil && res.EdgesExamined != n*(n-1)/2 {
-			t.Errorf("examined %d of %d pairs", res.EdgesExamined, n*(n-1)/2)
-		}
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	pairs := uint64(n) * (n - 1) / 2
 	materializedFloor := 24*pairs + 8*uint64(n)*uint64(n)
 	limit := materializedFloor / 5
-	t.Logf("streamed peak %d B (total %d B), materialized floor %d B, limit %d B, peak bucket %d pairs, %d bound rows",
-		peak, total, materializedFloor, limit, stats.PeakBucketPairs, stats.RowsAllocated)
-	if peak > limit {
-		t.Fatalf("streamed n=%d build peaked at %d bytes; regression guard requires <= %d (materialized floor %d / 5)",
-			n, peak, limit, materializedFloor)
+	for _, workers := range []int{1, 0} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			var stats core.Stats
+			peak, total, err := measureAlloc(func() error {
+				res, err := core.GreedyMetricFastParallelOpts(m, 1.5, core.Options{Workers: workers, Stats: &stats})
+				if err == nil && res.EdgesExamined != n*(n-1)/2 {
+					t.Errorf("examined %d of %d pairs", res.EdgesExamined, n*(n-1)/2)
+				}
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("streamed peak %d B (total %d B), materialized floor %d B, limit %d B, peak bucket %d pairs, %d bound rows",
+				peak, total, materializedFloor, limit, stats.PeakBucketPairs, stats.RowsAllocated)
+			if peak > limit {
+				t.Fatalf("streamed n=%d build peaked at %d bytes; regression guard requires <= %d (materialized floor %d / 5)",
+					n, peak, limit, materializedFloor)
+			}
+		})
 	}
 }
 

@@ -36,7 +36,8 @@
 // regardless of worker count, batch width, or goroutine scheduling.
 // (The frozen-snapshot discipline — workers write only owner-indexed
 // slots, never captured snapshot state, also inside the certifier methods
-// a worker calls — is machine-checked by the frozensnap analyzer;
+// a worker calls and in goroutines started by name, such as the supply's
+// producer — is machine-checked by the frozensnap analyzer;
 // map-order and wall-clock nondeterminism in these paths by mapdet and
 // detpure. See README "Static analysis".)
 //
@@ -85,13 +86,32 @@
 // partitions the weights into geometric buckets [2^(e-1), 2^e), and only
 // the active bucket is materialized and sorted (buckets above a
 // configurable pair cap are first subdivided into narrower weight
-// ranges), so supply memory is O(bucket cap) and sorting is O(B log B)
-// per bucket instead of one global O(N log N). On Euclidean metrics the
-// bucket is produced by the grid enumerator of internal/geom, which
-// inspects only grid cells within the bucket's distance — pairs beyond
-// the active weight scale are never even evaluated. The streamed order is
-// exactly the materialized order (ties included), so engine output is
-// bit-identical for any supply.
+// ranges), so supply memory is O(bucket cap) and sorting costs a few
+// linear radix passes per bucket instead of one global O(N log N). On
+// Euclidean metrics the bucket is produced by the grid enumerator of
+// internal/geom, which inspects only grid cells within the bucket's
+// distance — pairs beyond the active weight scale are never even
+// evaluated. The streamed order is exactly the materialized order (ties
+// included), so engine output is bit-identical for any supply.
+//
+// A bucket is held as 16-byte records (weight, u, v as int32) and sorted
+// in place by an MSD radix sort on the 128-bit key (weight bits with -0
+// folded onto +0, then u, then v), which is exactly graph.EdgeLess order
+// on the non-negative weights a bucket holds; NextBatch converts only the
+// requested batch into edges. While scan.run drains a streamed source it
+// runs one producer goroutine beside the scan, at every worker count:
+// the producer owns the supply state outright (handed over by parameter,
+// never shared), enumerates, sorts, and cut-filters bucket k+1 while the
+// scan certifies bucket k, and hands each bucket over by value through a
+// channel; run joins it on every exit path. The producer is not a
+// certifier — it never reads the spanner — so it adds no decision and
+// cannot change output. Its two buffers are carved from one allocation
+// and recycled for every bucket, each capped at three quarters of the
+// resolved BucketPairs, so the bucket being certified and the bucket
+// being filled together hold at most the 24*BucketPairs bytes one bucket
+// of edges would (a single-bucket supply allocates only one). The public
+// NewMetricSource and NewGraphEdgeSource, drained directly, stay
+// synchronous and start no goroutine.
 //
 // The metric engine's dense n x n bound matrix is likewise replaced by a
 // sparse row store: rows materialize on first refresh (never-refreshed

@@ -405,7 +405,7 @@ func (s *IncrementalSpanner) source(cut *graph.Edge) CandidateSource {
 	} else {
 		src = newGraphEdgeSourceSeeded(s.g, s.opts.BucketPairs, s.counts)
 	}
-	src.cut = cut
+	src.fill.cut = cut
 	return src
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/geom"
 	"repro/internal/graph"
@@ -105,11 +106,12 @@ func (e graphEdgeEnumerator) Pairs(lo, hi float64, fn func(u, v int, w float64))
 	})
 }
 
-// DefaultBucketPairs is the default cap on the number of candidate pairs a
-// bucketed source holds materialized at once; see Options.BucketPairs.
-// Buckets larger than the cap are subdivided into narrower weight ranges
-// before materialization, so peak supply memory is O(cap) edges at the
-// price of one extra counting pass per subdivision.
+// DefaultBucketPairs is the default cap on the candidate pairs a bucketed
+// source holds materialized at once, counted in 24-byte graph.Edge units;
+// see Options.BucketPairs. Buckets larger than the cap are subdivided
+// into narrower weight ranges before materialization, so peak supply
+// memory is O(cap) at the price of one extra counting pass per
+// subdivision.
 const DefaultBucketPairs = 1 << 19
 
 // maxSubranges bounds how many sub-ranges one oversized bucket is split
@@ -125,19 +127,60 @@ type interval struct {
 	noSplit bool
 }
 
+// pairRec is one candidate of a materialized bucket: 16 bytes against a
+// graph.Edge's 24, which is what lets two buckets be resident at once —
+// the one the scan certifies and the one being filled behind it — in the
+// bytes one bucket of edges used to take. Vertex ids must fit in int32.
+type pairRec struct {
+	w    float64
+	u, v int32
+}
+
+// recBytes is the size of a pairRec.
+const recBytes = 16
+
+func (r pairRec) edge() graph.Edge { return graph.Edge{U: int(r.u), V: int(r.v), W: r.w} }
+
 // bucketedSource is the streaming candidate supply: candidates are
 // partitioned into geometric weight buckets [2^(e-1), 2^e) by one counting
-// pass, and only the active bucket is ever materialized and sorted —
-// O(B log B) per bucket instead of one global O(N log N) sort, with peak
-// memory O(max bucket) instead of O(N) for N candidates. Buckets larger
-// than cap are subdivided into narrower equal-width ranges (an extra
-// counting pass each) until they fit, so the cap really is the peak.
+// pass, and only the active bucket is ever materialized and sorted — a
+// few linear radix passes per bucket instead of one global O(N log N)
+// sort, with peak memory O(max bucket) instead of O(N) for N candidates. Buckets
+// larger than the cap are subdivided into narrower equal-width ranges (an
+// extra counting pass each) until they fit, so the cap really is the peak.
+//
+// The source is the consuming half: it holds the sorted bucket being
+// served and converts each requested batch into edges. The buckets come
+// from a bucketFill, which the source drives inline (the synchronous
+// standalone supply) or which a producer goroutine owns while a scan
+// drains the source (see startProducer). Either way the same fill emits the
+// same buckets, so the candidate sequence and the counters are identical.
 type bucketedSource struct {
+	// fill produces the buckets; nil while a producer owns it.
+	fill *bucketFill
+	// cur is the bucket being served from position pos; out is the reused
+	// edge buffer NextBatch returns.
+	cur []pairRec
+	pos int
+	out []graph.Edge
+	// The fill's counters as of the last bucket received.
+	peak, passes, skipped int
+	// done marks the end of the supply, or a source whose producer was
+	// stopped early (its fill went with the producer).
+	done bool
+	// prod is the running producer, nil when the source is synchronous.
+	prod *producer
+}
+
+// bucketFill is the producing half of the streamed supply: the weight
+// intervals still to materialize, the cut, the enumerator, and the pass
+// counters. It is owned by one goroutine at a time — the source's while
+// the source is synchronous, the producer's while a scan drains it — and
+// hands everything the consumer needs over by value in a filled.
+type bucketFill struct {
 	enum   pairEnumerator
 	cap    int
 	queue  []interval
-	bucket []graph.Edge
-	pos    int
 	opened bool
 	// cut, when non-nil, suppresses every candidate that precedes it in
 	// scan order: whole weight buckets strictly below cut.W are dropped by
@@ -154,17 +197,16 @@ type bucketedSource struct {
 	// engine maintains it across insertions), so the source never has to
 	// enumerate the full candidate set just to bucket it.
 	seed *pairCounts
-	// alloc is the bucket buffer's target capacity, fixed at open time to
-	// min(cap, largest bucket count) so one backing array serves every
-	// bucket without repeated regrowth garbage.
+	// alloc is a bucket buffer's target capacity, fixed at open time to
+	// min(cap, largest bucket count) so each buffer serves every bucket
+	// without repeated regrowth garbage.
 	alloc int
 	// peak tracks the largest materialized bucket, for benchmarks.
 	peak int
-	// prefetchIv/prefetchOK mark that the bucket buffer already holds the
-	// pairs of interval prefetchIv, collected for free during a split's
-	// counting pass (the pass visits every pair of the parent anyway, and
-	// the buffer's previous bucket is exhausted by the time refill
-	// splits); refill then serves that child without re-enumerating it.
+	// prefetchIv/prefetchOK mark that the buffer being filled already
+	// holds the pairs of interval prefetchIv, collected for free during a
+	// split's counting pass (the pass visits every pair of the parent
+	// anyway); next then serves that child without re-enumerating it.
 	// Collection is abandoned the moment the child exceeds cap, so the
 	// buffer never outgrows its usual bound.
 	prefetchIv   interval
@@ -176,15 +218,23 @@ type bucketedSource struct {
 	passes int
 }
 
+// filled is one bucket as a fill hands it over: the sorted records (nil
+// at the end of the supply), the position of the first record at or past
+// the cut, and the fill's counters as of this bucket. panic carries a
+// producer's panic to the consumer, which re-raises it.
+type filled struct {
+	recs                  []pairRec
+	start                 int
+	peak, passes, skipped int
+	panic                 any
+}
+
 // newBucketedSource wraps enum with bucket-size cap bucketPairs. With
 // bucketPairs <= 0 the cap is chosen at open time as
 // max(DefaultBucketPairs, total/32): large instances trade a slightly
 // larger peak bucket for far fewer subdivision passes.
 func newBucketedSource(enum pairEnumerator, bucketPairs int) *bucketedSource {
-	if bucketPairs < 0 {
-		bucketPairs = 0
-	}
-	return &bucketedSource{enum: enum, cap: bucketPairs}
+	return &bucketedSource{fill: &bucketFill{enum: enum, cap: max(bucketPairs, 0)}}
 }
 
 // metricEnumeratorFor picks the pair enumerator for m: the grid-bucketed
@@ -222,10 +272,10 @@ func NewMetricSource(m metric.Metric, bucketPairs int) CandidateSource {
 }
 
 // newMetricSourceSeeded is NewMetricSource with the counting pass replaced
-// by a caller-maintained weight histogram; see bucketedSource.seed.
+// by a caller-maintained weight histogram; see bucketFill.seed.
 func newMetricSourceSeeded(m metric.Metric, bucketPairs int, counts pairCounts) *bucketedSource {
 	s := newBucketedSource(metricEnumeratorFor(m), bucketPairs)
-	s.seed = &counts
+	s.fill.seed = &counts
 	return s
 }
 
@@ -242,7 +292,7 @@ func NewGraphEdgeSource(g *graph.Graph, bucketPairs int) CandidateSource {
 // weight histogram; see newMetricSourceSeeded.
 func newGraphEdgeSourceSeeded(g *graph.Graph, bucketPairs int, counts pairCounts) *bucketedSource {
 	s := newBucketedSource(graphEdgeEnumerator{g: g}, bucketPairs)
-	s.seed = &counts
+	s.fill.seed = &counts
 	return s
 }
 
@@ -308,24 +358,30 @@ func (c *pairCounts) total() int {
 // from a single counting pass over the enumerator. Exponent extraction is
 // exactly monotone in the weight, so bucket order is scan order; zero
 // weights (degenerate inputs) get a dedicated first bucket.
-func (s *bucketedSource) open() {
-	s.opened = true
-	counts := s.seed
+//
+// The resolved cap is the bytes budget of two 16-byte record buffers
+// standing in for one bucket of 24-byte edges, so each bucket holds at
+// most three quarters of it: the bucket being certified and the one being
+// filled behind it never hold more than one bucket of edges did.
+func (f *bucketFill) open() {
+	f.opened = true
+	counts := f.seed
 	if counts == nil {
 		counts = &pairCounts{}
-		s.passes++
-		s.enum.Pairs(0, math.Inf(1), func(u, v int, w float64) {
+		f.passes++
+		f.enum.Pairs(0, math.Inf(1), func(u, v int, w float64) {
 			counts.add(w)
 		})
 	}
 	first := math.Inf(1)
 	total := counts.total()
-	if s.cap == 0 {
-		s.cap = DefaultBucketPairs
-		if auto := total / 32; auto > s.cap {
-			s.cap = auto
+	if f.cap == 0 {
+		f.cap = DefaultBucketPairs
+		if auto := total / 32; auto > f.cap {
+			f.cap = auto
 		}
 	}
+	f.cap = max(f.cap/4*3+f.cap%4*3/4, 1) // three quarters, without overflow
 	for e := range counts.exp {
 		if counts.exp[e] == 0 {
 			continue
@@ -335,7 +391,7 @@ func (s *bucketedSource) open() {
 		if lo < first {
 			first = lo
 		}
-		s.queue = append(s.queue, interval{lo: lo, hi: hi, count: counts.exp[e]})
+		f.queue = append(f.queue, interval{lo: lo, hi: hi, count: counts.exp[e]})
 	}
 	if counts.zeros > 0 {
 		// Cap below +Inf so the zero bucket can never swallow the
@@ -343,40 +399,40 @@ func (s *bucketedSource) open() {
 		if math.IsInf(first, 1) {
 			first = math.MaxFloat64
 		}
-		s.queue = append([]interval{{lo: 0, hi: first, count: counts.zeros, noSplit: true}}, s.queue...)
+		f.queue = append([]interval{{lo: 0, hi: first, count: counts.zeros, noSplit: true}}, f.queue...)
 	}
 	if counts.infs > 0 {
 		// Infinite weights scan last, after every finite bucket.
-		s.queue = append(s.queue, interval{lo: math.Inf(1), hi: math.Inf(1), count: counts.infs, noSplit: true})
+		f.queue = append(f.queue, interval{lo: math.Inf(1), hi: math.Inf(1), count: counts.infs, noSplit: true})
 	}
-	if s.cut != nil {
+	if f.cut != nil {
 		// Drop every interval wholly before the cut by its count alone:
 		// finite-hi intervals hold weights strictly below hi, so hi <=
 		// cut.W puts all of them strictly before the cut in scan order.
 		// The infinite-weight interval (lo = +Inf) can tie cut.W and is
-		// always kept for the post-sort filter in refill.
-		kept := s.queue[:0]
-		for _, iv := range s.queue {
-			if !math.IsInf(iv.lo, 1) && iv.hi <= s.cut.W {
-				s.skipped += iv.count
+		// always kept for the post-sort filter in next.
+		kept := f.queue[:0]
+		for _, iv := range f.queue {
+			if !math.IsInf(iv.lo, 1) && iv.hi <= f.cut.W {
+				f.skipped += iv.count
 				continue
 			}
 			kept = append(kept, iv)
 		}
-		s.queue = kept
+		f.queue = kept
 	}
 	// Merge runs of adjacent small buckets into one collection pass: the
 	// geometric buckets partition the weight axis in scan order, so a
 	// merged range [lo_a, hi_b) enumerates, sorts, and emits exactly the
 	// concatenation the individual buckets would — one pass instead of
 	// several — and the cap keeps the peak bucket bound intact. The
-	// dedicated infinite-weight bucket stays unmerged (refill's
-	// finite-only filter depends on its identity).
-	merged := s.queue[:0]
-	for _, iv := range s.queue {
+	// dedicated infinite-weight bucket stays unmerged (next's finite-only
+	// filter depends on its identity).
+	merged := f.queue[:0]
+	for _, iv := range f.queue {
 		if n := len(merged); n > 0 {
 			prev := &merged[n-1]
-			if !math.IsInf(iv.lo, 1) && prev.count+iv.count <= s.cap {
+			if !math.IsInf(iv.lo, 1) && prev.count+iv.count <= f.cap {
 				prev.hi = iv.hi
 				prev.count += iv.count
 				prev.noSplit = false
@@ -385,60 +441,72 @@ func (s *bucketedSource) open() {
 		}
 		merged = append(merged, iv)
 	}
-	s.queue = merged
-	for _, iv := range s.queue {
-		if iv.count > s.alloc {
-			s.alloc = iv.count
+	f.queue = merged
+	for _, iv := range f.queue {
+		if iv.count > f.alloc {
+			f.alloc = iv.count
 		}
 	}
-	if s.alloc > s.cap {
-		s.alloc = s.cap // oversized buckets are subdivided before collection
+	if f.alloc > f.cap {
+		f.alloc = f.cap // oversized buckets are subdivided before collection
 	}
 }
 
-// refill materializes the next non-empty bucket into s.bucket, subdividing
-// oversized weight ranges first. Reports false when the supply is done.
-func (s *bucketedSource) refill() bool {
-	for len(s.queue) > 0 {
-		iv := s.queue[0]
-		s.queue = s.queue[1:]
+// buffers opens the fill and returns the record buffers a producer
+// starts with: when the layout holds more than one bucket, the two halves
+// of one allocation (one is filled while the other is certified, and the
+// two are recycled for every later bucket); otherwise one buffer, which
+// next allocates on first use.
+func (f *bucketFill) buffers() [][]pairRec {
+	if !f.opened {
+		f.open()
+		if len(f.queue) > 1 || len(f.queue) == 1 && f.queue[0].count > f.cap {
+			slab := make([]pairRec, 2*f.alloc)
+			return [][]pairRec{slab[:0:f.alloc], slab[f.alloc:f.alloc]}
+		}
+	}
+	return [][]pairRec{nil}
+}
+
+// next materializes the next non-empty bucket into buf (replaced when too
+// small), subdividing oversized weight ranges first, sorts it, and marks
+// the prefix before the cut. The returned filled has nil recs once the
+// supply is done.
+func (f *bucketFill) next(buf []pairRec) filled {
+	if !f.opened {
+		f.open()
+	}
+	for len(f.queue) > 0 {
+		iv := f.queue[0]
+		f.queue = f.queue[1:]
 		if iv.count == 0 {
 			continue
 		}
-		if s.cut != nil && !math.IsInf(iv.lo, 1) && iv.hi <= s.cut.W {
+		if f.cut != nil && !math.IsInf(iv.lo, 1) && iv.hi <= f.cut.W {
 			// A subdivision child that fell wholly below the cut: skip it
 			// by count, like the whole buckets dropped at open time.
-			if s.prefetchOK && iv.lo == s.prefetchIv.lo && iv.hi == s.prefetchIv.hi {
-				s.prefetchOK = false
+			if f.prefetchOK && iv.lo == f.prefetchIv.lo && iv.hi == f.prefetchIv.hi {
+				f.prefetchOK = false
 			}
-			s.skipped += iv.count
+			f.skipped += iv.count
 			continue
 		}
-		if iv.count > s.cap && !iv.noSplit {
-			if sub := s.split(iv); sub != nil {
-				s.queue = append(sub, s.queue...)
+		if iv.count > f.cap && !iv.noSplit {
+			var sub []interval
+			if sub, buf = f.split(iv, buf); sub != nil {
+				f.queue = append(sub, f.queue...)
 				continue
 			}
 			// Unsplittable (weights too close); fall through and
 			// materialize whole.
 		}
-		if s.prefetchOK && iv.lo == s.prefetchIv.lo && iv.hi == s.prefetchIv.hi {
+		if f.prefetchOK && iv.lo == f.prefetchIv.lo && iv.hi == f.prefetchIv.hi {
 			// The split's counting pass already left this child's pairs in
-			// the bucket buffer; skip the enumeration pass.
-			s.prefetchOK = false
-			s.prefetchHits++
+			// buf; skip the enumeration pass.
+			f.prefetchOK = false
+			f.prefetchHits++
 		} else {
-			if cap(s.bucket) < iv.count {
-				// Allocate at the open-time target so later (larger) buckets
-				// reuse the same backing array instead of leaving a trail of
-				// garbage; only unsplittable tie spikes can exceed it.
-				want := s.alloc
-				if iv.count > want {
-					want = iv.count
-				}
-				s.bucket = make([]graph.Edge, 0, want)
-			}
-			s.bucket = s.bucket[:0]
+			buf = f.reserve(buf, iv.count)
 			// The top finite bucket's hi overflows Ldexp to +Inf (weights in
 			// [2^1023, MaxFloat64]), and WeightInRange admits w == +Inf at an
 			// infinite hi — but infinite weights belong exclusively to the
@@ -446,56 +514,65 @@ func (s *bucketedSource) refill() bool {
 			// tallied them. Filter them out of finite-lo collections so no
 			// candidate is ever emitted twice.
 			finiteOnly := !math.IsInf(iv.lo, 1) && math.IsInf(iv.hi, 1)
-			s.passes++
-			s.enum.Pairs(iv.lo, iv.hi, func(u, v int, w float64) {
+			f.passes++
+			f.enum.Pairs(iv.lo, iv.hi, func(u, v int, w float64) {
 				if finiteOnly && math.IsInf(w, 1) {
 					return
 				}
-				s.bucket = append(s.bucket, graph.Edge{U: u, V: v, W: w})
+				buf = append(buf, pairRec{w: w, u: int32(u), v: int32(v)})
 			})
 		}
-		if len(s.bucket) == 0 {
+		if len(buf) == 0 {
 			continue
 		}
-		graph.SortEdges(s.bucket)
-		s.pos = 0
-		if len(s.bucket) > s.peak {
-			s.peak = len(s.bucket)
-		}
-		if s.cut != nil {
+		sortRecs(buf)
+		f.peak = max(f.peak, len(buf))
+		start := 0
+		if f.cut != nil {
 			// The bucket straddling the cut: drop the sorted prefix that
 			// precedes the cut. Buckets partition the weight axis in scan
 			// order, so once one candidate at or past the cut is emitted,
 			// every later bucket is past it too and the filter retires.
-			drop := 0
-			for drop < len(s.bucket) && graph.EdgeLess(s.bucket[drop], *s.cut) {
-				drop++
+			for start < len(buf) && graph.EdgeLess(buf[start].edge(), *f.cut) {
+				start++
 			}
-			s.skipped += drop
-			s.pos = drop
-			if drop == len(s.bucket) {
-				continue // whole bucket before the cut; pos stays exhausted
+			f.skipped += start
+			if start == len(buf) {
+				buf = buf[:0]
+				continue // whole bucket before the cut
 			}
-			s.cut = nil
+			f.cut = nil
 		}
-		return true
+		return filled{recs: buf, start: start, peak: f.peak, passes: f.passes, skipped: f.skipped}
 	}
-	return false
+	return filled{peak: f.peak, passes: f.passes, skipped: f.skipped}
+}
+
+// reserve returns buf emptied, with room for count records: a buffer
+// below the open-time target is replaced at that target, so later
+// (larger) buckets reuse the same backing array instead of leaving a
+// trail of garbage; only unsplittable tie spikes can exceed it.
+func (f *bucketFill) reserve(buf []pairRec, count int) []pairRec {
+	if cap(buf) < count {
+		return make([]pairRec, 0, max(f.alloc, count))
+	}
+	return buf[:0]
 }
 
 // split subdivides iv into up to maxSubranges equal-width sub-ranges with
-// one counting pass, returning them in weight order. It returns nil when
-// the width cannot be subdivided further — boundaries collapse or the
-// range is already within relative rounding width of a single weight
-// (a tie spike, which no weight partition can split below the cap). A
-// child that absorbs the whole parent is re-split on its narrower range
-// when popped, so skewed distributions still converge to the cap; the
-// width guard bounds that recursion to a few dozen counting passes.
-func (s *bucketedSource) split(iv interval) []interval {
+// one counting pass, returning them in weight order with buf. It returns
+// nil sub-ranges when the width cannot be subdivided further — boundaries
+// collapse or the range is already within relative rounding width of a
+// single weight (a tie spike, which no weight partition can split below
+// the cap). A child that absorbs the whole parent is re-split on its
+// narrower range when popped, so skewed distributions still converge to
+// the cap; the width guard bounds that recursion to a few dozen counting
+// passes.
+func (f *bucketFill) split(iv interval, buf []pairRec) ([]interval, []pairRec) {
 	if iv.hi-iv.lo <= iv.lo*1e-12 {
-		return nil
+		return nil, buf
 	}
-	k := (iv.count + s.cap - 1) / s.cap
+	k := (iv.count + f.cap - 1) / f.cap
 	if k > maxSubranges {
 		k = maxSubranges
 	}
@@ -506,24 +583,21 @@ func (s *bucketedSource) split(iv interval) []interval {
 	}
 	for j := 1; j <= k; j++ {
 		if !(bounds[j] > bounds[j-1]) {
-			return nil
+			return nil, buf
 		}
 	}
 	counts := make([]int, k)
 	// Collect the first sub-range's pairs while counting: the pass visits
 	// every pair of the parent anyway, and the first child is the next
-	// range refill materializes, so a complete collection (abandoned the
+	// range next materializes, so a complete collection (abandoned the
 	// moment the child exceeds cap, keeping the memory bound) saves that
-	// child's whole enumeration pass. The bucket buffer is free for this —
-	// refill only splits once the previous bucket is exhausted.
+	// child's whole enumeration pass. buf is free for this: it is the
+	// buffer the current call of next is filling.
 	collecting := true
-	s.prefetchOK = false
-	if cap(s.bucket) < s.alloc {
-		s.bucket = make([]graph.Edge, 0, s.alloc)
-	}
-	s.bucket = s.bucket[:0]
-	s.passes++
-	s.enum.Pairs(iv.lo, iv.hi, func(u, v int, w float64) {
+	f.prefetchOK = false
+	buf = f.reserve(buf, f.alloc)
+	f.passes++
+	f.enum.Pairs(iv.lo, iv.hi, func(u, v int, w float64) {
 		// Locate the sub-range with lo <= w < hi; ranges partition
 		// [iv.lo, iv.hi) so linear probing from the top is exact.
 		j := k - 1
@@ -532,11 +606,11 @@ func (s *bucketedSource) split(iv interval) []interval {
 		}
 		counts[j]++
 		if j == 0 && collecting {
-			if counts[0] > s.cap {
+			if counts[0] > f.cap {
 				collecting = false
-				s.bucket = s.bucket[:0]
+				buf = buf[:0]
 			} else {
-				s.bucket = append(s.bucket, graph.Edge{U: u, V: v, W: w})
+				buf = append(buf, pairRec{w: w, u: int32(u), v: int32(v)})
 			}
 		}
 	})
@@ -548,37 +622,260 @@ func (s *bucketedSource) split(iv interval) []interval {
 		sub = append(sub, interval{lo: bounds[j], hi: bounds[j+1], count: counts[j]})
 	}
 	if collecting && counts[0] > 0 {
-		s.prefetchIv = interval{lo: bounds[0], hi: bounds[1], count: counts[0]}
-		s.prefetchOK = true
+		f.prefetchIv = interval{lo: bounds[0], hi: bounds[1], count: counts[0]}
+		f.prefetchOK = true
 	}
-	return sub
+	return sub, buf
 }
 
-// NextBatch returns the next at most maxW candidates in greedy scan order.
+// sortRecs sorts a bucket into greedy scan order — exactly graph.EdgeLess
+// order — with an in-place MSD radix sort over a 128-bit key: the
+// weight's bits, then u, then v. Bucket weights are non-negative, and the
+// bits of non-negative float64s order like their values once -0 is
+// folded onto +0 (clearing the sign bit does exactly that; no bucket
+// holds a negative weight or a NaN), while non-negative int32 ids order
+// like their bits, so the key order is the scan order, ties included.
+// Equal keys are identical candidates, so the sort's instability is
+// unobservable.
+func sortRecs(a []pairRec) { radixSort(a, 0) }
+
+// recHi and recLo are the two halves of r's sort key.
+func recHi(r *pairRec) uint64 { return math.Float64bits(r.w) &^ (1 << 63) }
+func recLo(r *pairRec) uint64 { return uint64(uint32(r.u))<<32 | uint64(uint32(r.v)) }
+
+// recLess is the key order sortRecs sorts by.
+func recLess(a, b *pairRec) bool {
+	if ka, kb := recHi(a), recHi(b); ka != kb {
+		return ka < kb
+	}
+	return recLo(a) < recLo(b)
+}
+
+// digitAt returns the 8 key bits of r starting at bit p, counted from
+// the most significant bit of the 128-bit key.
+func digitAt(r *pairRec, p uint) int {
+	if p >= 64 {
+		return int(recLo(r) << (p - 64) >> 56)
+	}
+	x := recHi(r) << p
+	if p > 56 {
+		x |= recLo(r) >> (64 - p)
+	}
+	return int(x >> 56)
+}
+
+// firstDiffBit returns the first key bit, from p on, at which two of a's
+// keys differ (128 when all are equal); every key agrees on the bits
+// before p.
+func firstDiffBit(a []pairRec, p uint) uint {
+	hi0, lo0 := recHi(&a[0]), recLo(&a[0])
+	var hi, lo uint64
+	for i := range a {
+		hi |= recHi(&a[i]) ^ hi0
+		lo |= recLo(&a[i]) ^ lo0
+	}
+	switch {
+	case hi != 0:
+		return max(p, uint(bits.LeadingZeros64(hi)))
+	case lo != 0:
+		return max(p, 64+uint(bits.LeadingZeros64(lo)))
+	}
+	return 128
+}
+
+// radixSmall is the slice length below which radixSort hands over to an
+// insertion sort.
+const radixSmall = 32
+
+// radixSort sorts a, whose keys agree on every bit before p, by the key
+// bits from p on: one counting pass over the 8-bit digit at p, an
+// in-place permutation into the 256 digit buckets (American flag sort),
+// and a recursion into each bucket at p+8. A digit every key shares
+// jumps p straight to the first bit that differs, so the first split of
+// a bucket — whose weights share their exponent bits — is a full 256-way
+// split of the leading mantissa bits, and tie runs cost one scan.
+func radixSort(a []pairRec, p uint) {
+	for p < 128 && len(a) > radixSmall {
+		var count [256]int
+		for i := range a {
+			count[digitAt(&a[i], p)]++
+		}
+		if count[digitAt(&a[0], p)] == len(a) {
+			p = firstDiffBit(a, p)
+			continue
+		}
+		var head, tail [256]int
+		sum := 0
+		for b, c := range count {
+			head[b] = sum
+			sum += c
+			tail[b] = sum
+		}
+		for b := range head {
+			for head[b] < tail[b] {
+				r := a[head[b]]
+				for k := digitAt(&r, p); k != b; k = digitAt(&r, p) {
+					r, a[head[k]] = a[head[k]], r
+					head[k]++
+				}
+				a[head[b]] = r
+				head[b]++
+			}
+		}
+		lo := 0
+		for _, c := range count {
+			if c > 1 {
+				radixSort(a[lo:lo+c], p+8)
+			}
+			lo += c
+		}
+		return
+	}
+	if p < 128 {
+		for i := 1; i < len(a); i++ {
+			for j := i; j > 0 && recLess(&a[j], &a[j-1]); j-- {
+				a[j], a[j-1] = a[j-1], a[j]
+			}
+		}
+	}
+}
+
+// NextBatch returns the next at most maxW candidates in greedy scan
+// order, converting only them from the bucket's records into the reused
+// edge buffer.
 func (s *bucketedSource) NextBatch(maxW int) []graph.Edge {
 	if maxW < 1 {
 		maxW = 1
 	}
-	if !s.opened {
-		s.open()
-	}
-	for s.pos >= len(s.bucket) {
-		if !s.refill() {
+	for s.pos >= len(s.cur) {
+		if !s.advance() {
 			return nil
 		}
 	}
-	hi := s.pos + maxW
-	if hi > len(s.bucket) {
-		hi = len(s.bucket)
+	hi := min(s.pos+maxW, len(s.cur))
+	out := s.out[:0]
+	for _, r := range s.cur[s.pos:hi] {
+		out = append(out, r.edge())
 	}
-	out := s.bucket[s.pos:hi]
-	s.pos = hi
+	s.out, s.pos = out, hi
 	return out
 }
 
-// PeakBucket reports the largest number of candidates the source has held
-// materialized at once — the supply's actual memory high-water mark in
-// edges.
+// advance moves to the next bucket — the producer's next hand-over while
+// one runs, otherwise filled inline into the drained bucket's buffer —
+// and reports false at the end of the supply.
+func (s *bucketedSource) advance() bool {
+	if s.done {
+		return false
+	}
+	var b filled
+	if p := s.prod; p != nil {
+		if s.cur != nil {
+			p.free <- s.cur
+		}
+		b = <-p.full
+		if b.panic != nil {
+			s.cur, s.done = nil, true
+			panic(b.panic)
+		}
+	} else {
+		b = s.fill.next(s.cur)
+	}
+	s.cur, s.pos = b.recs, b.start
+	s.peak, s.passes, s.skipped = b.peak, b.passes, b.skipped
+	s.done = b.recs == nil
+	return !s.done
+}
+
+// producer is the hand-over between a scan and the goroutine that fills
+// its supply's next bucket while the scan certifies the current one.
+type producer struct {
+	// full carries sorted buckets in scan order, then the end of the
+	// supply; free returns drained buffers for refilling; closing stop
+	// abandons the supply; done is closed when the goroutine has exited.
+	full chan filled
+	free chan []pairRec
+	stop chan struct{}
+	done chan struct{}
+}
+
+// startProducer starts a producer goroutine that fills bucket k+1 while
+// the caller consumes bucket k, handing it the source's fill outright.
+// Every start must be paired with a joinProducer, on every exit path. It
+// is a no-op on a source that already has a producer or is done.
+func (s *bucketedSource) startProducer() {
+	if s.prod != nil || s.done {
+		return
+	}
+	p := &producer{
+		full: make(chan filled),
+		// Room for both buffers, so handing one back never blocks.
+		free: make(chan []pairRec, 2),
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
+	}
+	go produceBuckets(s.fill, p.full, p.free, p.stop, p.done)
+	s.fill, s.prod = nil, p
+}
+
+// joinProducer stops the producer, if one runs, and waits for it to
+// exit. After a join the source is done: its fill went with the
+// producer, which may have been mid-bucket, so a source stopped before
+// its end reports the end of the supply rather than resuming.
+func (s *bucketedSource) joinProducer() {
+	p := s.prod
+	if p == nil {
+		return
+	}
+	close(p.stop)
+	<-p.done
+	s.prod, s.cur, s.done = nil, nil, true
+}
+
+// produceBuckets is the producer goroutine. It owns f outright — handed
+// over by parameter, never touched by the scan again — and everything it
+// produces leaves through full by value. It holds at most one buffer
+// beyond the one the scan is certifying, exits after sending the end of
+// the supply or as soon as stop is closed, and closes done on every path.
+// A panic (an enumerator's) is sent on to the consumer, which re-raises
+// it where a synchronous supply would have raised it.
+func produceBuckets(f *bucketFill, full chan<- filled, free <-chan []pairRec, stop <-chan struct{}, done chan<- struct{}) {
+	defer close(done)
+	defer func() {
+		if p := recover(); p != nil {
+			select {
+			case full <- filled{panic: p}:
+			case <-stop:
+			}
+		}
+	}()
+	bufs := f.buffers()
+	for k := 0; ; k++ {
+		var buf []pairRec
+		if k < len(bufs) {
+			buf = bufs[k]
+		} else {
+			select {
+			case buf = <-free:
+			case <-stop:
+				return
+			}
+		}
+		b := f.next(buf)
+		select {
+		case full <- b:
+		case <-stop:
+			return
+		}
+		if b.recs == nil {
+			return
+		}
+	}
+}
+
+// PeakBucket reports the largest number of candidates the source has
+// materialized in one bucket; with a producer running the source holds at
+// most two buckets, so its resident records are at most twice this.
 func (s *bucketedSource) PeakBucket() int { return s.peak }
 
 // Skipped reports how many candidates the cut suppressed. It is complete

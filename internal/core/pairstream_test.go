@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/graph"
@@ -265,7 +266,7 @@ func TestStreamedPairOrderSeededCounts(t *testing.T) {
 // buckets below the cut are skipped by count alone.
 func newMetricSourceAfter(m metric.Metric, bucketPairs int, cut graph.Edge, counts pairCounts) *bucketedSource {
 	s := newMetricSourceSeeded(m, bucketPairs, counts)
-	s.cut = &cut
+	s.fill.cut = &cut
 	return s
 }
 
@@ -390,10 +391,205 @@ func TestSplitPrefetchReusesCountingPass(t *testing.T) {
 	src := newBucketedSource(metricEnumeratorFor(m), 10)
 	got := drainSource(src, []int{3})
 	equalEdgeSeq(t, "single-bucket", want, got)
-	if src.prefetchHits == 0 {
+	if src.fill.prefetchHits == 0 {
 		t.Fatalf("no split collection was served from a prefetch (%d passes total)", src.Passes())
 	}
 	// Every prefetch hit is one whole enumeration pass the supply did not
 	// run; the counters must be consistent with that.
-	t.Logf("passes %d, prefetch hits %d", src.Passes(), src.prefetchHits)
+	t.Logf("passes %d, prefetch hits %d", src.Passes(), src.fill.prefetchHits)
+}
+
+// listEnumerator enumerates an explicit candidate list, so supply tests
+// can build buckets of any weight shape.
+type listEnumerator []graph.Edge
+
+func (l listEnumerator) Pairs(lo, hi float64, fn func(u, v int, w float64)) {
+	for _, e := range l {
+		if graph.WeightInRange(e.W, lo, hi) {
+			fn(e.U, e.V, e.W)
+		}
+	}
+}
+
+// radixFamilies are bucket shapes the radix order must get right: tie
+// spikes, integer-lattice ties, zeros of both signs with +Inf, subnormals,
+// weights spread over many binary exponents (merged buckets), and ids
+// near the int32 limit.
+func radixFamilies() map[string][]graph.Edge {
+	rng := rand.New(rand.NewSource(5))
+	fams := make(map[string][]graph.Edge)
+	add := func(name string, n, idBase int, weight func(i int) float64) {
+		var es []graph.Edge
+		for i := 0; i < n; i++ {
+			// Distinct (u, v) pairs, as in every candidate set, so the
+			// scan order is a total order and comparisons are bit-exact.
+			u, v := idBase+i/40, idBase+40+i%40
+			es = append(es, graph.Edge{U: u, V: v, W: weight(i)})
+		}
+		rng.Shuffle(len(es), func(i, j int) { es[i], es[j] = es[j], es[i] })
+		fams[name] = es
+	}
+	add("tie-spike", 3000, 0, func(int) float64 { return 1.5 })
+	add("integer-lattice", 3000, 0, func(int) float64 {
+		dx, dy := rng.Intn(12), rng.Intn(12)
+		return math.Sqrt(float64(dx*dx + dy*dy))
+	})
+	add("zeros-and-inf", 2000, 0, func(i int) float64 {
+		switch i % 4 {
+		case 0:
+			return 0
+		case 1:
+			return math.Copysign(0, -1)
+		case 2:
+			return math.Inf(1)
+		}
+		return float64(rng.Intn(3) + 1)
+	})
+	add("subnormal", 2000, 0, func(int) float64 {
+		return math.SmallestNonzeroFloat64 * float64(rng.Intn(64))
+	})
+	add("many-exponents", 4000, 0, func(int) float64 {
+		return math.Ldexp(1+float64(rng.Intn(4))/4, rng.Intn(200)-100)
+	})
+	add("ids-near-int32-limit", 3000, math.MaxInt32-200, func(int) float64 {
+		return float64(rng.Intn(50)) / 8
+	})
+	add("uniform", 5000, 0, func(int) float64 { return rng.Float64() * 100 })
+	return fams
+}
+
+// checkRadixOrder sorts edges with the bucket radix sort and with
+// graph.SortEdges and requires the same sequence element for element,
+// weight bits included.
+func checkRadixOrder(t *testing.T, label string, edges []graph.Edge) {
+	t.Helper()
+	recs := make([]pairRec, len(edges))
+	for i, e := range edges {
+		recs[i] = pairRec{w: e.W, u: int32(e.U), v: int32(e.V)}
+	}
+	want := append([]graph.Edge(nil), edges...)
+	graph.SortEdges(want)
+	sortRecs(recs)
+	for i := range want {
+		got := recs[i].edge()
+		if got.U != want[i].U || got.V != want[i].V || math.Float64bits(got.W) != math.Float64bits(want[i].W) {
+			t.Fatalf("%s: position %d: radix order has %+v, SortEdges %+v", label, i, got, want[i])
+		}
+	}
+}
+
+// checkSupplyOrder drains a bucketed supply over edges, with the given
+// cap and cut, synchronously and through the producer, and requires
+// exactly the SortEdges sequence from the cut on, with everything before
+// the cut counted as skipped.
+func checkSupplyOrder(t *testing.T, label string, edges []graph.Edge, bucketPairs, cutAt int) {
+	t.Helper()
+	want := append([]graph.Edge(nil), edges...)
+	graph.SortEdges(want)
+	for _, producer := range []bool{false, true} {
+		src := newBucketedSource(listEnumerator(edges), bucketPairs)
+		if cutAt > 0 {
+			cut := want[cutAt]
+			src.fill.cut = &cut
+		}
+		if producer {
+			src.startProducer()
+		}
+		got := drainSource(src, []int{7, 1, 300})
+		src.joinProducer()
+		l := fmt.Sprintf("%s/cap=%d/cut=%d/producer=%v", label, bucketPairs, cutAt, producer)
+		equalEdgeSeq(t, l, want[cutAt:], got)
+		if src.Skipped() != cutAt {
+			t.Fatalf("%s: skipped %d, want %d", l, src.Skipped(), cutAt)
+		}
+	}
+}
+
+// TestBucketRadixOrderMatchesSortEdges is the property behind the
+// supply's radix-sorted buckets: on every bucket shape the radix order is
+// graph.SortEdges order element for element, and a bucketed supply built
+// on it — subdivided, merged, and resumed at a cut that straddles a
+// bucket, as an incremental replay resumes — emits exactly the sorted
+// sequence from the cut on.
+func TestBucketRadixOrderMatchesSortEdges(t *testing.T) {
+	for name, edges := range radixFamilies() {
+		checkRadixOrder(t, name, edges)
+		// A cap of 5 splits nearly every bucket, one counting pass over
+		// the whole list each, so it runs on a prefix of the family.
+		for _, c := range []struct {
+			edges       []graph.Edge
+			bucketPairs int
+		}{{edges, 0}, {edges, 97}, {edges[:400], 5}} {
+			n := len(c.edges)
+			for _, cutAt := range []int{0, 1, n / 3, n - 1} {
+				checkSupplyOrder(t, name, c.edges, c.bucketPairs, cutAt)
+			}
+		}
+	}
+}
+
+// decodeRadixCase turns fuzz bytes into a candidate list of distinct
+// (u, v) pairs, a bucket cap, and a cut position. Every three bytes make
+// one candidate; the first byte picks a weight shape (zero, -0, +Inf,
+// subnormal, integer, lattice distance, a spread of exponents, a tie
+// value) and the other two are its operands and its ids. A set high bit
+// in data[0] moves all ids next to the int32 limit, its low bits set the
+// cap, and data[1] picks the cut.
+func decodeRadixCase(data []byte) (edges []graph.Edge, bucketPairs, cutAt int) {
+	base := 0
+	if data[0]&0x80 != 0 {
+		base = math.MaxInt32 - 255
+	}
+	bucketPairs = 1 + int(data[0]&0x0f)
+	seen := make(map[[2]int]bool)
+	for i := 2; i+2 < len(data); i += 3 {
+		k, a, b := data[i], float64(data[i+1]), float64(data[i+2])
+		var w float64
+		switch k % 8 {
+		case 0:
+			w = 0
+		case 1:
+			w = math.Copysign(0, -1)
+		case 2:
+			w = math.Inf(1)
+		case 3:
+			w = math.SmallestNonzeroFloat64 * a
+		case 4:
+			w = a
+		case 5:
+			w = math.Sqrt(a*a + b*b)
+		case 6:
+			w = math.Ldexp(1+a/256, int(b)-128)
+		default:
+			w = 2.5
+		}
+		p := [2]int{base + int(data[i+1]), base + int(data[i+2])}
+		if seen[p] {
+			continue
+		}
+		seen[p] = true
+		edges = append(edges, graph.Edge{U: p[0], V: p[1], W: w})
+	}
+	if len(edges) > 0 {
+		cutAt = int(data[1]) % len(edges)
+	}
+	return edges, bucketPairs, cutAt
+}
+
+// FuzzBucketRadixOrder fuzzes the same property over decoded candidate
+// lists; the seed corpus in testdata/fuzz/FuzzBucketRadixOrder covers each
+// shape the property test names and replays in ordinary go test runs.
+func FuzzBucketRadixOrder(f *testing.F) {
+	f.Add([]byte{0x03, 0x02, 7, 1, 2, 7, 3, 4, 7, 5, 6, 7, 7, 8})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 || len(data) > 3*512 {
+			t.Skip()
+		}
+		edges, bucketPairs, cutAt := decodeRadixCase(data)
+		if len(edges) == 0 {
+			t.Skip()
+		}
+		checkRadixOrder(t, "fuzz", edges)
+		checkSupplyOrder(t, "fuzz", edges, bucketPairs, cutAt)
+	})
 }

@@ -273,8 +273,10 @@ func hubBytes(hubs, n int) int64 {
 // resolveSupplyBudget degrades the supply configuration before the scan
 // starts: under a byte budget a materialized supply falls back to the
 // streamed one when the full candidate list alone would eat more than half
-// the budget, and the streamed bucket cap is clamped so one resident
-// bucket fits in a quarter of it. Both knobs are output-invariant.
+// the budget, and the streamed bucket cap is clamped so the supply's
+// resident buckets (two record buffers of three quarters of the cap
+// each, as many bytes as one bucket of edges) fit in a quarter of it.
+// Both knobs are output-invariant.
 func resolveSupplyBudget(b Budget, record func(string), materialize *bool, bucketPairs *int, candidates int) {
 	if b.MaxBytes <= 0 {
 		return

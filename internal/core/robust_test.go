@@ -453,13 +453,32 @@ func TestCancelledFlushPreservesPendingState(t *testing.T) {
 }
 
 // TestCancelDrainsWorkerPools: cancellation mid-scan on each engine
-// leaves no goroutine behind — the pools join before run returns on every
-// abort path.
+// leaves no goroutine behind — the worker pools and the supply's producer
+// join before run returns on every abort path. A small bucket cap keeps
+// several buckets in flight, so the producer is cancelled while it fills
+// one bucket, while it waits to hand one over, and while it waits for a
+// drained buffer; the maintained engine is cancelled in its initial build
+// and in the replays of a metric and a graph insertion. The last cancel
+// point outlasts the smaller builds, which then finish and join normally.
 func TestCancelDrainsWorkerPools(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	g := robustGraph(rng, 40, 120)
-	m := robustPoints(t, rng, 30)
-	for _, at := range []int64{3, 30} {
+	pts := make([][]float64, 30)
+	for i := range pts {
+		pts[i] = []float64{rng.Float64() * 10, rng.Float64() * 10}
+	}
+	m := metric.MustEuclidean(pts)
+	base := metric.MustEuclidean(pts[:24])
+	extra := []graph.Edge{{U: 0, V: 39, W: 0.6}, {U: 5, V: 21, W: 0.7}}
+	const bucketPairs = 16
+	var stats Stats
+	if _, err := GreedyMetricFastParallelOpts(m, 1.8, Options{Workers: 4, Hubs: 4, BucketPairs: bucketPairs, Stats: &stats}); err != nil {
+		t.Fatal(err)
+	}
+	if stats.SupplyPasses < 8 || stats.PeakBucketPairs > bucketPairs {
+		t.Fatalf("supply not bucketed finely: %d passes, peak bucket %d", stats.SupplyPasses, stats.PeakBucketPairs)
+	}
+	for _, at := range []int64{1, 3, 30, 120} {
 		baseline := runtime.NumGoroutine()
 		run := func(build func(ctx context.Context, hooks InjectionHooks) error) {
 			t.Helper()
@@ -476,25 +495,55 @@ func TestCancelDrainsWorkerPools(t *testing.T) {
 			}
 			drainGoroutines(t, baseline)
 		}
+		// replay builds the maintained spanner unhooked, then replays an
+		// insertion under ctx with the hooks armed.
+		replay := func(ctx context.Context, hooks InjectionHooks, build func(Options) (*IncrementalSpanner, error), insert func(*IncrementalSpanner) error) error {
+			var armed atomic.Bool
+			inc, err := build(Options{Workers: 4, Hubs: 4, BucketPairs: bucketPairs, Inject: InjectionHooks{OnCertify: func(e graph.Edge) {
+				if armed.Load() {
+					hooks.OnCertify(e)
+				}
+			}}})
+			if err != nil {
+				return err
+			}
+			inc.SetContext(ctx)
+			armed.Store(true)
+			return insert(inc)
+		}
 		run(func(ctx context.Context, hooks InjectionHooks) error {
-			_, err := GreedyGraphParallelOpts(g, 2, Options{Workers: 4, Hubs: 4, Ctx: ctx, Inject: hooks})
+			_, err := GreedyGraphParallelOpts(g, 2, Options{Workers: 4, Hubs: 4, BucketPairs: bucketPairs, Ctx: ctx, Inject: hooks})
 			return err
 		})
 		run(func(ctx context.Context, hooks InjectionHooks) error {
-			_, err := GreedyMetricFastParallelOpts(m, 1.8, Options{Workers: 4, Hubs: 4, Ctx: ctx, Inject: hooks})
+			_, err := GreedyMetricFastParallelOpts(m, 1.8, Options{Workers: 4, Hubs: 4, BucketPairs: bucketPairs, Ctx: ctx, Inject: hooks})
 			return err
 		})
 		run(func(ctx context.Context, hooks InjectionHooks) error {
-			_, err := FaultTolerantGreedyOpts(m, 2, 1, Options{Hubs: 4, Ctx: ctx, Inject: hooks})
+			_, err := GreedyMetricFastParallelOpts(m, 1.8, Options{Workers: 1, BucketPairs: bucketPairs, Ctx: ctx, Inject: hooks})
 			return err
 		})
 		run(func(ctx context.Context, hooks InjectionHooks) error {
-			inc, err := NewIncrementalMetric(m, 1.8, Options{Workers: 4, Hubs: 4, Ctx: ctx, Inject: hooks})
+			_, err := FaultTolerantGreedyOpts(m, 2, 1, Options{Hubs: 4, BucketPairs: bucketPairs, Ctx: ctx, Inject: hooks})
+			return err
+		})
+		run(func(ctx context.Context, hooks InjectionHooks) error {
+			inc, err := NewIncrementalMetric(m, 1.8, Options{Workers: 4, Hubs: 4, BucketPairs: bucketPairs, Ctx: ctx, Inject: hooks})
 			if err != nil {
 				return err
 			}
 			_, err = inc.Result()
 			return err
+		})
+		run(func(ctx context.Context, hooks InjectionHooks) error {
+			return replay(ctx, hooks, func(o Options) (*IncrementalSpanner, error) {
+				return NewIncrementalMetric(base, 1.8, o)
+			}, func(inc *IncrementalSpanner) error { return inc.Insert(m) })
+		})
+		run(func(ctx context.Context, hooks InjectionHooks) error {
+			return replay(ctx, hooks, func(o Options) (*IncrementalSpanner, error) {
+				return NewIncrementalGraph(g, 2, o)
+			}, func(inc *IncrementalSpanner) error { return inc.InsertEdges(extra...) })
 		})
 	}
 }

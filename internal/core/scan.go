@@ -22,7 +22,11 @@ type Options struct {
 	// snapshot pass is skipped and every candidate is decided serially
 	// against the live spanner — still with the bidirectional query
 	// primitive on graphs and the cached bound rows on metrics. The
-	// fault-tolerant engine always runs at one worker.
+	// fault-tolerant engine always runs at one worker. At every worker
+	// count the default streamed supply adds one producer goroutine that
+	// fills the next weight bucket while the scan certifies the current
+	// one; it only enumerates and sorts candidates, is not a certifier,
+	// and is joined before the engine returns.
 	Workers int
 	// BatchSize fixes the number of sorted candidates examined per
 	// certification round. 0 (the default) selects adaptive batching: the
@@ -40,10 +44,14 @@ type Options struct {
 	// and comparison; output is identical either way. Ignored when Source
 	// is set.
 	Materialize bool
-	// BucketPairs caps how many candidates the default streamed supply
-	// holds materialized at once; <= 0 selects DefaultBucketPairs (scaled
-	// up on very large instances). Ignored when Source is set or
-	// Materialize is true.
+	// BucketPairs bounds the default streamed supply's resident buckets
+	// to the bytes of BucketPairs 24-byte edges; <= 0 selects
+	// DefaultBucketPairs (scaled up on very large instances). A bucket is
+	// held as 16-byte records, and two buckets are resident while a scan
+	// runs — the one being certified and the one the producer fills —
+	// so each holds at most three quarters of BucketPairs candidates and
+	// both together at most 24*BucketPairs bytes, plus the current batch
+	// as edges. Ignored when Source is set or Materialize is true.
 	BucketPairs int
 	// Hubs enables the hub-label certification fast path: k hub vertices
 	// (degree-selected on graphs, ball-growth-sampled on metrics) carry
@@ -126,12 +134,16 @@ type Stats struct {
 	// materialized; n minus RowsAllocated rows were never refreshed and
 	// cost no memory at all.
 	RowsAllocated int
-	// PeakBucketPairs is the largest candidate bucket the streamed supply
-	// held materialized at once (0 for materialized or custom supplies).
+	// PeakBucketPairs is the largest single bucket the streamed supply
+	// materialized (0 for materialized or custom supplies); at most three
+	// quarters of the resolved BucketPairs unless one weight ties across
+	// more candidates. Up to two buckets are resident at once, so the
+	// supply's records peak at 2*16*PeakBucketPairs bytes.
 	PeakBucketPairs int
 	// SupplyPasses counts the streamed supply's enumeration passes
 	// (counting, subdivision, collection; 0 for materialized or custom
-	// supplies).
+	// supplies). The producer goroutine runs them beside the scan, so they
+	// cost wall time only where the scan would otherwise wait.
 	SupplyPasses int
 	// FinalBatchSize is the adaptive batch width at the end of the scan.
 	FinalBatchSize int
@@ -411,6 +423,12 @@ type certifier interface {
 // the live spanner. At one worker the same loop skips the pre-pass and
 // the snapshot pass and settles each candidate inline in the serial pass.
 //
+// A streamed supply (*bucketedSource) is prefetched: a producer
+// goroutine enumerates, sorts, and cut-filters the next weight bucket
+// while the scan certifies the current one, and run joins it on every
+// exit path. It hands buckets over by value, so the scan — at any worker
+// count — sees exactly the candidate sequence a synchronous drain yields.
+//
 // On clean completion the returned error is nil, the stats are final, and
 // any candidates a cut-resumed source suppressed are folded into
 // EdgesExamined, so a resumed scan accounts for exactly the candidates a
@@ -433,6 +451,12 @@ func (sc *scan) run(src CandidateSource, batchSize int) (err error) {
 			res.Partial = true
 		}
 	}()
+	// Deferred after the recover, so the producer is joined on every exit
+	// path, panics included, before a panic becomes the returned error.
+	if bs, ok := src.(*bucketedSource); ok {
+		bs.startProducer()
+		defer bs.joinProducer()
+	}
 	relaxed0 := 0
 	if sc.oracle != nil {
 		relaxed0 = sc.oracle.Relaxed()
@@ -637,7 +661,7 @@ func (sc *scan) checkBudget(batch int, src CandidateSource) int {
 	est := searcherPoolBytes(sc.workers, n) + int64(batch)*edgeBytes +
 		int64(sc.cert.cacheRows())*int64(n)*boundRowBytesPerVertex
 	if bs, ok := src.(*bucketedSource); ok {
-		est += int64(bs.PeakBucket()) * edgeBytes
+		est += 2 * int64(bs.PeakBucket()) * recBytes // both buffers in flight
 	}
 	if sc.oracle != nil {
 		est += hubBytes(len(sc.oracle.Hubs()), n)

@@ -97,6 +97,15 @@ func TestServeShedUnderOverload(t *testing.T) {
 		cancel()
 	}
 	parked.Wait()
+	// The clients return as soon as their contexts are cancelled, before
+	// the server has necessarily seen it; wait until both waiters have
+	// left the queue, or the final request can still find it full.
+	for deadline := time.Now().Add(3 * time.Second); s.waiters.Load() > 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue never drained: %d waiters", s.waiters.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
 	close(release)
 	if body, status := getJSON(t, ts.URL+"/v1/distance?u=0&v=1"); status != http.StatusOK {
 		t.Fatalf("post-overload request: status %d body %v", status, body)
