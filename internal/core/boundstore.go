@@ -60,6 +60,16 @@ type boundStore struct {
 	// nextCkpt the accepted count that triggers the next pass.
 	ckptEvery int
 	nextCkpt  int
+	// old holds, while a Euclidean replay runs (see detach), the rows the
+	// previous run proved past the replay's cut, oldEpoch their proof
+	// epochs on that run and oldSums their digests in guard mode. They are
+	// read-only evidence for the replay's slack test: get, checkpoints and
+	// accept writes never see them, and a refresh materializes a fresh row
+	// beside one, which replaces it when the replay ends. nil outside such
+	// a replay.
+	old      [][]uint16
+	oldEpoch []int
+	oldSums  []uint64
 }
 
 // rowVersion is one epoch snapshot of a bound row: the accepted-edge
@@ -142,11 +152,17 @@ func (b *boundStore) row(u int) []uint16 {
 	return ru
 }
 
-// countRows counts the materialized rows (called from the serial
-// section, after any concurrent refreshes have joined).
+// countRows counts the materialized rows, detached old ones included
+// (called from the serial section, after any concurrent refreshes have
+// joined).
 func (b *boundStore) countRows() int {
 	allocated := 0
 	for _, r := range b.rows {
+		if r != nil {
+			allocated++
+		}
+	}
+	for _, r := range b.old {
 		if r != nil {
 			allocated++
 		}
@@ -214,6 +230,9 @@ func (b *boundStore) clear() {
 	}
 	for u := range b.hist {
 		b.hist[u] = nil
+	}
+	for u := range b.old {
+		b.old[u] = nil
 	}
 }
 
@@ -349,8 +368,13 @@ func (b *boundStore) foldRow(u int, dist []float64, epoch int) error {
 
 // set records an accepted edge's weight as a bound on its endpoints.
 // epoch is the accepted-edge count including the edge itself. Guard mode
-// verifies before the write, exactly as foldRow does.
+// verifies before the write, exactly as foldRow does. A row held only as
+// old evidence gets no fresh row for the write: the entry is only a cache
+// hint, not worth n entries of memory.
 func (b *boundStore) set(u, v int, w float64, epoch int) error {
+	if b.old != nil && b.old[u] != nil && b.rows[u] == nil {
+		return nil
+	}
 	ru := b.row(u)
 	if err := b.verifyRow(u); err != nil {
 		return err
@@ -380,58 +404,33 @@ func (b *boundStore) set(u, v int, w float64, epoch int) error {
 // Backing arrays are recycled: an invalidated row is reset to all-+Inf in
 // place, and rows grow within their reserved slack, so repeated
 // insertions churn no row memory until the slack is exhausted.
-func (b *boundStore) rebase(keep, n int) {
+func (b *boundStore) rebase(keep, n int) { b.rebaseRows(keep, n, false) }
+
+// detach is rebase for a Euclidean replay: instead of being invalidated,
+// each intact row proven past keep moves to the old set as read-only
+// evidence about the previous run (replayCert's slack test), and reattach
+// retires it when the replay ends.
+func (b *boundStore) detach(keep, n int) { b.rebaseRows(keep, n, true) }
+
+func (b *boundStore) rebaseRows(keep, n int, detach bool) {
 	b.slack = boundRowSlack(n)
-	for u := range b.rows {
+	if detach {
+		b.old, b.oldEpoch = make([][]uint16, n), make([]int, n)
+		if b.guard {
+			b.oldSums = make([]uint64, n)
+		}
+	}
+	for u, ru := range b.rows {
 		b.pruneHist(u, keep)
-		ru := b.rows[u]
-		if ru == nil {
+		if detach && ru != nil && b.epochs[u] > keep && (!b.guard || sumRow(ru) == b.sums[u]) {
+			b.old[u], b.oldEpoch[u] = ru, b.epochs[u]
+			b.rows[u], b.epochs[u] = nil, 0
+			if b.guard {
+				b.oldSums[u] = b.sums[u]
+			}
 			continue
 		}
-		if b.guard && sumRow(ru) != b.sums[u] {
-			// The row was corrupted since its last digest and never
-			// consulted. Migrating it would launder the corruption into a
-			// fresh checksum; dropping it is sound — a dropped row is
-			// merely unproven and is rebuilt on demand. A digest-verified
-			// checkpoint at or below the keep prefix may still stand in.
-			b.rows[u] = nil
-			b.epochs[u] = 0
-			b.restoreRow(u, keep, n)
-			continue
-		}
-		stale := b.epochs[u] > keep
-		if stale && b.restoreRow(u, keep, n) {
-			// Backward rebase: the row was proven past the keep prefix, but
-			// a checkpoint at or below it survives — restore that instead
-			// of resetting, so the replay starts with warm proven bounds.
-			continue
-		}
-		old := len(ru)
-		switch {
-		case cap(ru) >= n:
-			// Grow in place within the reserved slack.
-			ru = ru[:n]
-			b.rows[u] = ru
-		case stale:
-			// Stale and too small: nothing worth keeping.
-			b.rows[u] = nil
-			b.epochs[u] = 0
-			continue
-		default:
-			grown := make([]uint16, n, n+b.slack)
-			copy(grown, ru)
-			ru, b.rows[u] = grown, grown
-		}
-		if stale {
-			// Reset the recycled array to "unknown"; the row is now as
-			// good as freshly materialized.
-			old = 0
-			b.epochs[u] = 0
-		}
-		for v := old; v < n; v++ {
-			ru[v] = inf16
-		}
-		ru[u] = 0
+		b.rebaseRow(u, keep, n)
 	}
 	for len(b.rows) < n {
 		b.rows = append(b.rows, nil)
@@ -450,6 +449,120 @@ func (b *boundStore) rebase(keep, n int) {
 			}
 		}
 	}
+}
+
+// rebaseRow is rebase's treatment of row u: a row failing its checksum is
+// dropped (restored from a checkpoint if one survives), a row proven past
+// keep is restored from its newest checkpoint at or below keep or reset,
+// and every surviving row is grown to n entries. The caller refreshes the
+// row's digest.
+func (b *boundStore) rebaseRow(u, keep, n int) {
+	ru := b.rows[u]
+	if ru == nil {
+		return
+	}
+	if b.guard && sumRow(ru) != b.sums[u] {
+		// The row was corrupted since its last digest and never
+		// consulted. Migrating it would launder the corruption into a
+		// fresh checksum; dropping it is sound — a dropped row is
+		// merely unproven and is rebuilt on demand. A digest-verified
+		// checkpoint at or below the keep prefix may still stand in.
+		b.rows[u] = nil
+		b.epochs[u] = 0
+		b.restoreRow(u, keep, n)
+		return
+	}
+	stale := b.epochs[u] > keep
+	if stale && b.restoreRow(u, keep, n) {
+		// Backward rebase: the row was proven past the keep prefix, but
+		// a checkpoint at or below it survives — restore that instead
+		// of resetting, so the replay starts with warm proven bounds.
+		return
+	}
+	old := len(ru)
+	switch {
+	case cap(ru) >= n:
+		// Grow in place within the reserved slack.
+		ru = ru[:n]
+		b.rows[u] = ru
+	case stale:
+		// Stale and too small: nothing worth keeping.
+		b.rows[u] = nil
+		b.epochs[u] = 0
+		return
+	default:
+		grown := make([]uint16, n, n+b.slack)
+		copy(grown, ru)
+		ru, b.rows[u] = grown, grown
+	}
+	if stale {
+		// Reset the recycled array to "unknown"; the row is now as
+		// good as freshly materialized.
+		old = 0
+		b.epochs[u] = 0
+	}
+	for v := old; v < n; v++ {
+		ru[v] = inf16
+	}
+	ru[u] = 0
+}
+
+// reattach ends a replay's detachment, on every exit path. An old row the
+// replay refreshed is discarded for its fresh row; every other old row
+// returns to the store and, after a completed replay (done), is rebased
+// to keep exactly as a start-of-flush rebase would have treated it. After
+// an aborted replay the whole store is rebased to keep instead, because
+// the rows the replay proved past keep belong to a run that never became
+// the maintained one. Either way no later flush, export, checkpoint or
+// retry sees a row that mixes two runs.
+func (b *boundStore) reattach(keep, n int, done bool) {
+	old, oldEpoch, oldSums := b.old, b.oldEpoch, b.oldSums
+	b.old, b.oldEpoch, b.oldSums = nil, nil, nil
+	for u, ro := range old {
+		if ro == nil || b.rows[u] != nil {
+			continue // refreshed by the replay: the fresh row stands
+		}
+		b.rows[u], b.epochs[u] = ro, oldEpoch[u]
+		if b.guard {
+			b.sums[u] = oldSums[u]
+		}
+		if !done {
+			continue // the full rebase below treats it
+		}
+		b.rebaseRow(u, keep, n)
+		if b.guard {
+			b.sums[u] = 0
+			if b.rows[u] != nil {
+				b.sums[u] = sumRow(b.rows[u])
+			}
+		}
+	}
+	if !done {
+		b.rebase(keep, n)
+	}
+}
+
+// oldBound is the replay's U: the tightest old-evidence bound on (u, v)
+// from a row proven on at most `at` accepted edges of the previous run,
+// +Inf when neither endpoint has one. (A row still proven on the kept
+// prefix would qualify too, but any bound it gives the slack test the
+// cached check already certifies.) Each consulted row is verified first
+// in guard mode.
+func (b *boundStore) oldBound(u, v, at int) (float64, error) {
+	best := uint16(inf16)
+	for _, p := range [2][2]int{{u, v}, {v, u}} {
+		ro := b.old[p[0]]
+		if ro == nil || b.oldEpoch[p[0]] > at {
+			continue
+		}
+		if b.guard && sumRow(ro) != b.oldSums[p[0]] {
+			return 0, fmt.Errorf("%w: old bound row %d fails its checksum", ErrCorruptState, p[0])
+		}
+		if ro[p[1]] < best {
+			best = ro[p[1]]
+		}
+	}
+	return dec16(best), nil
 }
 
 // rowCorrupter is the Corrupter handle the metric engines hand to the

@@ -204,6 +204,36 @@
 // therefore bit-identical to a from-scratch greedy build on the
 // survivors, counters included.
 //
+// # Euclidean replays and the local-change invariant
+//
+// On a Euclidean metric (the point kind spannerd and its write-ahead log
+// produce) a replay re-decides only the pairs an update can change. The
+// greedy rule decides each pair from the spanner prefix before it, and
+// every spanner path is at least as long as the distance it spans, so a
+// pair's decision can only move if an edge the replay added or dropped
+// so far lies in its t-ellipse: min over orientations of
+// d(a,x) + w(x,y) + d(y,b) <= t·w(a,b). The replay certifier walks the
+// resumed supply beside a merge pointer into the previous run's accepted
+// tail and copies every old keep no added edge can shorten and every old
+// skip no dropped edge can lengthen. A skip a dropped edge might
+// lengthen still stands when (U + (t−1)·W_D)·(1+1e-9) <= t·w, with U an
+// old-run bound-row entry proven no later than the pair and W_D the
+// dropped weight so far: each dropped keep has a replacement within t
+// times its weight earlier in the new run, and a path through a deleted
+// point reroutes through the pair of its two path neighbours, which that
+// strict test places before (a, b). Everything else — new points' pairs,
+// possibly shortened keeps, and the slack residue — is decided exactly,
+// serially, so the output stays bit-identical to a from-scratch build.
+// Old-run rows proven past the cut stay aside as read-only evidence for
+// U; whichever of them the replay did not refresh are rebased to the cut
+// when it ends, on every exit path. The exact replay remains the
+// reference and runs instead for graphs and matrix metrics, which promise
+// no triangle inequality; for batches of more than 48 changed points,
+// where it is measured to be as fast; and for points spread so far that
+// squared coordinate differences could overflow. Pairs whose limit t·w is
+// below 1e-100, where subnormal squared differences could break the
+// triangle inequality by more than the margin, are decided exactly too.
+//
 // # Cancellation, budgets, and the fault-containment invariant
 //
 // Every engine accepts an optional context and Budget (the Ctx and

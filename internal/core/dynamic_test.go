@@ -63,10 +63,12 @@ func TestDeleteMatchesFromScratch(t *testing.T) {
 			{Workers: 4, Hubs: 4},
 			{Workers: 3, BatchSize: 9, BucketPairs: 41, Hubs: 4, GuardRows: true},
 		} {
-			inc, err := NewIncrementalMetric(m, 1.7, opts)
+			probe := &replayProbe{}
+			inc, err := NewIncrementalMetric(m, 1.7, probe.options(opts))
 			if err != nil {
 				t.Fatal(err)
 			}
+			probe.inc = audited(inc)
 			alive := make([]int, m.N())
 			for i := range alive {
 				alive[i] = i
@@ -81,6 +83,7 @@ func TestDeleteMatchesFromScratch(t *testing.T) {
 				if err := inc.Delete(dense...); err != nil {
 					t.Fatalf("%s/opts=%d step %d: Delete: %v", kind, oi, step, err)
 				}
+				probe.check(t, fmt.Sprintf("%s/opts=%d/step=%d", kind, oi, step))
 				alive = deleteAt(alive, dense)
 				if step%3 != 0 && len(alive) > 12 {
 					continue // only cross-check every few batches at larger sizes
@@ -114,10 +117,12 @@ func TestDynamicMixedMatchesFromScratch(t *testing.T) {
 				alive[i] = i
 			}
 			pool := 20
-			inc, err := NewIncrementalMetric(restrictMetric(m, alive), 1.6, Options{Workers: 3, Hubs: 4})
+			probe := &replayProbe{}
+			inc, err := NewIncrementalMetric(restrictMetric(m, alive), 1.6, probe.options(Options{Workers: 3, Hubs: 4}))
 			if err != nil {
 				t.Fatal(err)
 			}
+			probe.inc = audited(inc)
 			if err := inc.SetPolicy(tc.policy); err != nil {
 				t.Fatal(err)
 			}
@@ -152,8 +157,10 @@ func TestDynamicMixedMatchesFromScratch(t *testing.T) {
 				default: // query (flushes any coalesced batch)
 					check(step)
 				}
+				probe.check(t, fmt.Sprintf("%s/%s/step=%d", kind, tc.name, step))
 			}
 			check(99)
+			probe.check(t, fmt.Sprintf("%s/%s/final", kind, tc.name))
 		}
 	}
 }

@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -26,8 +28,14 @@ import (
 // deterministic decisions, and therefore accepts the exact prefix of the
 // maintained edge sequence. The engine keeps that prefix verbatim and
 // replays only the stream's tail — pulled from the cut-resumed streamed
-// supply, which skips whole weight buckets below the cut by count alone —
-// through the same batched-certification scan that built the spanner.
+// supply, which skips whole weight buckets below the cut by count alone.
+// Graphs and non-Euclidean metrics replay the tail through the same
+// batched-certification scan that built the spanner. A Euclidean tail
+// re-decides only the pairs the update can change (see replayCert): a
+// pair of two old points keeps its previous decision unless an edge the
+// replay added or dropped lies in its t-ellipse, or, for a previous skip,
+// unless the replacement-slack bound fails too; only the new points'
+// pairs and that residue pay an exact decision.
 //
 // # How a deletion replays
 //
@@ -41,7 +49,10 @@ import (
 // that position over the tombstone-filtered supply (the maintained weight
 // histogram is decremented pair-by-pair, so whole buckets below the cut
 // are still skipped by count alone and a delete never re-enumerates the
-// full candidate set). Internally points keep stable ids for life —
+// full candidate set). On a Euclidean metric the deleted points' edges
+// join the replay's dropped set, so the same shortcuts as for an
+// insertion spare every pair whose ellipse they miss or whose slack
+// covers them. Internally points keep stable ids for life —
 // deletion tombstones an id, insertion appends fresh ones — so the scan
 // order never shifts under renumbering; Result translates to the caller's
 // dense numbering of the survivors, which preserves scan order because
@@ -61,7 +72,10 @@ import (
 // prefix argument is what makes checkpoints sound under deletions too:
 // the kept prefix contains no deleted endpoints (the cut precedes every
 // accepted edge that touches one), so state proven on it never depends on
-// a vanished edge or point.
+// a vanished edge or point. A Euclidean replay instead keeps the rows
+// proven past its cut aside as read-only evidence about the previous run,
+// which its slack test reads, and rebases those it did not refresh only
+// when it ends (see boundStore.reattach).
 //
 // # Batching and deferral
 //
@@ -131,6 +145,18 @@ type IncrementalSpanner struct {
 	res        *Result
 	resView    *Result
 	anyDeleted bool
+
+	// ghosts keeps the coordinates of points deleted since the last
+	// successful flush, by stable id: the Euclidean replay measures its
+	// ellipses around their vanished edges. ghostless records a deletion
+	// made while the metric was not Euclidean, whose coordinates are
+	// unknown, so the next flush takes the exact replay.
+	ghosts    map[int][]float64
+	ghostless bool
+	// auditShortcuts, set only by tests, makes every Euclidean replay
+	// re-decide each exempted and slack-certified pair exactly and fail
+	// on disagreement (see shortcutAudit).
+	auditShortcuts bool
 }
 
 // dynMetric is the incremental engine's stable-id view over the caller's
@@ -442,19 +468,26 @@ func (s *IncrementalSpanner) Flush() (err error) {
 	if s.pendingCut == nil {
 		return nil
 	}
+	// detached marks a Euclidean replay's bound rows as detached (see
+	// boundStore.detach); every exit path, panics included, ends the
+	// detachment.
+	var detached bool
+	var keep, n int
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("core: flush of %d pending operations aborted; pre-flush state preserved: %w", s.pendingOps, panicErr(p))
 		}
+		if detached {
+			s.bound.reattach(keep, n, err == nil)
+		}
 	}()
 	cut := *s.pendingCut
-	var n int
 	if s.dyn != nil {
 		n = s.dyn.N()
 	} else {
 		n = s.g.N()
 	}
-	keep := s.prefixLen(cut)
+	keep = s.prefixLen(cut)
 	res := s.restart(keep, n)
 	h := res.Graph()
 	// The rebase fault-injection window: panics land in the deferred
@@ -475,17 +508,95 @@ func (s *IncrementalSpanner) Flush() (err error) {
 		}
 		s.oracle.Rebase(keep, n, s.res.Edges, h, slack)
 	}
-	if s.dyn != nil {
+	eu := s.shortcutMetric()
+	opts := s.opts
+	switch {
+	case eu != nil:
+		detached = true // before detach, so a panic inside it is undone too
+		s.bound.detach(keep, n)
+		// The shortcuts read changed sets that grow inside a batch, so
+		// the replay certifies serially; the supply producer still
+		// overlaps it.
+		opts.Workers = 1
+	case s.dyn != nil:
 		s.bound.rebase(keep, n)
 	}
-	if err := s.certify(newScan(s.t, h, res, s.opts)).run(s.source(&cut), s.opts.BatchSize); err != nil {
+	sc := s.certify(newScan(s.t, h, res, opts))
+	if eu != nil {
+		s.shortcut(sc, eu, keep)
+	}
+	if err := sc.run(s.source(&cut), s.opts.BatchSize); err != nil {
 		return fmt.Errorf("core: flush of %d pending operations aborted; pre-flush state preserved: %w", s.pendingOps, err)
 	}
 	s.res = res
 	s.resView = s.remapResult(res)
 	s.pendingCut = nil
 	s.pendingOps = 0
+	s.ghosts, s.ghostless = nil, false
 	return nil
+}
+
+// shortcutMetric returns the maintained Euclidean metric when the pending
+// replay may take the shortcut certifier, nil when it must run the exact
+// replay: graphs and matrix metrics promise no triangle inequality
+// (metric.NewMatrix does not check it), a deletion made on such a metric
+// left no coordinates to measure ellipses with, a batch of more than
+// shortcutMaxChanged points replays faster exactly, and points spread
+// past shortcutMaxSpan2 may overflow the shortcuts' arithmetic.
+func (s *IncrementalSpanner) shortcutMetric() *metric.Euclidean {
+	if s.dyn == nil || s.ghostless || s.dyn.N()-s.res.N+len(s.ghosts) > shortcutMaxChanged {
+		return nil
+	}
+	eu, ok := s.dyn.latest.(*metric.Euclidean)
+	if !ok {
+		return nil
+	}
+	var lo, hi []float64
+	grow := func(p []float64) {
+		if lo == nil {
+			lo, hi = slices.Clone(p), slices.Clone(p)
+		}
+		for i, x := range p {
+			lo[i], hi[i] = min(lo[i], x), max(hi[i], x)
+		}
+	}
+	for r := range eu.N() {
+		grow(eu.Point(r))
+	}
+	for _, sid := range slices.Sorted(maps.Keys(s.ghosts)) {
+		grow(s.ghosts[sid])
+	}
+	diag2 := 0.0
+	for i := range lo {
+		span := hi[i] - lo[i]
+		diag2 += span * span
+	}
+	if !(diag2 <= shortcutMaxSpan2) {
+		return nil
+	}
+	return eu
+}
+
+// shortcut installs the replay certifier over sc's metric certifier: the
+// previous run's accepted edges from keep on are the merge tail, and its
+// stable-id capacity separates old pairs from inserted ones.
+func (s *IncrementalSpanner) shortcut(sc *scan, eu *metric.Euclidean, keep int) {
+	c := &replayCert{
+		metricCert: sc.cert.(*metricCert),
+		prev:       s.res.Edges,
+		next:       keep,
+		prevN:      s.res.N,
+		coord: func(sid int) []float64 {
+			if r := s.dyn.rank[sid]; r >= 0 {
+				return eu.Point(r)
+			}
+			return s.ghosts[sid]
+		},
+	}
+	if s.auditShortcuts {
+		c.audit = &shortcutAudit{h: sc.h, sr: graph.NewSearcher(sc.h.N()), dist: make([][]float64, sc.h.N())}
+	}
+	sc.cert = c
 }
 
 // remapResult translates the internal stable-space result to the caller's
@@ -543,7 +654,14 @@ func (s *IncrementalSpanner) notePending(cut graph.Edge, ops int) error {
 // Cost scales with the tail of the greedy scan the insertions disturb: the
 // candidate stream is resumed at the first scan position any new pair
 // occupies (everything below it is preserved, never enumerated), and bound
-// rows untouched since that position certify their skips from cache.
+// rows untouched since that position certify their skips from cache. On a
+// Euclidean metric most of the tail's old pairs keep their previous
+// decisions by the replay shortcuts, so a single-point insertion costs
+// the tail's enumeration plus exact decisions for the new point's pairs,
+// the previous keeps its edges may shorten and the slack residue, rather
+// than a whole build's worth of row refreshes (at n=2000, 3–34% of the
+// row vertices the initial build refreshed). Batches of more than 48
+// changed points take the exact replay.
 //
 // A non-nil error from a cancelled or faulted replay does NOT reject the
 // insertion: the points are recorded as pending and the pre-flush spanner
@@ -640,7 +758,10 @@ func (s *IncrementalSpanner) InsertEdges(edges ...graph.Edge) error {
 // rows and hub arrays restore to that prefix instead of resetting, and
 // the tombstone-filtered supply skips whole weight buckets below the cut
 // by count alone. Deleting points no accepted edge touched costs no
-// replay work at all beyond the bookkeeping.
+// replay work at all beyond the bookkeeping. On a Euclidean metric the
+// replay shortcuts decide most of the tail as for an insertion, leaving
+// exact decisions to the pairs near the deleted points' vanished edges
+// that the slack bound does not cover.
 //
 // A non-nil error from a cancelled or faulted replay does NOT reject the
 // deletion: it is recorded as pending and the pre-flush spanner is
@@ -694,6 +815,16 @@ func (s *IncrementalSpanner) Delete(points ...int) error {
 			cut = e
 			break
 		}
+	}
+	if eu, ok := s.dyn.latest.(*metric.Euclidean); ok {
+		if s.ghosts == nil {
+			s.ghosts = make(map[int][]float64, len(sids))
+		}
+		for _, sid := range sids {
+			s.ghosts[sid] = append([]float64(nil), eu.Point(s.dyn.rank[sid])...)
+		}
+	} else {
+		s.ghostless = true
 	}
 	s.dyn.kill(sids)
 	s.anyDeleted = true
@@ -842,4 +973,294 @@ func (s *IncrementalSpanner) restart(keep, n int) *Result {
 		res.Weight += e.W
 	}
 	return res
+}
+
+// shortcutMargin is the relative allowance both replay shortcuts give
+// float64 rounding: a changed edge counts as inside an ellipse, and the
+// slack test fails, unless the inequality holds with this much to spare,
+// far above the few ulps a Euclidean distance or a path sum can be off.
+//
+// That accounting needs every squared coordinate difference to be a
+// normal float64, so the shortcuts run only inside a range that
+// guarantees it. shortcutMaxSpan2 caps the squared diagonal of the
+// bounding box of the replay's points, live and deleted, so no squared
+// distance overflows; a replay past it is exact throughout. A pair whose
+// limit t·w is below shortcutMinLimit is decided exactly: a squared
+// difference gone subnormal is off by up to 2⁻¹⁰⁷⁵ absolutely, which
+// moves a distance by at most about 2e-156 in any dimension below 10¹²,
+// and only far above that does shortcutMargin·limit absorb a whole path's
+// worth of such errors.
+const (
+	shortcutMargin   = 1e-9
+	shortcutMaxSpan2 = 1e300
+	shortcutMinLimit = 1e-100
+)
+
+// shortcutMaxChanged is the most points a replay may have inserted and
+// deleted since the previous run and still take the shortcuts. Every
+// changed point adds edges that each later old pair's ellipse test scans
+// and weight that each slack test pays for, so the shortcuts certify less
+// and less while the replay stays serial. Measured on uniform points at
+// n=500 and n=2000 with two workers, coalesced batches of up to 48
+// inserts, deletes or both replayed in 0.58–0.88 of the exact replay's
+// time; from 64 changed points on, the exact replay tied or won in some
+// shapes.
+const shortcutMaxChanged = 48
+
+// changedEdge is one edge of a replay's changed sets, carrying its
+// endpoints' coordinates so a deleted endpoint stays measurable.
+type changedEdge struct {
+	x, y []float64
+	w    float64
+}
+
+// replayClass is what the replay certifier knows about the candidate it
+// is deciding.
+type replayClass uint8
+
+const (
+	// pairNew has an endpoint inserted since the previous run.
+	pairNew replayClass = iota
+	// keepExempt is a previous keep no added edge can shorten.
+	keepExempt
+	// keepExact is a previous keep an added edge may shorten.
+	keepExact
+	// skipExact is a previous skip neither shortcut certifies.
+	skipExact
+)
+
+// replayCert is the Euclidean replay's certifier. Algorithm 1 decides each
+// pair from the spanner prefix before it alone, and a mutation changes
+// only a handful of decisions after its cut, so most pairs keep their
+// previous decision. Walking the cut-resumed supply in scan order beside a
+// merge pointer into the previous run's accepted tail, it tracks the
+// added set A (pairs kept now that were not kept before, an inserted
+// point's kept pairs included) and the dropped set D (previous keeps now
+// skipped, plus every previous edge of a deleted point, weighing W_D in
+// total), and decides a previously seen pair (a, b) by two sound tests:
+//
+//   - Ellipse exemption. A spanner path of length <= t·w(a, b) can only
+//     use edges (x, y) with min over orientations of
+//     d(a,x) + w(x,y) + d(y,b) <= t·w(a, b), because every spanner path
+//     is at least as long as the distance it spans. So a previous keep
+//     with no A-edge in its ellipse stays kept (removals only lengthen
+//     paths), and a previous skip with no D-edge in its ellipse stays
+//     skipped (its witness path survived).
+//   - Replacement slack. A dropped keep was skipped by the new run, so the
+//     new prefix joins its ends within t times its weight; a path through
+//     a deleted point reroutes through the pair of its two path
+//     neighbours, which the strict test below places before (a, b). A
+//     previous skip therefore stays skipped when
+//     (U + (t−1)·W_D)·(1+shortcutMargin) <= t·w(a, b), where U is an
+//     old-evidence bound row entry proven on at most the pair's old index
+//     of previous accepted edges (boundStore.oldBound).
+//
+// Everything else — inserted points' pairs, keeps an A-edge may shorten,
+// and the slack residue — goes to the exact metric certifier, with one
+// twist: an inserted point's pairs refresh its own row (always e.V, the
+// larger stable id), which then certifies its later pairs from cache; a
+// pair that row puts within rounding of its limit is re-decided from
+// e.U's row, the side every exact decision reads.
+type replayCert struct {
+	*metricCert
+	// prev is the previous run's accepted sequence and next the merge
+	// pointer into it: the count of previous edges scan-ordered before
+	// the candidate. prevN is the previous run's stable-id capacity.
+	prev  []graph.Edge
+	next  int
+	prevN int
+	// coord returns a point's coordinates by stable id, points deleted
+	// since the previous run too.
+	coord          func(sid int) []float64
+	added, dropped []changedEdge
+	droppedW       float64
+	class          replayClass
+	// audit, when non-nil, re-decides every shortcut exactly (tests only).
+	audit *shortcutAudit
+}
+
+func (c *replayCert) settle(e graph.Edge, limit float64) (bool, error) {
+	c.class = pairNew
+	if e.V < c.prevN {
+		c.class = skipExact
+		if c.advance(e) {
+			c.class = keepExact
+		}
+		switch {
+		case limit < shortcutMinLimit:
+			// Rounding may outgrow the margin here (see shortcutMinLimit).
+		case c.class == keepExact:
+			if !c.hits(c.added, e, limit) {
+				c.class = keepExempt
+				return false, nil // exact accepts it without a search
+			}
+		case !c.hits(c.dropped, e, limit):
+			c.sc.stats.ExemptSkips++
+			return true, c.audit.check(e, limit, true)
+		default:
+			u, err := c.bound.oldBound(e.U, e.V, c.next)
+			if err != nil {
+				return false, err
+			}
+			if (u+(c.sc.t-1)*c.droppedW)*(1+shortcutMargin) <= limit {
+				c.sc.stats.SlackSkips++
+				return true, c.audit.check(e, limit, true)
+			}
+		}
+	}
+	ok, err := c.metricCert.settle(e, limit)
+	if ok && c.class == keepExact {
+		c.drop(e)
+	}
+	return ok, err
+}
+
+func (c *replayCert) exact(_ int, e graph.Edge, limit float64, _ bool) (bool, error) {
+	var within bool
+	var err error
+	switch c.class {
+	case keepExempt:
+		c.sc.stats.ExemptKeeps++
+		return false, c.audit.check(e, limit, false)
+	case pairNew:
+		within, err = c.refresh(e.V, e.U, limit)
+		if err == nil && math.Abs(c.row[e.U]-limit) <= shortcutMargin*limit {
+			// Within rounding of a tie the two endpoints' Dijkstras may
+			// sum the path in different orders and disagree; decide from
+			// e.U's side, as every exact decision does.
+			within, err = c.refresh(e.U, e.V, limit)
+		}
+	default:
+		within, err = c.refresh(e.U, e.V, limit)
+	}
+	if err == nil && within && c.class == keepExact {
+		c.drop(e)
+	}
+	return within, err
+}
+
+func (c *replayCert) accepted(e graph.Edge) error {
+	if c.class == pairNew || c.class == skipExact {
+		c.added = append(c.added, c.changed(e))
+	}
+	c.audit.accepted(e)
+	return c.metricCert.accepted(e)
+}
+
+// advance moves the merge pointer to candidate e, dropping every previous
+// edge it passes — those have a deleted endpoint, since every other
+// previous edge at or past the cut is itself a candidate — and reports
+// whether e was a previous keep.
+func (c *replayCert) advance(e graph.Edge) bool {
+	for c.next < len(c.prev) && graph.EdgeLess(c.prev[c.next], e) {
+		c.drop(c.prev[c.next])
+		c.next++
+	}
+	if c.next < len(c.prev) && c.prev[c.next] == e {
+		c.next++
+		return true
+	}
+	return false
+}
+
+func (c *replayCert) changed(e graph.Edge) changedEdge {
+	return changedEdge{x: c.coord(e.U), y: c.coord(e.V), w: e.W}
+}
+
+// drop records a previous keep as dropped.
+func (c *replayCert) drop(e graph.Edge) {
+	c.dropped = append(c.dropped, c.changed(e))
+	c.droppedW += e.W
+}
+
+// hits reports whether any edge of set lies in the t-ellipse of e, with
+// limit = t·w(e).
+func (c *replayCert) hits(set []changedEdge, e graph.Edge, limit float64) bool {
+	return len(set) > 0 && inEllipse(c.coord(e.U), c.coord(e.V), limit*(1+shortcutMargin), set)
+}
+
+// inEllipse reports whether some edge (x, y) of set has
+// min over orientations of d(a,x) + w(x,y) + d(y,b) <= lim. Both endpoints
+// of such an edge lie within lim/2 of the midpoint of a and b, which
+// screens most edges out before any square root. The screen never forms
+// the midpoint, whose coordinates could overflow or round away the
+// offsets being measured: it sums the offsets from a and from b, each
+// exact to within an ulp of itself, and those are at most lim for any
+// endpoint in the ellipse.
+func inEllipse(a, b []float64, lim float64, set []changedEdge) bool {
+	r2 := lim * lim * (1 + 1e-6)
+	for i := range set {
+		x := &set[i]
+		if midOffset2(a, b, x.x) > r2 || midOffset2(a, b, x.y) > r2 {
+			continue
+		}
+		if min(pointDist(a, x.x)+pointDist(x.y, b), pointDist(a, x.y)+pointDist(x.x, b))+x.w <= lim {
+			return true
+		}
+	}
+	return false
+}
+
+// pointDist is the Euclidean distance between two points, summed as
+// metric.Euclidean sums it.
+func pointDist(p, q []float64) float64 {
+	s := 0.0
+	for i := range p {
+		d := p[i] - q[i]
+		s += d * d
+	}
+	return math.Sqrt(s)
+}
+
+// midOffset2 is the squared distance from p to the midpoint of a and b,
+// times four.
+func midOffset2(a, b, p []float64) float64 {
+	s := 0.0
+	for i := range p {
+		d := (a[i] - p[i]) + (b[i] - p[i])
+		s += d * d
+	}
+	return s
+}
+
+// shortcutAudit re-decides a replay's shortcut decisions exactly (tests
+// only). It keeps, for each source it was asked about, the exact
+// distance row on the live spanner — computed by the Dijkstra an exact
+// refresh runs, then repaired edge by edge as the replay accepts, which
+// reproduces that Dijkstra's float64 values — so each check is a lookup.
+// A nil audit checks nothing.
+type shortcutAudit struct {
+	h    *graph.Graph
+	sr   *graph.Searcher
+	dist [][]float64
+}
+
+// check fails when the exact decision on the live prefix disagrees with a
+// shortcut's verdict for e (skip reports whether the shortcut skipped).
+func (a *shortcutAudit) check(e graph.Edge, limit float64, skip bool) error {
+	if a == nil {
+		return nil
+	}
+	row := a.dist[e.U]
+	if row == nil {
+		row = make([]float64, a.h.N())
+		a.sr.Distances(a.h, e.U, row)
+		a.dist[e.U] = row
+	}
+	if d := row[e.V]; (d <= limit) != skip {
+		return fmt.Errorf("core: replay shortcut audit: pair %v decided skip=%v, but its exact distance %v against limit %v says otherwise", e, skip, d, limit)
+	}
+	return nil
+}
+
+// accepted folds an accepted edge (already in the spanner) into every row.
+func (a *shortcutAudit) accepted(e graph.Edge) {
+	if a == nil {
+		return
+	}
+	for _, row := range a.dist {
+		if row != nil {
+			a.sr.RelaxNewEdge(a.h, row, e.U, e.V, e.W)
+		}
+	}
 }

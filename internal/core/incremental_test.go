@@ -80,14 +80,17 @@ func TestIncrementalMetricMatchesFromScratch(t *testing.T) {
 				{Workers: 3, BatchSize: 9, BucketPairs: 41},
 			} {
 				start := n / 3
-				inc, err := NewIncrementalMetric(subMetric(m, start), stretch, opts)
+				probe := &replayProbe{}
+				inc, err := NewIncrementalMetric(subMetric(m, start), stretch, probe.options(opts))
 				if err != nil {
 					t.Fatal(err)
 				}
+				probe.inc = audited(inc)
 				for _, k := range insertSchedule(start, n) {
 					if err := inc.Insert(subMetric(m, k)); err != nil {
 						t.Fatal(err)
 					}
+					probe.check(t, fmt.Sprintf("%s/t=%v/w=%d/k=%d", name, stretch, opts.Workers, k))
 					want, err := GreedyMetricFastParallelOpts(subMetric(m, k), stretch, opts)
 					if err != nil {
 						t.Fatal(err)
@@ -270,43 +273,61 @@ func TestIncrementalReplaySkipsPreservedWork(t *testing.T) {
 // TestIncrementalCachedRowsSurvive pins the insertion-soundness invariant
 // in action: on a path metric, every bound row is last proven against the
 // weight-1 path edges — the prefix a heavier insertion preserves — so the
-// replay re-examines the heavy old pairs but certifies them straight from
-// the surviving cache, with no refresh at all for pairs between old
-// points.
+// exact replay re-examines the heavy old pairs but certifies them straight
+// from the surviving cache, with no refresh at all for pairs between old
+// points. The exact replay is what every non-Euclidean metric runs, so the
+// same points behind an opaque metric pin it; on the Euclidean metric
+// itself the replay certifier exempts those pairs before the cache is
+// consulted, and must refresh no more.
 func TestIncrementalCachedRowsSurvive(t *testing.T) {
 	pts := make([][]float64, 40)
 	for i := range pts {
 		pts[i] = []float64{float64(i)}
 	}
 	m := metric.MustEuclidean(pts)
-	var incStats Stats
-	inc, err := NewIncrementalMetric(m, 1.1, Options{Workers: 1, Stats: &incStats})
-	if err != nil {
-		t.Fatal(err)
+	grown := withPoint(m, []float64{40.7})
+	for _, tc := range []struct {
+		name        string
+		base, union metric.Metric
+		euclidean   bool
+	}{
+		{"exact", prefixMetric{m: m, n: m.N()}, prefixMetric{m: grown, n: grown.N()}, false},
+		{"euclidean", m, grown, true},
+	} {
+		var incStats Stats
+		inc, err := NewIncrementalMetric(tc.base, 1.1, Options{Workers: 1, Stats: &incStats})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mustResult(t, inc).Size() != 39 {
+			t.Fatalf("%s: path spanner has %d edges, want 39", tc.name, mustResult(t, inc).Size())
+		}
+		// The new endpoint is 1.7 away: the cut lands above the weight-1
+		// path edges, so every old pair with weight >= 2 is re-examined —
+		// and must come out of the surviving cached rows (or, on the
+		// Euclidean replay, the ellipse exemption), not fresh Dijkstras.
+		if err := inc.Insert(tc.union); err != nil {
+			t.Fatal(err)
+		}
+		reexaminedOldPairs := 39 * 38 / 2 // all (i, j) with j - i >= 2
+		certified, how := incStats.CachedSkips, "cached"
+		if tc.euclidean {
+			certified, how = incStats.ExemptSkips, "exempt"
+		}
+		if certified < reexaminedOldPairs {
+			t.Fatalf("%s: only %d %s skips in the replay, want >= %d (every re-examined old pair)",
+				tc.name, certified, how, reexaminedOldPairs)
+		}
+		refreshes := incStats.SerialRefreshes + incStats.ParallelRefreshes
+		if refreshes > 40+1 {
+			t.Fatalf("%s: replay ran %d refreshes, want at most one per new pair", tc.name, refreshes)
+		}
+		want, err := GreedyMetricFastSerial(grown, 1.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		equalResults(t, tc.name+"/path+heavy-point", want, mustResult(t, inc))
 	}
-	if mustResult(t, inc).Size() != 39 {
-		t.Fatalf("path spanner has %d edges, want 39", mustResult(t, inc).Size())
-	}
-	// The new endpoint is 1.7 away: the cut lands above the weight-1 path
-	// edges, so every old pair with weight >= 2 is re-examined — and must
-	// come out of the surviving cached rows, not fresh Dijkstras.
-	if err := inc.Insert(withPoint(m, []float64{40.7})); err != nil {
-		t.Fatal(err)
-	}
-	reexaminedOldPairs := 39 * 38 / 2 // all (i, j) with j - i >= 2
-	if incStats.CachedSkips < reexaminedOldPairs {
-		t.Fatalf("only %d cached skips in the replay, want >= %d (every re-examined old pair)",
-			incStats.CachedSkips, reexaminedOldPairs)
-	}
-	refreshes := incStats.SerialRefreshes + incStats.ParallelRefreshes
-	if refreshes > 40+1 {
-		t.Fatalf("replay ran %d refreshes, want at most one per new pair", refreshes)
-	}
-	want, err := GreedyMetricFastSerial(withPoint(m, []float64{40.7}), 1.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalResults(t, "path+heavy-point", want, mustResult(t, inc))
 }
 
 // withPoint returns the Euclidean metric of m's points plus p.

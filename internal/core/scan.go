@@ -26,7 +26,10 @@ type Options struct {
 	// count the default streamed supply adds one producer goroutine that
 	// fills the next weight bucket while the scan certifies the current
 	// one; it only enumerates and sorts candidates, is not a certifier,
-	// and is joined before the engine returns.
+	// and is joined before the engine returns. An IncrementalSpanner's
+	// Euclidean replays of at most 48 changed points certify serially
+	// whatever Workers says (their shortcuts read changed sets that grow
+	// inside a batch); its initial build and every other replay honor it.
 	Workers int
 	// BatchSize fixes the number of sorted candidates examined per
 	// certification round. 0 (the default) selects adaptive batching: the
@@ -98,12 +101,15 @@ type (
 )
 
 // Stats reports how an engine on the scan driver spent its effort.
-// CachedSkips + HubSkips + CertifiedSkips + SerialSkips + Kept equals the
-// number of candidates examined; graphs cache no rows, so their
-// CachedSkips and row counters stay 0. The fault-tolerant engine with
-// f >= 1 decides every candidate with one serial fault-set sweep, so
-// there SerialSkips + Kept equals the candidates examined and the hub
-// counters count fault-set probes, not candidates.
+// CachedSkips + HubSkips + CertifiedSkips + SerialSkips + ExemptSkips +
+// SlackSkips + Kept equals the number of candidates examined (a replay's
+// examined tail; exempt keeps are also counted in Kept); graphs cache no
+// rows, so their CachedSkips and row counters stay 0, and only a
+// Euclidean replay (see IncrementalSpanner) takes the Exempt and Slack
+// shortcuts. The fault-tolerant engine with f >= 1 decides every
+// candidate with one serial fault-set sweep, so there SerialSkips + Kept
+// equals the candidates examined and the hub counters count fault-set
+// probes, not candidates.
 type Stats struct {
 	// Batches is the number of certification rounds.
 	Batches int
@@ -119,6 +125,14 @@ type Stats struct {
 	SerialSkips int
 	// Kept counts accepted edges.
 	Kept int
+	// ExemptKeeps and ExemptSkips count a Euclidean replay's pairs whose
+	// previous decision stands because no changed edge lies in their
+	// t-ellipse, decided with no search; exempt keeps are also in Kept.
+	// SlackSkips counts previous skips a changed edge could disturb that
+	// the replacement-slack bound still certifies.
+	ExemptKeeps int
+	ExemptSkips int
+	SlackSkips  int
 	// ParallelRefreshes counts bound rows recomputed concurrently against
 	// frozen snapshots.
 	ParallelRefreshes int
@@ -939,18 +953,24 @@ func (c *metricCert) exact(i int, e graph.Edge, limit float64, fresh bool) (bool
 	if fresh {
 		return c.dist[i] <= limit, nil
 	}
+	return c.refresh(e.U, e.V, limit)
+}
+
+// refresh recomputes row u against the live spanner, folds it into the
+// bound store, and decides whether v lies within limit of u.
+func (c *metricCert) refresh(u, v int, limit float64) (bool, error) {
 	sc := c.sc
 	if sc.oracle != nil {
-		sc.serial.BoundedDistances(sc.h, e.U, hubRefreshRadiusFactor*limit, c.row)
+		sc.serial.BoundedDistances(sc.h, u, hubRefreshRadiusFactor*limit, c.row)
 	} else {
-		sc.serial.Distances(sc.h, e.U, c.row)
+		sc.serial.Distances(sc.h, u, c.row)
 	}
-	if err := c.bound.foldRow(e.U, c.row, len(sc.res.Edges)); err != nil {
+	if err := c.bound.foldRow(u, c.row, len(sc.res.Edges)); err != nil {
 		return false, err
 	}
 	sc.stats.SerialRefreshes++
 	sc.stats.RefreshTouched += sc.serial.LastTouched()
-	return c.row[e.V] <= limit, nil
+	return c.row[v] <= limit, nil
 }
 
 func (c *metricCert) accepted(e graph.Edge) error {

@@ -73,9 +73,13 @@ func (m traceInfMetric) Dist(i, j int) float64 {
 const traceUniverse = 20
 
 // traceMetric returns trace universe k: a tie-heavy integer grid, random
-// Euclidean points, and the +Inf-sprinkled integer line.
+// Euclidean points, the +Inf-sprinkled integer line, and the float64
+// extremes: the grid lifted to the float64 ceiling in a third coordinate,
+// where a midpoint's coordinate sum overflows, with every fourth point
+// instead crowded within 1e-159 of grid point 0, where squared
+// differences go subnormal.
 func traceMetric(kind int) metric.Metric {
-	switch kind % 3 {
+	switch kind % 4 {
 	case 0:
 		pts := make([][]float64, traceUniverse)
 		for i := range pts {
@@ -89,8 +93,17 @@ func traceMetric(kind int) metric.Metric {
 			pts[i] = []float64{rng.Float64() * 8, rng.Float64() * 8}
 		}
 		return metric.MustEuclidean(pts)
-	default:
+	case 2:
 		return traceInfMetric{n: traceUniverse}
+	default:
+		pts := make([][]float64, traceUniverse)
+		for i := range pts {
+			pts[i] = []float64{float64(i % 5), float64(i / 5), 1.7e308}
+			if i%4 == 3 {
+				pts[i] = []float64{float64(i/4+1) * 1e-160, 0, 1.7e308}
+			}
+		}
+		return metric.MustEuclidean(pts)
 	}
 }
 
@@ -102,7 +115,7 @@ func decodeTrace(data []byte) (kind int, ops []traceOp) {
 	if len(data) == 0 {
 		return 0, nil
 	}
-	kind = int(data[0]) % 3
+	kind = int(data[0]) % 4
 	i := 1
 	for i < len(data) && len(ops) < 24 {
 		b := data[i]
@@ -138,7 +151,10 @@ func resultDigest(res *Result) uint64 { return ResultDigest(res) }
 // runTrace executes one trace against a maintained spanner and the
 // from-scratch serial reference, differential-checking every quiesce
 // point, and returns the final result's digest. init is the initial
-// point count (clamped to the universe).
+// point count (clamped to the universe). The spanner runs with the
+// shortcut audit on, so the Euclidean universes' replays re-decide every
+// shortcut exactly, and every replay's Stats must sum to its examined
+// tail.
 func runTrace(t testing.TB, kind, init int, ops []traceOp, opts Options, label string) uint64 {
 	t.Helper()
 	uni := traceMetric(kind)
@@ -153,10 +169,12 @@ func runTrace(t testing.TB, kind, init int, ops []traceOp, opts Options, label s
 		alive[i] = i
 	}
 	pool := init
-	inc, err := NewIncrementalMetric(restrictMetric(uni, alive), 1.6, opts)
+	probe := &replayProbe{}
+	inc, err := NewIncrementalMetric(restrictMetric(uni, alive), 1.6, probe.options(opts))
 	if err != nil {
 		t.Fatalf("%s: build: %v", label, err)
 	}
+	probe.inc = audited(inc)
 	check := func(at string) {
 		got := mustResult(t, inc)
 		want, err := GreedyMetricFastSerial(restrictMetric(uni, alive), 1.6)
@@ -223,8 +241,10 @@ func runTrace(t testing.TB, kind, init int, ops []traceOp, opts Options, label s
 				t.Fatalf("%s: op %d SetPolicy: %v", label, oi, err)
 			}
 		}
+		probe.check(t, fmt.Sprintf("%s/op%d", label, oi))
 	}
 	check("final")
+	probe.check(t, label+"/final")
 	return resultDigest(mustResult(t, inc))
 }
 
@@ -267,6 +287,7 @@ func FuzzDynamicTrace(f *testing.F) {
 	f.Add([]byte{0, 3, 2, 1, 9})
 	f.Add([]byte{1, 0, 2, 5, 3, 17, 2, 0, 3})
 	f.Add([]byte{2, 2, 19, 2, 0, 0, 3})
+	f.Add([]byte{3, 0, 2, 5, 3, 17, 2, 0, 3, 8, 2, 1, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || len(data) > 64 {
 			t.Skip()
@@ -320,6 +341,8 @@ func parseTraceScript(t *testing.T, path string) (kind, init int, ops []traceOp,
 				kind = 1
 			case "inf":
 				kind = 2
+			case "extreme":
+				kind = 3
 			default:
 				bad()
 			}
