@@ -40,6 +40,7 @@ var Ctxcommit = &framework.Analyzer{
 var valueQueryMethods = map[string]bool{
 	"DistanceWithin":         true,
 	"BidirDistanceWithin":    true,
+	"BidirWithin":            true,
 	"PathWithin":             true,
 	"DistanceWithinAvoiding": true,
 	"DistanceWithinMasked":   true,
@@ -51,6 +52,7 @@ var valueQueryMethods = map[string]bool{
 var allQueryMethods = map[string]bool{
 	"DistanceWithin":         true,
 	"BidirDistanceWithin":    true,
+	"BidirWithin":            true,
 	"PathWithin":             true,
 	"DistanceWithinAvoiding": true,
 	"DistanceWithinMasked":   true,

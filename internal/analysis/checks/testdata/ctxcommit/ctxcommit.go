@@ -10,6 +10,10 @@ func (searcher) BidirDistanceWithin(u, v int, limit float64) (float64, bool) {
 	return float64(u + v), limit > 0
 }
 
+func (searcher) BidirWithin(u, v int, limit float64) bool {
+	return float64(u+v) <= limit
+}
+
 // wrapsSearch is search-like: it calls a bounded query and returns a
 // non-error value, so its call sites are held to the same rule.
 func wrapsSearch(s searcher) bool {
@@ -21,6 +25,14 @@ func wrapsSearch(s searcher) bool {
 func badDirect(ctx context.Context, s searcher, out []bool) {
 	_ = ctx
 	_, within := s.BidirDistanceWithin(1, 2, 3) // want "bounded-search result committed without a cancellation check"
+	out[0] = within
+}
+
+// badDecision commits the decision query's bare verdict with no check in
+// between: a truncated search answers false for a pair within limit.
+func badDecision(ctx context.Context, s searcher, out []bool) {
+	_ = ctx
+	within := s.BidirWithin(1, 2, 3) // want "bounded-search result committed without a cancellation check"
 	out[0] = within
 }
 

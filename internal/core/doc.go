@@ -55,9 +55,12 @@
 //
 // The modes differ only in the certifier they plug in:
 //
-//   - The graph certifier answers each query with bounded bidirectional
-//     Dijkstra (two balls of radius ~t*w/2 instead of one of radius t*w)
-//     after the hub-label check.
+//   - The graph certifier answers each query, after the hub-label check,
+//     with the bounded bidirectional decision query (two balls of radius
+//     ~t*w/2 instead of one of radius t*w, stopped at the first path
+//     within t*w). While nothing was accepted since the snapshot pass,
+//     a survivor's snapshot verdict stands, so the first survivor of each
+//     batch is kept with no second search.
 //   - The metric certifier maintains the cached distance-bound rows of
 //     GreedyMetricFastSerial (the Bose et al. [BCF+10] trick): cached
 //     upper bounds certify most skips with no search at all, then the hub

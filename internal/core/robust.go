@@ -254,9 +254,11 @@ func firstWorkerErr(errs []error) error {
 // degrade at reproducible points; they are not allocator ground truth.
 const (
 	edgeBytes = 24 // graph.Edge: two ints + one float64
-	// searcherBytes is the per-vertex cost of one pooled searcher: the
-	// bidirectional scratch holds two distance arrays, two heaps, and two
-	// touched lists.
+	// searcherBytesPerVertex is the per-vertex cost of one pooled
+	// searcher's bidirectional scratch: two 8-byte distance entries, two
+	// 16-byte heap slots (a float64 key beside an int32 item, padded), and
+	// two 4-byte touched-list entries. The heaps' 4-byte position indexes
+	// are left out, within the close-enough rule above.
 	searcherBytesPerVertex = 56
 	hubBytesPerVertex      = 8 // one float64 distance entry per hub per vertex
 	boundRowBytesPerVertex = 2 // one bfloat16 entry

@@ -20,8 +20,8 @@ type Options struct {
 	// Workers is the number of goroutines certifying against the frozen
 	// snapshot concurrently; 0 selects GOMAXPROCS. With Workers == 1 the
 	// snapshot pass is skipped and every candidate is decided serially
-	// against the live spanner — still with the bidirectional query
-	// primitive on graphs and the cached bound rows on metrics. The
+	// against the live spanner — still with the bidirectional decision
+	// query on graphs and the cached bound rows on metrics. The
 	// fault-tolerant engine always runs at one worker. At every worker
 	// count the default streamed supply adds one producer goroutine that
 	// fills the next weight bucket while the scan certifies the current
@@ -238,9 +238,12 @@ func adaptBatch(batch, survivors, span int) int {
 // test the edge against a superset of H0 and spanner distances only shrink
 // as edges are added. Edges the snapshot cannot certify are re-checked
 // serially, in exact greedy order, against the live spanner — so every
-// accept/reject decision matches the sequential scan bit for bit. Distance
-// queries use bounded bidirectional Dijkstra (Searcher.BidirDistanceWithin),
-// which explores two balls of radius ~t*w/2 instead of one of radius t*w.
+// accept/reject decision matches the sequential scan bit for bit. Each
+// query is the bounded bidirectional decision query (Searcher.BidirWithin),
+// which explores two balls of radius ~t*w/2 instead of one of radius t*w
+// and stops at the first path within t*w; it agrees with the exact
+// bidirectional distance query on whether such a path exists, so it adds
+// no caveat of its own.
 func GreedyGraphParallelOpts(g *graph.Graph, t float64, opts Options) (*Result, error) {
 	return build(t, opts, g, nil, 0)
 }
@@ -725,9 +728,10 @@ func (noCache) batchDone()                {}
 func (noCache) cacheRows() int            { return 0 }
 func (noCache) shedCache() string         { return "" }
 
-// graphCert certifies on graphs with bounded bidirectional Dijkstra
-// (Searcher.BidirDistanceWithin), which explores two balls of radius
-// ~t*w/2 instead of one of radius t*w. It keeps no state between batches.
+// graphCert certifies on graphs with the bounded bidirectional decision
+// query (Searcher.BidirWithin), which explores two balls of radius
+// ~t*w/2 instead of one of radius t*w and stops at the first path within
+// t*w. It keeps no state between batches.
 type graphCert struct {
 	noCache
 	sc *scan
@@ -766,8 +770,7 @@ func (c *graphCert) prepare(edges []graph.Edge, settled []bool) ([]int32, error)
 func (c *graphCert) snapshot(w, k int) error {
 	i := c.todo[k]
 	e := c.edges[i]
-	_, within := c.sc.pool[w].BidirDistanceWithin(c.sc.h, e.U, e.V, c.sc.t*e.W)
-	c.within[i] = within
+	c.within[i] = c.sc.pool[w].BidirWithin(c.sc.h, e.U, e.V, c.sc.t*e.W)
 	return nil
 }
 
@@ -775,9 +778,14 @@ func (c *graphCert) certified(i int, _ graph.Edge, _ float64) (bool, error) {
 	return c.within[i], nil
 }
 
-func (c *graphCert) exact(_ int, e graph.Edge, limit float64, _ bool) (bool, error) {
-	_, within := c.sc.serial.BidirDistanceWithin(c.sc.h, e.U, e.V, limit)
-	return within, nil
+// exact decides e against the live spanner. While fresh, the live spanner
+// still is the frozen one, so the snapshot verdict stands (a survivor's is
+// false, so the first survivor of a batch is kept with no second search).
+func (c *graphCert) exact(i int, e graph.Edge, limit float64, fresh bool) (bool, error) {
+	if fresh {
+		return c.within[i], nil
+	}
+	return c.sc.serial.BidirWithin(c.sc.h, e.U, e.V, limit), nil
 }
 
 // hubRefreshRadiusFactor scales the bounded row refreshes of a hub-enabled

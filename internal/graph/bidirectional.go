@@ -13,17 +13,21 @@ type bidirScratch struct {
 	hf, hb             *pq.IndexedMinHeap
 	distF, distB       []float64
 	touchedF, touchedB []int32
-	// stop mirrors dijkstraScratch.stop: polled every stopMask+1 pops; a
-	// true return abandons the search (see Searcher.SetStop).
-	stop func() bool
+	// stop mirrors dijkstraScratch.stop: polled whenever the pop count
+	// masked by pollMask is zero, every stopMask+1 pops unless a test
+	// lowers pollMask to truncate small searches; a true return abandons
+	// the search (see Searcher.SetStop).
+	stop     func() bool
+	pollMask int
 }
 
 func newBidirScratch(n int) *bidirScratch {
 	s := &bidirScratch{
-		hf:    pq.NewIndexedMinHeap(n),
-		hb:    pq.NewIndexedMinHeap(n),
-		distF: make([]float64, n),
-		distB: make([]float64, n),
+		hf:       pq.NewIndexedMinHeap(n),
+		hb:       pq.NewIndexedMinHeap(n),
+		distF:    make([]float64, n),
+		distB:    make([]float64, n),
+		pollMask: stopMask,
 	}
 	for i := 0; i < n; i++ {
 		s.distF[i] = Inf
@@ -54,15 +58,19 @@ func (s *bidirScratch) reset() {
 //
 // The returned value is the exact shortest-path distance whenever that
 // distance is at most limit; values above limit (including Inf) only mean
-// "no path within limit exists". The scratch buffers are left dirty; the
-// caller resets.
+// "no path within limit exists". With decide set the search instead
+// returns at the first meeting of length at most limit — a real path, but
+// not necessarily the shortest — which is all a threshold test needs; up
+// to that meeting it runs exactly the schedule of the exact search, so
+// both forms agree on whether a path within limit exists. The scratch
+// buffers are left dirty; the caller resets.
 //
 // Termination uses the symmetric stopping rule: once the sum of the two
 // frontier minima reaches the best meeting distance found — or exceeds
 // limit, so no admissible meeting remains — no shorter path exists. Any
 // path of length <= limit has every forward prefix and backward suffix
 // within the limit, so the pruning never hides an admissible path.
-func (g *Graph) bidirDistanceWithin(src, dst int, limit float64, s *bidirScratch) float64 {
+func (g *Graph) bidirDistanceWithin(src, dst int, limit float64, decide bool, s *bidirScratch) float64 {
 	if src == dst {
 		return 0
 	}
@@ -82,7 +90,7 @@ func (g *Graph) bidirDistanceWithin(src, dst int, limit float64, s *bidirScratch
 			break
 		}
 		if s.stop != nil {
-			if pops++; pops&stopMask == 0 && s.stop() {
+			if pops++; pops&s.pollMask == 0 && s.stop() {
 				break
 			}
 		}
@@ -92,6 +100,9 @@ func (g *Graph) bidirDistanceWithin(src, dst int, limit float64, s *bidirScratch
 			if s.distB[v] < Inf {
 				if cand := dv + s.distB[v]; cand < best {
 					best = cand
+					if decide && best <= limit {
+						return best
+					}
 				}
 			}
 			for _, h := range g.adj[v] {
@@ -113,6 +124,9 @@ func (g *Graph) bidirDistanceWithin(src, dst int, limit float64, s *bidirScratch
 			if s.distF[v] < Inf {
 				if cand := dv + s.distF[v]; cand < best {
 					best = cand
+					if decide && best <= limit {
+						return best
+					}
 				}
 			}
 			for _, h := range g.adj[v] {
@@ -140,7 +154,7 @@ func (g *Graph) bidirDistanceWithin(src, dst int, limit float64, s *bidirScratch
 // Searcher.BidirDistanceWithin on hot paths.
 func (g *Graph) BidirDistanceWithin(src, dst int, limit float64) (float64, bool) {
 	s := newBidirScratch(g.N())
-	d := g.bidirDistanceWithin(src, dst, limit, s)
+	d := g.bidirDistanceWithin(src, dst, limit, false, s)
 	if d < Inf && d <= limit {
 		return d, true
 	}
@@ -154,5 +168,5 @@ func (g *Graph) BidirDistanceWithin(src, dst int, limit float64) (float64, bool)
 // search — it is the query primitive a distance oracle built on a spanner
 // would use. Returns Inf if dst is unreachable.
 func (g *Graph) BidirectionalDistance(src, dst int) float64 {
-	return g.bidirDistanceWithin(src, dst, Inf, newBidirScratch(g.N()))
+	return g.bidirDistanceWithin(src, dst, Inf, false, newBidirScratch(g.N()))
 }

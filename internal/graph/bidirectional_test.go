@@ -35,7 +35,7 @@ func near(a, b float64) bool {
 }
 
 // TestBidirDistanceWithinMatchesUnidirectional cross-checks the bounded
-// bidirectional query against the one-sided DistanceWithin on random
+// bidirectional query (and its decision form BidirWithin) against the one-sided DistanceWithin on random
 // graphs, random pairs, and limits above and below the true distance.
 // Limits are kept a relative 1% away from the true distance so that the
 // accept/reject decision is well-separated from summation-order rounding;
@@ -59,10 +59,14 @@ func TestBidirDistanceWithinMatchesUnidirectional(t *testing.T) {
 					t.Fatalf("n=%d p=%v (%d,%d) limit=%v: unidirectional (%v,%v) vs bidirectional (%v,%v)",
 						cfg.n, cfg.p, u, v, limit, wantD, wantOK, gotD, gotOK)
 				}
-				// The allocating convenience method must agree exactly.
+				// The allocating convenience method must agree exactly,
+				// and so must the decision form.
 				gd, gok := g.BidirDistanceWithin(u, v, limit)
 				if gok != gotOK || (gok && gd != gotD) {
 					t.Fatalf("Graph.BidirDistanceWithin diverges from Searcher: (%v,%v) vs (%v,%v)", gd, gok, gotD, gotOK)
+				}
+				if within := search.BidirWithin(g, u, v, limit); within != gotOK {
+					t.Fatalf("(%d,%d) limit=%v: BidirWithin %v, BidirDistanceWithin ok %v", u, v, limit, within, gotOK)
 				}
 			}
 		}

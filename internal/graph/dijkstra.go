@@ -32,7 +32,7 @@ func (sp *ShortestPaths) PathTo(v int) []int {
 }
 
 // Dijkstra computes single-source shortest paths from src using an indexed
-// binary heap. Time O((m + n) log n).
+// 4-ary heap. Time O((m + n) log n).
 func (g *Graph) Dijkstra(src int) *ShortestPaths {
 	return g.dijkstra(src, -1, Inf, nil)
 }
@@ -45,15 +45,17 @@ func (g *Graph) DijkstraTo(src, dst int) float64 {
 }
 
 // DistanceWithin reports the shortest-path distance from src to dst if it is
-// at most limit, and (Inf, false) otherwise. It settles only vertices within
-// distance limit of src, so the cost scales with the size of that ball.
+// at most limit, and (Inf, false) otherwise — for an unreachable dst too,
+// even at limit Inf, as the bidirectional queries answer. It settles only
+// vertices within distance limit of src, so the cost scales with the size
+// of that ball.
 func (g *Graph) DistanceWithin(src, dst int, limit float64) (float64, bool) {
 	if src == dst {
 		return 0, true
 	}
 	sp := g.dijkstra(src, dst, limit, nil)
 	d := sp.Dist[dst]
-	if d <= limit {
+	if d < Inf && d <= limit {
 		return d, true
 	}
 	return Inf, false

@@ -13,11 +13,15 @@
 // answers repeated distance queries and single-source rows over graphs of a
 // fixed vertex count while reusing all internal scratch, so the per-query
 // allocations of the convenience methods on Graph disappear from the main
-// loops. Its BidirDistanceWithin grows bounded Dijkstra balls from both
-// endpoints at once — two balls of radius ~limit/2 instead of one of radius
-// limit — and is the certification primitive of the batched-parallel graph
-// engine; its Distances fills a caller-owned row and backs the concurrent
-// bound-matrix refreshes of the metric engine. A Searcher is not safe for
-// concurrent use: parallel callers hold one Searcher per worker (the graph
-// being queried may be shared read-only).
+// loops. Its BidirWithin grows bounded Dijkstra balls from both endpoints
+// at once — two balls of radius ~limit/2 instead of one of radius limit —
+// and stops at the first meeting within limit: the yes-or-no certification
+// primitive of the batched-parallel graph engine. BidirDistanceWithin runs
+// the same search on to the exact distance for point queries (serving's
+// distance endpoint). Its Distances fills a caller-owned row and backs the
+// concurrent bound-matrix refreshes of the metric engine. Every search
+// runs on pq.IndexedMinHeap, a 4-ary heap that stores each key beside its
+// item. A Searcher is not safe for concurrent use: parallel callers hold
+// one Searcher per worker (the graph being queried may be shared
+// read-only).
 package graph

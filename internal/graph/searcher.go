@@ -59,7 +59,7 @@ func (s *Searcher) DistanceWithin(g *Graph, src, dst int, limit float64) (float6
 	g.dijkstra(src, dst, limit, s.scratch)
 	d := s.scratch.dist[dst]
 	s.scratch.reset()
-	if d <= limit {
+	if d < Inf && d <= limit {
 		return d, true
 	}
 	return Inf, false
@@ -69,22 +69,49 @@ func (s *Searcher) DistanceWithin(g *Graph, src, dst int, limit float64) (float6
 // g if it is at most limit, and (Inf, false) otherwise, growing bounded
 // Dijkstra balls from both endpoints at once. Each side explores radius
 // roughly limit/2, so on graphs whose balls grow with radius it settles far
-// fewer vertices than the one-sided DistanceWithin. This is the greedy
-// engine's query primitive; it is allocation-free after the first call.
+// fewer vertices than the one-sided DistanceWithin. It backs exact point
+// queries (serving's distance endpoint); certification, which only needs
+// the threshold test, uses BidirWithin. Allocation-free after the first
+// bidirectional call.
 func (s *Searcher) BidirDistanceWithin(g *Graph, src, dst int, limit float64) (float64, bool) {
 	if src == dst {
 		return 0, true
 	}
-	if s.bidir == nil {
-		s.bidir = newBidirScratch(s.n)
-		s.bidir.stop = s.stop
-	}
-	d := g.bidirDistanceWithin(src, dst, limit, s.bidir)
-	s.bidir.reset()
+	d := s.bidirSearch(g, src, dst, limit, false)
 	if d < Inf && d <= limit {
 		return d, true
 	}
 	return Inf, false
+}
+
+// BidirWithin reports whether g holds a path from src to dst of length at
+// most limit: the decision form of BidirDistanceWithin, on the same search
+// loop, returning true at the first meeting of the two balls whose length
+// is at most limit instead of searching on until the frontiers prove the
+// minimum. Its answer equals BidirDistanceWithin's ok. This is the greedy
+// graph engine's certification primitive (the greedy rule keeps an edge
+// iff no path within t*w exists); it is allocation-free after the first
+// bidirectional call and honors SetStop like every query, so a stopped
+// search may answer false for a pair within limit.
+func (s *Searcher) BidirWithin(g *Graph, src, dst int, limit float64) bool {
+	if src == dst {
+		return true
+	}
+	d := s.bidirSearch(g, src, dst, limit, true)
+	return d < Inf && d <= limit
+}
+
+// bidirSearch runs one bounded bidirectional search between distinct
+// vertices on the lazily allocated scratch (see bidirDistanceWithin for
+// decide) and resets it.
+func (s *Searcher) bidirSearch(g *Graph, src, dst int, limit float64, decide bool) float64 {
+	if s.bidir == nil {
+		s.bidir = newBidirScratch(s.n)
+		s.bidir.stop = s.stop
+	}
+	d := g.bidirDistanceWithin(src, dst, limit, decide, s.bidir)
+	s.bidir.reset()
+	return d
 }
 
 // PathWithin reports a shortest path from src to dst in g of total weight

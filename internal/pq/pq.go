@@ -1,30 +1,38 @@
 // Package pq provides indexed priority queues used by the shortest-path and
 // minimum-spanning-tree algorithms in this repository.
 //
-// The central type is IndexedMinHeap, a binary min-heap keyed by float64
+// The central type is IndexedMinHeap, a 4-ary min-heap keyed by float64
 // priorities over a dense universe of integer items [0, n). It supports the
 // DecreaseKey operation required by Dijkstra's and Prim's algorithms in
-// O(log n) time, and O(1) membership and priority lookup.
+// O(log n) time, and O(1) membership and priority lookup. Each heap slot
+// stores its key beside its item, so the sift loops compare keys read
+// straight from the slots instead of through a per-item key array, and the
+// four children of a slot share one or two cache lines.
 package pq
 
-// IndexedMinHeap is a binary min-heap over items 0..n-1 with float64 keys.
-// Each item may appear at most once. The zero value is not usable; construct
-// with NewIndexedMinHeap.
+// entry is one heap slot: an item and its current key.
+type entry struct {
+	key  float64
+	item int32
+}
+
+// IndexedMinHeap is a 4-ary min-heap over items 0..n-1 with float64 keys.
+// Each item may appear at most once. Among equal keys the pop order is
+// unspecified. The zero value is not usable; construct with
+// NewIndexedMinHeap.
 type IndexedMinHeap struct {
-	// heap[i] is the item stored at heap position i.
-	heap []int32
+	// heap[i] is the slot at heap position i; the children of position i
+	// are 4i+1 .. 4i+4.
+	heap []entry
 	// pos[v] is the heap position of item v, or -1 if v is not in the heap.
 	pos []int32
-	// key[v] is the current priority of item v (valid only when pos[v] >= 0).
-	key []float64
 }
 
 // NewIndexedMinHeap returns an empty heap over the universe [0, n).
 func NewIndexedMinHeap(n int) *IndexedMinHeap {
 	h := &IndexedMinHeap{
-		heap: make([]int32, 0, n),
+		heap: make([]entry, 0, n),
 		pos:  make([]int32, n),
-		key:  make([]float64, n),
 	}
 	for i := range h.pos {
 		h.pos[i] = -1
@@ -39,41 +47,43 @@ func (h *IndexedMinHeap) Len() int { return len(h.heap) }
 func (h *IndexedMinHeap) Contains(v int) bool { return h.pos[v] >= 0 }
 
 // Key returns the current priority of item v. It must only be called when
-// Contains(v) is true; otherwise the returned value is stale or zero.
-func (h *IndexedMinHeap) Key(v int) float64 { return h.key[v] }
+// Contains(v) is true; otherwise it returns zero.
+func (h *IndexedMinHeap) Key(v int) float64 {
+	if p := h.pos[v]; p >= 0 {
+		return h.heap[p].key
+	}
+	return 0
+}
 
 // Push inserts item v with priority k. If v is already present, Push behaves
 // like DecreaseKey when k is smaller than the current key and is a no-op
 // otherwise.
 func (h *IndexedMinHeap) Push(v int, k float64) {
-	if h.pos[v] >= 0 {
-		if k < h.key[v] {
-			h.DecreaseKey(v, k)
+	if p := h.pos[v]; p >= 0 {
+		if k < h.heap[p].key {
+			h.siftUp(int(p), entry{key: k, item: int32(v)})
 		}
 		return
 	}
-	h.key[v] = k
-	h.pos[v] = int32(len(h.heap))
-	h.heap = append(h.heap, int32(v))
-	h.siftUp(len(h.heap) - 1)
+	h.heap = append(h.heap, entry{})
+	h.siftUp(len(h.heap)-1, entry{key: k, item: int32(v)})
 }
 
 // DecreaseKey lowers the priority of item v to k. It is a no-op if v is not
 // in the heap or k is not smaller than the current key.
 func (h *IndexedMinHeap) DecreaseKey(v int, k float64) {
 	p := h.pos[v]
-	if p < 0 || k >= h.key[v] {
+	if p < 0 || k >= h.heap[p].key {
 		return
 	}
-	h.key[v] = k
-	h.siftUp(int(p))
+	h.siftUp(int(p), entry{key: k, item: int32(v)})
 }
 
 // Peek returns the item with the minimum key and that key without removing
 // it. It must not be called on an empty heap.
 func (h *IndexedMinHeap) Peek() (v int, k float64) {
 	top := h.heap[0]
-	return int(top), h.key[top]
+	return int(top.item), top.key
 }
 
 // Pop removes and returns the item with the minimum key along with that key.
@@ -81,58 +91,67 @@ func (h *IndexedMinHeap) Peek() (v int, k float64) {
 // indicates a programming error in the caller.
 func (h *IndexedMinHeap) Pop() (v int, k float64) {
 	top := h.heap[0]
-	k = h.key[top]
+	h.pos[top.item] = -1
 	last := len(h.heap) - 1
-	h.swap(0, last)
+	tail := h.heap[last]
 	h.heap = h.heap[:last]
-	h.pos[top] = -1
 	if last > 0 {
-		h.siftDown(0)
+		h.siftDown(tail)
 	}
-	return int(top), k
+	return int(top.item), top.key
 }
 
 // Reset empties the heap without releasing its backing storage, allowing it
 // to be reused across repeated runs over the same universe.
 func (h *IndexedMinHeap) Reset() {
-	for _, v := range h.heap {
-		h.pos[v] = -1
+	for _, e := range h.heap {
+		h.pos[e.item] = -1
 	}
 	h.heap = h.heap[:0]
 }
 
-func (h *IndexedMinHeap) swap(i, j int) {
-	h.heap[i], h.heap[j] = h.heap[j], h.heap[i]
-	h.pos[h.heap[i]] = int32(i)
-	h.pos[h.heap[j]] = int32(j)
-}
-
-func (h *IndexedMinHeap) siftUp(i int) {
+// siftUp places e at position i or above: parents with larger keys move
+// down into the hole until e's parent key is at most e's.
+func (h *IndexedMinHeap) siftUp(i int, e entry) {
 	for i > 0 {
-		parent := (i - 1) / 2
-		if h.key[h.heap[parent]] <= h.key[h.heap[i]] {
-			return
+		parent := (i - 1) >> 2
+		p := h.heap[parent]
+		if p.key <= e.key {
+			break
 		}
-		h.swap(i, parent)
+		h.heap[i] = p
+		h.pos[p.item] = int32(i)
 		i = parent
 	}
+	h.heap[i] = e
+	h.pos[e.item] = int32(i)
 }
 
-func (h *IndexedMinHeap) siftDown(i int) {
+// siftDown places e into the hole at the root: the smallest child moves up
+// while its key is below e's.
+func (h *IndexedMinHeap) siftDown(e entry) {
 	n := len(h.heap)
+	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && h.key[h.heap[l]] < h.key[h.heap[smallest]] {
-			smallest = l
+		first := 4*i + 1
+		if first >= n {
+			break
 		}
-		if r < n && h.key[h.heap[r]] < h.key[h.heap[smallest]] {
-			smallest = r
+		kids := h.heap[first:min(first+4, n)]
+		best := 0
+		for c := 1; c < len(kids); c++ {
+			if kids[c].key < kids[best].key {
+				best = c
+			}
 		}
-		if smallest == i {
-			return
+		child := kids[best]
+		if child.key >= e.key {
+			break
 		}
-		h.swap(i, smallest)
-		i = smallest
+		h.heap[i] = child
+		h.pos[child.item] = int32(i)
+		i = first + best
 	}
+	h.heap[i] = e
+	h.pos[e.item] = int32(i)
 }

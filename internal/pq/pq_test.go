@@ -6,7 +6,16 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestEntrySize pins a heap slot at 16 bytes, the figure the byte budget's
+// per-vertex searcher cost (core's searcherBytesPerVertex) assumes.
+func TestEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(entry{}); got != 16 {
+		t.Fatalf("heap slot is %d bytes, want 16", got)
+	}
+}
 
 func TestIndexedMinHeapBasic(t *testing.T) {
 	h := NewIndexedMinHeap(10)
@@ -147,6 +156,27 @@ func (h *naiveHeap) Push(v int, k float64) { h.key[v], h.in[v] = k, true; h.n++ 
 
 func (h *naiveHeap) DecreaseKey(v int, k float64) { h.key[v] = k }
 
+func (h *naiveHeap) Reset() {
+	clear(h.in)
+	h.n = 0
+}
+
+// ties counts the items holding the minimum key; it must not be called on
+// an empty heap.
+func (h *naiveHeap) ties() int {
+	count, min := 0, math.Inf(1)
+	for v, ok := range h.in {
+		switch {
+		case !ok || h.key[v] > min:
+		case h.key[v] < min:
+			count, min = 1, h.key[v]
+		default:
+			count++
+		}
+	}
+	return count
+}
+
 func (h *naiveHeap) Pop() (int, float64) {
 	best := -1
 	for v, ok := range h.in {
@@ -195,6 +225,102 @@ func TestHeapsAgree(t *testing.T) {
 		if a.Len() != b.n {
 			t.Fatalf("step %d: Len mismatch %d vs %d", step, a.Len(), b.n)
 		}
+	}
+}
+
+// TestHeapsAgreeWithTies is TestHeapsAgree on integer keys from a range of
+// 8, so most pops choose among equal keys and the heap may pop another
+// tied item than the naive heap's lowest-numbered one. Each round fills
+// both heaps, then drains them while pushing and lowering keys no lower
+// than the last pop, the way Dijkstra and Prim use the heap. Every pop
+// must return the naive heap's key, popped keys never decrease within a
+// drain, and a completed drain must pop the same (item, key) multiset
+// from both heaps. Every third round resets both heaps mid-drain instead,
+// and the next round starts on the reset heap.
+func TestHeapsAgreeWithTies(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const n, keys = 64, 8
+	a := NewIndexedMinHeap(n)
+	b := newNaiveHeap(n)
+	type popped struct {
+		item int
+		key  float64
+	}
+	// offer pushes v with key k into both heaps when it is in neither, or
+	// lowers it in both when it is in both; the heaps may hold different
+	// tied items mid-drain, and an item in only one is left alone.
+	offer := func(v int, k float64) {
+		switch {
+		case !a.Contains(v) && !b.in[v]:
+			a.Push(v, k)
+			b.Push(v, k)
+		case a.Contains(v) && b.in[v] && k < a.Key(v):
+			a.DecreaseKey(v, k)
+			b.DecreaseKey(v, k)
+		}
+	}
+	tiedPops := 0
+	for round := 0; round < 400; round++ {
+		for fill := 1 + rng.Intn(2*n); fill > 0; fill-- {
+			offer(rng.Intn(n), float64(rng.Intn(keys)))
+		}
+		resetAt := -1
+		if round%3 == 2 {
+			resetAt = rng.Intn(a.Len())
+		}
+		var gotA, gotB []popped
+		last := 0.0
+		for pops := 0; a.Len() > 0; pops++ {
+			if pops == resetAt {
+				a.Reset()
+				b.Reset()
+				break
+			}
+			if rng.Intn(2) == 0 {
+				offer(rng.Intn(n), last+float64(rng.Intn(keys)))
+			}
+			if b.ties() > 1 {
+				tiedPops++
+			}
+			va, ka := a.Pop()
+			vb, kb := b.Pop()
+			if ka != kb || ka < last {
+				t.Fatalf("round %d pop %d: popped key %v, naive %v, previous %v", round, pops, ka, kb, last)
+			}
+			last = ka
+			gotA = append(gotA, popped{va, ka})
+			gotB = append(gotB, popped{vb, kb})
+			if a.Len() != b.n {
+				t.Fatalf("round %d pop %d: Len %d, naive %d", round, pops, a.Len(), b.n)
+			}
+		}
+		if resetAt >= 0 {
+			for v := 0; v < n; v++ {
+				if a.Contains(v) {
+					t.Fatalf("round %d: item %d still in the heap after Reset", round, v)
+				}
+			}
+			if a.Len() != 0 {
+				t.Fatalf("round %d: Len %d after Reset", round, a.Len())
+			}
+			continue
+		}
+		for _, got := range [][]popped{gotA, gotB} {
+			sort.Slice(got, func(i, j int) bool {
+				if got[i].item != got[j].item {
+					return got[i].item < got[j].item
+				}
+				return got[i].key < got[j].key
+			})
+		}
+		for i := range gotA {
+			if gotA[i] != gotB[i] {
+				t.Fatalf("round %d: popped multisets differ at %d: %v vs %v", round, i, gotA[i], gotB[i])
+			}
+		}
+	}
+	if tiedPops < 1000 {
+		t.Fatalf("only %d pops chose among tied keys; the test no longer exercises ties", tiedPops)
 	}
 }
 
