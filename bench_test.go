@@ -1,9 +1,10 @@
 package spanner
 
-// This file hosts one testing.B benchmark per experiment in DESIGN.md's
-// per-experiment index (E1–E10), each regenerating the corresponding
-// figure/claim of the paper at reduced scale, plus micro-benchmarks for the
-// core constructions. Run the full-scale experiment tables with:
+// This file hosts testing.B benchmarks for the experiments E1–E12 and
+// ablations A1–A3 (README's "Benchmarks and ablations"), each regenerating
+// the corresponding figure/claim of the paper at reduced scale, plus
+// micro-benchmarks for the core constructions. Run the full-scale
+// experiment tables with:
 //
 //	go run ./cmd/spannerbench -scale full
 import (
@@ -120,8 +121,7 @@ func BenchmarkGreedyGraphN200(b *testing.B) {
 // BenchmarkGreedyGraphParallel compares the sequential greedy scan against
 // the batched-parallel engine at the acceptance sizes. The n=2000 instance
 // uses density 0.05 (~100k candidate edges) so the sequential baseline
-// completes in sensible benchmark time; spannerbench -exp greedybench
-// records the same comparison in BENCH_greedy.json.
+// completes in sensible benchmark time.
 func BenchmarkGreedyGraphParallel(b *testing.B) {
 	for _, cfg := range []struct {
 		n int
@@ -244,7 +244,7 @@ func BenchmarkMSTKruskalN1000(b *testing.B) {
 	}
 }
 
-// --- Ablation benchmarks (design-choice probes from DESIGN.md) ---
+// --- Ablation benchmarks (design-choice probes A1–A3) ---
 
 func BenchmarkA1Deputies(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -7,7 +7,6 @@ package checks
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 
 	"repro/internal/analysis/framework"
@@ -222,9 +221,6 @@ func containsCallNamed(n ast.Node, names map[string]bool) bool {
 	})
 	return found
 }
-
-// positionOf is a tiny helper for diagnostics on nodes.
-func positionOf(n ast.Node) token.Pos { return n.Pos() }
 
 // exprString renders an expression for diagnostics.
 func exprString(e ast.Expr) string { return types.ExprString(e) }

@@ -12,10 +12,10 @@ import (
 	"repro/internal/verify"
 )
 
-// The ablation experiments (A1–A3) probe the design choices DESIGN.md calls
-// out in the approximate-greedy pipeline: the deputy degree-reduction in
-// the base spanner, the bucket width mu, and the two-tier (cluster-first,
-// exact-fallback) distance certification.
+// The ablation experiments A1–A3 probe the design choices of the
+// approximate-greedy pipeline (README's "Benchmarks and ablations"): the
+// deputy degree-reduction in the base spanner, the bucket width mu, and
+// the two-tier (cluster-first, exact-fallback) distance certification.
 
 // A1Deputies compares the net-tree base spanner with and without the
 // degree-reduction deputies on the unbounded-degree ring gadget and on

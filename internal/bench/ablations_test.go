@@ -1,10 +1,6 @@
 package bench
 
-import (
-	"context"
-	"os"
-	"testing"
-)
+import "testing"
 
 func TestA1DeputiesSmall(t *testing.T) {
 	tab, err := A1Deputies(Small)
@@ -126,87 +122,5 @@ func TestAblationsAll(t *testing.T) {
 	}
 	if len(tabs) != 5 {
 		t.Fatalf("tables = %d, want 5", len(tabs))
-	}
-}
-
-func TestGreedyBenchSmall(t *testing.T) {
-	tab, report, err := GreedyBench(context.Background(), Small, 1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(report.Cases) != 1 || report.Cases[0].N != 200 {
-		t.Fatalf("unexpected cases: %+v", report.Cases)
-	}
-	c := report.Cases[0]
-	if !c.IdenticalOutput {
-		t.Fatal("parallel engine output diverged from sequential")
-	}
-	if len(c.SequentialMS) != 3 {
-		t.Fatalf("want 3 sequential samples, got %d", len(c.SequentialMS))
-	}
-	for _, run := range c.Parallel {
-		if len(run.MS) != 3 || run.MedianMS <= 0 || run.Speedup <= 0 {
-			t.Fatalf("implausible parallel run: %+v", run)
-		}
-	}
-	if len(tab.Rows) != 1+len(c.Parallel) {
-		t.Fatalf("table rows = %d, want %d", len(tab.Rows), 1+len(c.Parallel))
-	}
-	path := t.TempDir() + "/BENCH_greedy.json"
-	if err := report.WriteJSON(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGreedyMetricBenchSmall(t *testing.T) {
-	tab, report, err := GreedyMetricBench(context.Background(), Small, 1, 3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(report.Cases) != 2 {
-		t.Fatalf("unexpected cases: %+v", report.Cases)
-	}
-	rows := 0
-	for _, c := range report.Cases {
-		if !c.IdenticalOutput {
-			t.Fatalf("parallel metric engine output diverged from serial (%s, n=%d)", c.Kind, c.N)
-		}
-		if len(c.SequentialMS) != 3 {
-			t.Fatalf("want 3 sequential samples, got %d", len(c.SequentialMS))
-		}
-		if c.Pairs != c.N*(c.N-1)/2 {
-			t.Fatalf("pair count %d inconsistent with n=%d", c.Pairs, c.N)
-		}
-		for _, run := range c.Parallel {
-			if len(run.MS) != 3 || run.MedianMS <= 0 || run.Speedup <= 0 {
-				t.Fatalf("implausible parallel run: %+v", run)
-			}
-		}
-		rows += 1 + len(c.Parallel)
-	}
-	if len(tab.Rows) != rows {
-		t.Fatalf("table rows = %d, want %d", len(tab.Rows), rows)
-	}
-	path := t.TempDir() + "/BENCH_greedymetric.json"
-	if err := report.WriteJSON(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGreedyMetricBenchSingleWorkerSet(t *testing.T) {
-	_, report, err := GreedyMetricBench(context.Background(), Small, 2, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range report.Cases {
-		if len(c.Parallel) != 1 || c.Parallel[0].Workers != 2 {
-			t.Fatalf("-workers 2 should restrict the sweep, got %+v", c.Parallel)
-		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
 	"runtime/debug"
 	"testing"
 	"time"
@@ -101,4 +102,54 @@ func TestStreamedBuildCompletesN20000(t *testing.T) {
 	if peak > materializedFloor/5 {
 		t.Fatalf("peak %d exceeds materialized floor %d / 5", peak, materializedFloor)
 	}
+}
+
+// measureAlloc runs f once and reports its heap cost: peak is the highest
+// heap occupancy observed above the pre-run baseline (sampled every
+// millisecond plus a final reading, so short transients are approximated,
+// not exact), and total is the cumulative allocation volume
+// (MemStats.TotalAlloc delta). The runtime is GC'd before the run so the
+// baseline is live data only. Memory probes run separately from timing
+// repetitions: the sampler's ReadMemStats calls briefly stop the world and
+// would skew wall-clock medians.
+func measureAlloc(f func() error) (peak, total uint64, err error) {
+	runtime.GC()
+	var base runtime.MemStats
+	runtime.ReadMemStats(&base)
+
+	stop := make(chan struct{})
+	peakCh := make(chan uint64, 1)
+	go func() {
+		var ms runtime.MemStats
+		var high uint64
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				peakCh <- high
+				return
+			case <-tick.C:
+				runtime.ReadMemStats(&ms)
+				if ms.HeapAlloc > high {
+					high = ms.HeapAlloc
+				}
+			}
+		}
+	}()
+
+	err = f()
+
+	var final runtime.MemStats
+	runtime.ReadMemStats(&final)
+	close(stop)
+	high := <-peakCh
+	if final.HeapAlloc > high {
+		high = final.HeapAlloc
+	}
+	if high > base.HeapAlloc {
+		peak = high - base.HeapAlloc
+	}
+	total = final.TotalAlloc - base.TotalAlloc
+	return peak, total, err
 }

@@ -61,11 +61,9 @@ func pad(s string, w int) string {
 	return s + strings.Repeat(" ", w-len(s))
 }
 
-// f1 formats a float with 1 decimal; f2, f3, and f4 likewise.
-func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
+// f2 formats a float with 2 decimals; f3 likewise with 3.
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
-func f4(v float64) string { return fmt.Sprintf("%.4f", v) }
 
 // itoa formats an int.
 func itoa(v int) string { return fmt.Sprintf("%d", v) }

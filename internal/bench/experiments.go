@@ -17,7 +17,8 @@ import (
 
 // Scale selects experiment sizes. Small keeps each experiment under a
 // second or two (used by unit tests and testing.B inner loops); Full is
-// what cmd/spannerbench and EXPERIMENTS.md report.
+// what `spannerbench -scale full` runs (see README's "Benchmarks and
+// ablations").
 type Scale int
 
 // Scale values.

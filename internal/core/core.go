@@ -91,8 +91,7 @@ func errInvalidStretch(t float64) error {
 // the worst case O(m * (m_H + n) log n), the naive bound quoted in
 // Corollary 4 of the paper. It is the serial reference the batched engine
 // (GreedyGraphParallelOpts) must reproduce, retained for the equivalence
-// tests and as the sequential baseline of the E2 and greedybench
-// experiments.
+// tests and as the sequential baseline of experiment E2.
 func GreedyGraph(g *graph.Graph, t float64) (*Result, error) { //spannerlint:ignore ctxcommit serial reference: uncancellable by design, the parallel engine must match it bit for bit
 	if !validStretch(t) {
 		return nil, errInvalidStretch(t)
@@ -118,7 +117,7 @@ func GreedyGraph(g *graph.Graph, t float64) (*Result, error) { //spannerlint:ign
 // n(n-1)/2 interpoint distances in non-decreasing order). The batched
 // engine (GreedyMetricFastParallelOpts) must reproduce its output bit for
 // bit; it is retained for the equivalence tests and as the sequential
-// baseline of the E6 and greedymetricbench experiments. On doubling metrics it performs a
+// baseline of experiment E6. On doubling metrics it performs a
 // small number of Dijkstra runs per accepted edge, giving near-quadratic
 // behaviour in practice, versus the cubic-ish naive bound.
 func GreedyMetricFastSerial(m metric.Metric, t float64) (*Result, error) { //spannerlint:ignore ctxcommit serial reference: uncancellable by design, the parallel engine must match it bit for bit

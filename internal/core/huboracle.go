@@ -436,8 +436,8 @@ func (o *HubOracle) Rebase(keep, n int, accepted []graph.Edge, h *graph.Graph, s
 // DefaultHubs suggests a hub count for an n-element instance: enough
 // label coverage for the certification hit rate to stay high while the
 // dirty-radius maintenance (which scales with k) stays a small fraction
-// of build time — roughly 3·n^(1/3), the knee found by the hubbench
-// ablation on uniform instances.
+// of build time — roughly 3·n^(1/3), the knee a hub-count sweep found on
+// uniform instances.
 func DefaultHubs(n int) int {
 	k := 3 * int(math.Cbrt(float64(n)))
 	if k < 8 {

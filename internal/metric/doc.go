@@ -11,7 +11,5 @@
 // so Euclidean, matrix-backed, and graph-induced spaces are
 // interchangeable — the equivalence tests for the parallel cached-bound
 // metric engine sweep all three. CompleteGraph materializes a metric as the
-// complete weighted graph the greedy algorithm scans; FromSpanner builds
-// the M_H of Section 4, the metric of a spanner itself, on which the
-// paper's existential-optimality argument is made.
+// complete weighted graph the greedy algorithm scans.
 package metric

@@ -24,7 +24,9 @@ type Euclidean struct {
 }
 
 // NewEuclidean builds a Euclidean metric from the given points, which must
-// all share the same dimension d >= 1.
+// all share the same dimension d >= 1. The points are validated once and
+// then kept, not copied: the caller must not modify pts, or any point in
+// it, afterwards.
 func NewEuclidean(pts [][]float64) (*Euclidean, error) {
 	if len(pts) == 0 {
 		return &Euclidean{}, nil
@@ -82,7 +84,9 @@ type Matrix struct {
 
 // NewMatrix wraps the given distance matrix. It validates squareness,
 // symmetry, zero diagonal, and positivity off the diagonal, but not the
-// triangle inequality (use Check for that; it is O(n^3)).
+// triangle inequality (use Check for that; it is O(n^3)). The matrix is
+// validated once and then kept, not copied: the caller must not modify d,
+// or any row of it, afterwards.
 func NewMatrix(d [][]float64) (*Matrix, error) {
 	n := len(d)
 	for i := range d {
@@ -162,19 +166,6 @@ func FromGraph(g *graph.Graph) (*Matrix, error) {
 		return nil, graph.ErrDisconnected
 	}
 	return &Matrix{d: g.APSP()}, nil
-}
-
-// FromSpanner returns the metric induced by a spanner given as an edge list
-// over n vertices. This is the M_H of Section 4: the metric of the greedy
-// spanner itself, on which existential optimality is argued.
-func FromSpanner(n int, edges []graph.Edge) (*Matrix, error) {
-	h := graph.New(n)
-	for _, e := range edges {
-		if err := h.AddEdge(e.U, e.V, e.W); err != nil {
-			return nil, err
-		}
-	}
-	return FromGraph(h)
 }
 
 // CompleteGraph materializes the metric as a complete weighted graph

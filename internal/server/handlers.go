@@ -169,9 +169,6 @@ func (s *Server) read(h http.HandlerFunc) http.HandlerFunc {
 			}
 		}
 		defer func() { <-s.sem }()
-		if s.cfg.Hooks.OnAdmit != nil {
-			s.cfg.Hooks.OnAdmit()
-		}
 
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 		defer cancel()

@@ -65,18 +65,14 @@ type Config struct {
 	Hooks Hooks
 }
 
-// Hooks exposes the server's internal windows to the chaos and bench
-// suites.
+// Hooks exposes the server's internal windows to the chaos suite and to
+// the protocol benchmark's tracer.
 type Hooks struct {
 	// BeforeSwap runs under the writer slot immediately before a new
 	// snapshot version is published.
 	BeforeSwap func(version uint64)
 	// OnConverge observes each convergence retry with its error.
 	OnConverge func(attempt int, err error)
-	// OnAdmit runs on the read path right after a request wins its
-	// admission slot; the load benchmark uses it to simulate a slower
-	// backend so the shedding contract is exercised deterministically.
-	OnAdmit func()
 }
 
 // snapshot is one immutable published state: result, materialized

@@ -181,10 +181,13 @@ type StretchReport = verify.StretchReport
 func NewGraph(n int) *Graph { return graph.New(n) }
 
 // NewEuclidean builds a Euclidean metric over the given points (same
-// dimension everywhere).
+// dimension everywhere). The metric keeps the caller's slices: do not
+// modify pts, or any point in it, afterwards.
 func NewEuclidean(pts [][]float64) (Metric, error) { return metric.NewEuclidean(pts) }
 
-// NewMetricFromMatrix wraps an explicit symmetric distance matrix.
+// NewMetricFromMatrix wraps an explicit symmetric distance matrix. The
+// metric keeps the caller's slices: do not modify d, or any row of it,
+// afterwards.
 func NewMetricFromMatrix(d [][]float64) (Metric, error) { return metric.NewMatrix(d) }
 
 // MetricFromGraph returns the shortest-path metric induced by a connected
