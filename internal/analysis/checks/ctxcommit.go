@@ -59,6 +59,7 @@ var allQueryMethods = map[string]bool{
 	"Distances":              true,
 	"BoundedDistances":       true,
 	"BoundedDistancesMasked": true,
+	"BoundedReach":           true,
 }
 
 // cancelCheckNames are the method names whose presence in a statement

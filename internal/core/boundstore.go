@@ -340,20 +340,24 @@ func (b *boundStore) restoreRow(u, keep, n int) bool {
 	return false
 }
 
-// foldRow folds an exact distance row into u's cached bound row,
-// tightening entries that improved. epoch is the accepted-edge count of
-// the spanner the distances were computed on; the row keeps the largest
-// epoch folded into it (entries proven on shorter prefixes are looser,
-// hence still valid upper bounds at the larger epoch). In guard mode the
-// row is verified before the fold — never after, which would launder a
-// corrupted entry into a freshly valid checksum — and re-digested after.
-func (b *boundStore) foldRow(u int, dist []float64, epoch int) error {
+// foldRow folds a refresh's exact distances into u's cached bound row,
+// tightening entries that improved: reached lists the vertices the
+// refresh reached and dist is its dense distance row (see
+// graph.Searcher.BoundedReach). Only reached entries are visited, which
+// loses nothing: every other entry of dist is +Inf, and folding +Inf
+// never lowers a bound. epoch is the accepted-edge count of the
+// spanner the distances were computed on; the row keeps the largest epoch
+// folded into it (entries proven on shorter prefixes are looser, hence
+// still valid upper bounds at the larger epoch). In guard mode the row is
+// verified before the fold — never after, which would launder a corrupted
+// entry into a freshly valid checksum — and re-digested after.
+func (b *boundStore) foldRow(u int, reached []int32, dist []float64, epoch int) error {
 	ru := b.row(u)
 	if err := b.verifyRow(u); err != nil {
 		return err
 	}
-	for v, d := range dist {
-		if f := enc16up(d); f < ru[v] {
+	for _, v := range reached {
+		if f := enc16up(dist[v]); f < ru[v] {
 			ru[v] = f
 		}
 	}

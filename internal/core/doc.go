@@ -145,11 +145,14 @@
 // upper bounds. On the metric path the oracle additionally bounds row
 // refreshes to a factor of the query radius (sound: unreached entries
 // stay +Inf, a trivial upper bound, and the pair decision reads an exact
-// settled distance or a beyond-limit verdict either way) and pre-seeds
-// the sparse bound rows with the bounds it certifies, so the cache layer
-// and the oracle compound. Across incremental insertions the arrays
-// rebase like bound rows: synced to a preserved prefix they survive and
-// repair forward; synced past the cut they are refreshed in place.
+// settled distance or a beyond-limit verdict either way), and a refresh
+// folds only the vertices it reached. A maintained spanner also writes
+// each bound the oracle certifies into the pair's own row entry, for its
+// replays and exports to read; that entry serves no other pair, so a
+// one-shot build, where the pair was just decided, skips the write.
+// Across incremental insertions the arrays rebase like bound rows: synced
+// to a preserved prefix they survive and repair forward; synced past the
+// cut they are refreshed in place.
 //
 // # Incremental maintenance and the insertion-soundness invariant
 //

@@ -415,7 +415,7 @@ func (s *IncrementalSpanner) build(n, slack int, pick func(k int) []int) error {
 func (s *IncrementalSpanner) certify(sc *scan) *scan {
 	sc.oracle = s.oracle
 	if s.dyn != nil {
-		sc.certifyMetric(s.bound)
+		sc.certifyMetric(s.bound, true)
 	} else {
 		sc.certifyGraph()
 	}
@@ -1116,23 +1116,24 @@ func (c *replayCert) settle(e graph.Edge, limit float64) (bool, error) {
 }
 
 func (c *replayCert) exact(_ int, e graph.Edge, limit float64, _ bool) (bool, error) {
-	var within bool
+	var d float64
 	var err error
 	switch c.class {
 	case keepExempt:
 		c.sc.stats.ExemptKeeps++
 		return false, c.audit.check(e, limit, false)
 	case pairNew:
-		within, err = c.refresh(e.V, e.U, limit)
-		if err == nil && math.Abs(c.row[e.U]-limit) <= shortcutMargin*limit {
+		d, err = c.refresh(e.V, e.U, limit)
+		if err == nil && math.Abs(d-limit) <= shortcutMargin*limit {
 			// Within rounding of a tie the two endpoints' Dijkstras may
 			// sum the path in different orders and disagree; decide from
 			// e.U's side, as every exact decision does.
-			within, err = c.refresh(e.U, e.V, limit)
+			d, err = c.refresh(e.U, e.V, limit)
 		}
 	default:
-		within, err = c.refresh(e.U, e.V, limit)
+		d, err = c.refresh(e.U, e.V, limit)
 	}
+	within := d <= limit
 	if err == nil && within && c.class == keepExact {
 		c.drop(e)
 	}

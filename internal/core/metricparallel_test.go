@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -177,5 +178,48 @@ func TestGreedyMetricFastParallelEdgeCases(t *testing.T) {
 	}
 	if _, err := GreedyMetricFastParallelOpts(m, math.NaN(), Options{Workers: 2}); err == nil {
 		t.Fatal("NaN stretch accepted")
+	}
+}
+
+// TestMetricEngineCountsPinned pins the one-shot metric engine's work on
+// one instance (400 uniform points, t=1.5, DefaultHubs hubs) at two
+// workers and at one: the output digest and every Stats counter must
+// equal the values recorded here, which the engine produced before its
+// refreshes folded only the vertices they reached and its pre-pass read a
+// batch's cached bounds in one pass. RowsAllocated may only fall, as it
+// did when one-shot builds stopped pre-seeding hub bounds into rows that
+// nothing read again. CI runs this under the race detector three times:
+// the counts must not depend on how the workers are scheduled.
+func TestMetricEngineCountsPinned(t *testing.T) {
+	m := metric.MustEuclidean(gen.UniformPoints(rand.New(rand.NewSource(400)), 400, 2))
+	const digest = 0x4c4436cbdf82f839
+	for _, c := range []struct {
+		workers int
+		want    Stats
+	}{
+		{2, Stats{Batches: 41, CachedSkips: 40442, CertifiedSkips: 964, SerialSkips: 95, Kept: 742,
+			ParallelRefreshes: 1384, SerialRefreshes: 804, RefreshTouched: 104701, RowsAllocated: 399,
+			PeakBucketPairs: 79800, SupplyPasses: 2, FinalBatchSize: 8192,
+			HubQueries: 39358, HubSkips: 37557, HubRelaxed: 43187}},
+		{1, Stats{Batches: 61, CachedSkips: 39884, SerialSkips: 680, Kept: 742,
+			SerialRefreshes: 1422, RefreshTouched: 82966, RowsAllocated: 399,
+			PeakBucketPairs: 79800, SupplyPasses: 2, FinalBatchSize: 8192,
+			HubQueries: 39916, HubSkips: 38494, HubRelaxed: 50292}},
+	} {
+		var st Stats
+		res, err := GreedyMetricFastParallelOpts(m, 1.5, Options{Workers: c.workers, Hubs: DefaultHubs(m.N()), Stats: &st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := ResultDigest(res); d != digest {
+			t.Errorf("workers=%d: digest %#x, want %#x", c.workers, d, uint64(digest))
+		}
+		if st.RowsAllocated > c.want.RowsAllocated {
+			t.Errorf("workers=%d: %d rows allocated, more than %d", c.workers, st.RowsAllocated, c.want.RowsAllocated)
+		}
+		st.RowsAllocated = c.want.RowsAllocated
+		if !reflect.DeepEqual(st, c.want) {
+			t.Errorf("workers=%d: stats\n%+v\nwant\n%+v", c.workers, st, c.want)
+		}
 	}
 }

@@ -344,12 +344,15 @@ func TestPanicBecomesTypedError(t *testing.T) {
 // TestGuardRowsChecksum exercises the boundStore guard directly: a bit
 // flip that bypasses the store is caught by verifyRow, foldRow, and set,
 // and is NOT laundered by rebase (the corrupted row is dropped instead of
-// migrated with a fresh digest).
+// migrated with a fresh digest). A fold verifies the whole row first, so
+// it refuses a corrupted row even when its reached set misses the flipped
+// entry.
 func TestGuardRowsChecksum(t *testing.T) {
 	b := newBoundStore(6)
 	b.setGuard()
+	all := []int32{0, 1, 2, 3, 4, 5}
 	dist := []float64{0, 1, 2, 3, 4, 5}
-	if err := b.foldRow(0, dist, 1); err != nil {
+	if err := b.foldRow(0, all, dist, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.verifyRow(0); err != nil {
@@ -364,8 +367,11 @@ func TestGuardRowsChecksum(t *testing.T) {
 	if err := b.verifyPair(3, 0); !errors.Is(err, ErrCorruptState) {
 		t.Fatalf("verifyPair after flip: %v", err)
 	}
-	if err := b.foldRow(0, dist, 2); !errors.Is(err, ErrCorruptState) {
+	if err := b.foldRow(0, all, dist, 2); !errors.Is(err, ErrCorruptState) {
 		t.Fatalf("foldRow must verify before folding: %v", err)
+	}
+	if err := b.foldRow(0, []int32{0, 1}, dist, 2); !errors.Is(err, ErrCorruptState) {
+		t.Fatalf("foldRow must verify the whole row, not just the reached entries: %v", err)
 	}
 	if err := b.set(0, 2, 0.5, 2); !errors.Is(err, ErrCorruptState) {
 		t.Fatalf("set must verify before writing: %v", err)
@@ -376,7 +382,7 @@ func TestGuardRowsChecksum(t *testing.T) {
 		t.Fatalf("rebase migrated a corrupted row")
 	}
 	// An untouched healthy row survives rebase with a valid digest.
-	if err := b.foldRow(1, dist, 1); err != nil {
+	if err := b.foldRow(1, all, dist, 1); err != nil {
 		t.Fatal(err)
 	}
 	b.rebase(1, 8)

@@ -330,7 +330,7 @@ func build(t float64, opts Options, g *graph.Graph, m metric.Metric, f int) (*Re
 			if opts.GuardRows {
 				bound.setGuard()
 			}
-			sc.certifyMetric(bound)
+			sc.certifyMetric(bound, false)
 		}
 	}
 	return res, sc.run(src, opts.BatchSize)
@@ -803,22 +803,26 @@ const hubRefreshRadiusFactor = 2
 // at all, and rows that need recomputing are refreshed with full Dijkstra
 // runs — bounded to hubRefreshRadiusFactor times the query radius when the
 // oracle is on — concurrently against the snapshot (each row owned by
-// exactly one worker) and serially against the live spanner.
+// exactly one worker) and serially against the live spanner. A refresh
+// folds only the vertices its search reached into the row.
 type metricCert struct {
 	sc    *scan
 	bound *boundStore
-	// row is the serial refreshes' scratch and rows[w] worker w's;
+	// preseed writes each hub-certified bound into the pair's row. Only a
+	// maintained store sets it: its replays, exports and checkpoints read
+	// the entry, while in a one-shot build only the pair itself ever reads
+	// it, and the pair was just decided.
+	preseed bool
 	// touched[w] counts the vertices worker w's refreshes reached in the
 	// current batch.
-	row     []float64
-	rows    [][]float64
 	touched []int
 	// The current batch's plan: sources lists the distinct rows it needs
 	// refreshed in first-need order, probes[k] the first batch position
 	// sourced at sources[k], srcPairs[k] all of them, and srcLimit[k] their
 	// largest query limit (the refresh radius with hubs). dist[i] is pair
-	// i's exact snapshot distance. inBatch/srcAt stamp row membership per
-	// round.
+	// i's cached bound while the pre-pass runs and, for a pair it leaves
+	// open, its exact snapshot distance after the snapshot pass.
+	// inBatch/srcAt stamp row membership per round.
 	pairs    []graph.Edge
 	sources  []int
 	probes   []int32
@@ -832,16 +836,13 @@ type metricCert struct {
 	rowsDropped bool
 }
 
-// certifyMetric installs the metric certifier over bound and hands its
-// rows to the OnBatch hook as the corruptible cache.
-func (sc *scan) certifyMetric(bound *boundStore) {
-	n := sc.h.N()
-	c := &metricCert{sc: sc, bound: bound, row: make([]float64, n)}
+// certifyMetric installs the metric certifier over bound, pre-seeding
+// hub-certified bounds into it when preseed is set, and hands its rows to
+// the OnBatch hook as the corruptible cache.
+func (sc *scan) certifyMetric(bound *boundStore, preseed bool) {
+	c := &metricCert{sc: sc, bound: bound, preseed: preseed}
 	if sc.pool != nil {
-		c.rows = make([][]float64, len(sc.pool))
-		for w := range c.rows {
-			c.rows[w] = make([]float64, n)
-		}
+		n := sc.h.N()
 		c.touched = make([]int, len(sc.pool))
 		c.inBatch = make([]int, n)
 		c.srcAt = make([]int, n)
@@ -849,10 +850,10 @@ func (sc *scan) certifyMetric(bound *boundStore) {
 	sc.cert, sc.corrupter = c, rowCorrupter{b: bound}
 }
 
-// cached reports whether the cached rows certify e, verifying both rows'
-// checksums first in guard mode.
-func (c *metricCert) cached(e graph.Edge, limit float64) (bool, error) {
-	if c.bound.get(e.U, e.V) > limit {
+// cached reports whether the pair's cached bound b certifies e, verifying
+// both rows' checksums first in guard mode.
+func (c *metricCert) cached(b float64, e graph.Edge, limit float64) (bool, error) {
+	if b > limit {
 		return false, nil
 	}
 	if err := c.bound.verifyPair(e.U, e.V); err != nil {
@@ -861,29 +862,39 @@ func (c *metricCert) cached(e graph.Edge, limit float64) (bool, error) {
 	return true, nil
 }
 
-// settle tries the cache, then the hub labels. A hub certificate
-// pre-seeds the pair's bound row with the certified bound (stamped with
-// the epoch it was proven at), so the cache and the oracle compound: the
-// next pair out of u at this scale certifies from the row without even
-// the O(k) hub scan.
+// settle tries the cache, then the hub labels.
 func (c *metricCert) settle(e graph.Edge, limit float64) (bool, error) {
-	ok, err := c.cached(e, limit)
+	return c.settleFrom(c.bound.get(e.U, e.V), e, limit)
+}
+
+// settleFrom is settle given the pair's cached bound b. A hub certificate
+// pre-seeds entry (e.U, e.V) of the pair's row with the certified bound,
+// stamped with the epoch it was proven at, when the store is maintained
+// (see preseed).
+func (c *metricCert) settleFrom(b float64, e graph.Edge, limit float64) (bool, error) {
+	ok, err := c.cached(b, e, limit)
 	if ok {
 		c.sc.stats.CachedSkips++
 	}
 	if ok || err != nil {
 		return ok, err
 	}
-	b, ok := c.sc.hubCertify(e.U, e.V, limit)
-	if !ok {
-		return false, nil
+	hb, ok := c.sc.hubCertify(e.U, e.V, limit)
+	if !ok || !c.preseed {
+		return ok, nil
 	}
-	if err := c.bound.set(e.U, e.V, b, c.sc.oracle.Epoch()); err != nil {
+	if err := c.bound.set(e.U, e.V, hb, c.sc.oracle.Epoch()); err != nil {
 		return false, err
 	}
 	return true, nil
 }
 
+// prepare reads the whole batch's cached bounds in one pass, then settles
+// the pairs in batch order. The reads are independent of one another, so
+// one tight pass overlaps their cache misses, where reads interleaved with
+// hub queries wait on each in turn. The values read are the ones settling
+// each pair in turn would read: the pre-pass writes only a pair's pre-seed
+// of its own entry, and a row it materializes starts at +Inf.
 func (c *metricCert) prepare(pairs []graph.Edge, settled []bool) ([]int32, error) {
 	c.pairs, c.round = pairs, c.round+1
 	c.sources, c.probes = c.sources[:0], c.probes[:0]
@@ -891,8 +902,11 @@ func (c *metricCert) prepare(pairs []graph.Edge, settled []bool) ([]int32, error
 		c.dist = make([]float64, len(pairs))
 	}
 	for i, e := range pairs {
+		c.dist[i] = c.bound.get(e.U, e.V)
+	}
+	for i, e := range pairs {
 		limit := c.sc.t * e.W
-		ok, err := c.settle(e, limit)
+		ok, err := c.settleFrom(c.dist[i], e, limit)
 		if err != nil {
 			return nil, err
 		}
@@ -920,65 +934,69 @@ func (c *metricCert) prepare(pairs []graph.Edge, settled []bool) ([]int32, error
 	return c.probes, nil
 }
 
+// refreshRadius is the search limit of a refresh covering queries up to
+// limit: hubRefreshRadiusFactor times it with hubs, unbounded without.
+func (c *metricCert) refreshRadius(limit float64) float64 {
+	if c.sc.oracle != nil {
+		return hubRefreshRadiusFactor * limit
+	}
+	return graph.Inf
+}
+
 // snapshot refreshes row sources[k] against the frozen spanner, folds it
 // into the bound store stamped with the snapshot's accepted-edge count —
 // the prefix its bounds are proven on — and records each of the row's
-// batch pairs' exact snapshot distance.
-func (c *metricCert) snapshot(w, k int) error {
-	sc, u, scratch := c.sc, c.sources[k], c.rows[w]
-	search := sc.pool[w]
-	if sc.oracle != nil {
-		// Bounded refresh: the radius covers every one of this row's batch
-		// pairs, so each recorded dist[i] decides its pair — settled
-		// entries are exact and +Inf certifies "beyond limit".
-		search.BoundedDistances(sc.h, u, hubRefreshRadiusFactor*c.srcLimit[k], scratch)
-	} else {
-		search.Distances(sc.h, u, scratch)
-	}
-	//spannerlint:ignore frozensnap rows are owner-partitioned: each source row is folded by exactly one worker
-	if err := c.bound.foldRow(u, scratch, len(sc.res.Edges)); err != nil {
-		return err
-	}
-	c.touched[w] += search.LastTouched()
-	for _, i := range c.srcPairs[k] {
-		c.dist[i] = scratch[c.pairs[i].V]
-	}
-	return nil
+// batch pairs' exact snapshot distance. With hubs the refresh is bounded,
+// and its radius covers every one of the row's batch pairs, so each
+// recorded dist[i] decides its pair: reached entries are exact and +Inf
+// certifies "beyond limit".
+func (c *metricCert) snapshot(w, k int) (err error) {
+	sc, u := c.sc, c.sources[k]
+	sc.pool[w].BoundedReach(sc.h, u, c.refreshRadius(c.srcLimit[k]), func(reached []int32, dist []float64) {
+		//spannerlint:ignore frozensnap rows are owner-partitioned: each source row is folded by exactly one worker
+		if err = c.bound.foldRow(u, reached, dist, len(sc.res.Edges)); err != nil {
+			return
+		}
+		c.touched[w] += len(reached)
+		for _, i := range c.srcPairs[k] {
+			c.dist[i] = dist[c.pairs[i].V]
+		}
+	})
+	return err
 }
 
 func (c *metricCert) certified(_ int, e graph.Edge, limit float64) (bool, error) {
-	return c.cached(e, limit)
+	return c.cached(c.bound.get(e.U, e.V), e, limit)
 }
 
 // exact decides e on its exact float64 distance — the value the serial
 // reference's decision uses. While fresh, the snapshot distance already
 // is the live one. Otherwise row e.U is refreshed against the live
 // spanner and folded into the bound store; with hubs the refresh is
-// bounded, but every settled distance is exact, unreached entries stay
+// bounded, but every reached distance is exact, unreached entries stay
 // +Inf, and the decision only needs the distance up to limit, so the
 // pair is decided exactly either way.
 func (c *metricCert) exact(i int, e graph.Edge, limit float64, fresh bool) (bool, error) {
 	if fresh {
 		return c.dist[i] <= limit, nil
 	}
-	return c.refresh(e.U, e.V, limit)
+	d, err := c.refresh(e.U, e.V, limit)
+	return d <= limit, err
 }
 
-// refresh recomputes row u against the live spanner, folds it into the
-// bound store, and decides whether v lies within limit of u.
-func (c *metricCert) refresh(u, v int, limit float64) (bool, error) {
+// refresh recomputes row u against the live spanner for a query of limit,
+// folds it into the bound store, and returns u's distance to v from the
+// same search: exact when at most the refresh radius, +Inf beyond it.
+func (c *metricCert) refresh(u, v int, limit float64) (d float64, err error) {
 	sc := c.sc
-	if sc.oracle != nil {
-		sc.serial.BoundedDistances(sc.h, u, hubRefreshRadiusFactor*limit, c.row)
-	} else {
-		sc.serial.Distances(sc.h, u, c.row)
-	}
-	if err := c.bound.foldRow(u, c.row, len(sc.res.Edges)); err != nil {
-		return false, err
-	}
-	sc.stats.SerialRefreshes++
-	sc.stats.RefreshTouched += sc.serial.LastTouched()
-	return c.row[v] <= limit, nil
+	sc.serial.BoundedReach(sc.h, u, c.refreshRadius(limit), func(reached []int32, dist []float64) {
+		if err = c.bound.foldRow(u, reached, dist, len(sc.res.Edges)); err == nil {
+			d = dist[v]
+			sc.stats.SerialRefreshes++
+			sc.stats.RefreshTouched += len(reached)
+		}
+	})
+	return d, err
 }
 
 func (c *metricCert) accepted(e graph.Edge) error {

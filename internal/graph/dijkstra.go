@@ -34,14 +34,13 @@ func (sp *ShortestPaths) PathTo(v int) []int {
 // Dijkstra computes single-source shortest paths from src using an indexed
 // 4-ary heap. Time O((m + n) log n).
 func (g *Graph) Dijkstra(src int) *ShortestPaths {
-	return g.dijkstra(src, -1, Inf, nil)
+	return g.shortestPaths(src, -1, Inf)
 }
 
 // DijkstraTo computes the shortest-path distance from src to dst, stopping
 // as soon as dst is settled. Returns Inf if dst is unreachable.
 func (g *Graph) DijkstraTo(src, dst int) float64 {
-	sp := g.dijkstra(src, dst, Inf, nil)
-	return sp.Dist[dst]
+	return g.shortestPaths(src, dst, Inf).Dist[dst]
 }
 
 // DistanceWithin reports the shortest-path distance from src to dst if it is
@@ -53,8 +52,7 @@ func (g *Graph) DistanceWithin(src, dst int, limit float64) (float64, bool) {
 	if src == dst {
 		return 0, true
 	}
-	sp := g.dijkstra(src, dst, limit, nil)
-	d := sp.Dist[dst]
+	d := g.shortestPaths(src, dst, limit).Dist[dst]
 	if d < Inf && d <= limit {
 		return d, true
 	}
@@ -102,17 +100,20 @@ func (s *dijkstraScratch) reset() {
 	s.heap.Reset()
 }
 
-// dijkstra runs the search from src. If dst >= 0 the search stops once dst
-// is settled. Vertices with tentative distance > limit are not enqueued.
-// If scratch is non-nil its buffers are used (and left dirty; caller resets).
-func (g *Graph) dijkstra(src, dst int, limit float64, scratch *dijkstraScratch) *ShortestPaths {
-	n := g.N()
-	var s *dijkstraScratch
-	if scratch != nil {
-		s = scratch
-	} else {
-		s = newDijkstraScratch(n)
-	}
+// shortestPaths runs dijkstra on fresh buffers and returns them as the
+// result: the allocating form behind the convenience methods above. The
+// Searcher's queries run dijkstra on their scratch, which returns nothing
+// and so allocates nothing.
+func (g *Graph) shortestPaths(src, dst int, limit float64) *ShortestPaths {
+	s := newDijkstraScratch(g.N())
+	g.dijkstra(src, dst, limit, s)
+	return &ShortestPaths{Source: src, Dist: s.dist, Parent: s.parent}
+}
+
+// dijkstra runs the search from src on s, leaving it dirty for the caller
+// to read and reset. If dst >= 0 the search stops once dst is settled.
+// Vertices with tentative distance > limit are not enqueued.
+func (g *Graph) dijkstra(src, dst int, limit float64, s *dijkstraScratch) {
 	s.dist[src] = 0
 	s.touched = append(s.touched, int32(src))
 	s.heap.Push(src, 0)
@@ -143,9 +144,6 @@ func (g *Graph) dijkstra(src, dst int, limit float64, scratch *dijkstraScratch) 
 			}
 		}
 	}
-	// With scratch the caller owns the buffers and must reset; either way
-	// the result is a view, not a copy.
-	return &ShortestPaths{Source: src, Dist: s.dist, Parent: s.parent}
 }
 
 // dijkstraAvoiding is dijkstra on g minus one occurrence of edge avoid.

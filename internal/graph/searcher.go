@@ -16,9 +16,6 @@ type Searcher struct {
 	// masked is the vertex-failure mark buffer of the masked searches,
 	// allocated on first use and cleared after every call.
 	masked []bool
-	// lastTouched is the vertex count of the most recent single-source
-	// sweep; see LastTouched.
-	lastTouched int
 	// stop is the cooperative cancellation predicate installed by SetStop,
 	// propagated to the bidirectional scratch when that is allocated.
 	stop func() bool
@@ -223,23 +220,26 @@ func (s *Searcher) BoundedDistancesMasked(g *Graph, src int, limit float64, dead
 // Distances computes single-source shortest-path distances from src in g,
 // filling dst (length n) with the result. Unreachable vertices get Inf.
 func (s *Searcher) Distances(g *Graph, src int, dst []float64) {
-	g.dijkstra(src, -1, Inf, s.scratch)
-	s.lastTouched = len(s.scratch.touched)
-	copy(dst, s.scratch.dist)
-	s.scratch.reset()
+	s.BoundedDistances(g, src, Inf, dst)
 }
 
 // BoundedDistances is Distances with a search limit: vertices beyond limit
 // keep Inf.
 func (s *Searcher) BoundedDistances(g *Graph, src int, limit float64, dst []float64) {
-	g.dijkstra(src, -1, limit, s.scratch)
-	s.lastTouched = len(s.scratch.touched)
-	copy(dst, s.scratch.dist)
-	s.scratch.reset()
+	s.BoundedReach(g, src, limit, func(_ []int32, dist []float64) { copy(dst, dist) })
 }
 
-// LastTouched reports how many vertices the most recent Distances or
-// BoundedDistances call reached — the search's actual work, which the
-// engine benchmarks aggregate to compare full-row refreshes against the
-// bounded refreshes of the hub-label fast path.
-func (s *Searcher) LastTouched() int { return s.lastTouched }
+// BoundedReach is BoundedDistances without the dense copy: it hands visit
+// the vertices the search reached (src first) and dist, exactly the row
+// BoundedDistances fills — finite at every reached vertex, +Inf
+// everywhere else. Both are views of
+// the Searcher's scratch, valid only while visit runs, which must not
+// write through them. The scratch is reset however the call ends (a
+// stopped search, or a panic in the search or in visit, included), so the
+// next query starts clean. A caller that folds or scans only the reached
+// vertices pays for the ball the search explored, not for all n.
+func (s *Searcher) BoundedReach(g *Graph, src int, limit float64, visit func(reached []int32, dist []float64)) {
+	defer s.scratch.reset()
+	g.dijkstra(src, -1, limit, s.scratch)
+	visit(s.scratch.touched, s.scratch.dist)
+}
