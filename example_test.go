@@ -192,9 +192,10 @@ func ExampleNewIncremental() {
 
 // ExampleIncremental_Delete removes a point from a maintained spanner:
 // the greedy scan is rebased backward to the earliest accepted edge the
-// deleted point touched and only the tail is replayed from checkpointed
-// state, yet the result — densely renumbered over the survivors — is
-// bit-identical to rebuilding from scratch without the point.
+// deleted point touched and only the tail is replayed, refreshing the
+// cached state proven past that edge, yet the result — densely
+// renumbered over the survivors — is bit-identical to rebuilding from
+// scratch without the point.
 func ExampleIncremental_Delete() {
 	pts := [][]float64{{0}, {1}, {2}, {3}, {8}}
 	m, err := spanner.NewEuclidean(pts)

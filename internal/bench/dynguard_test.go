@@ -19,12 +19,12 @@ import (
 // mixed 80/10/10 workloads must each beat the rebuild-per-op policy (one
 // from-scratch build at n per operation) by at least 5x, and every
 // workload's final spanner must have the digest of the from-scratch build
-// on its survivors. A rebase that silently falls back to full replays, a
-// checkpoint store that stops restoring, or a hub oracle that rebuilds
-// from scratch on every delete shows up here as a speedup collapse long
-// before anyone reads a benchmark. Gated behind DYN_GUARD=1 because the
-// n=4000 workloads take a couple of minutes; CI runs it as a dedicated
-// step.
+// on its survivors. A rebase that silently falls back to full replays,
+// one that resets rows proven on the kept prefix, or a hub oracle that
+// rebuilds from scratch on every delete shows up here as a speedup
+// collapse long before anyone reads a benchmark. Gated behind
+// DYN_GUARD=1 because the n=4000 workloads take a couple of minutes; CI
+// runs it as a dedicated step.
 func TestDynamicRegressionGuardN4000(t *testing.T) {
 	if os.Getenv("DYN_GUARD") != "1" {
 		t.Skip("set DYN_GUARD=1 to run the n=4000 dynamic maintenance guard")

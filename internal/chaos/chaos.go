@@ -63,7 +63,8 @@ type Schedule struct {
 	// maintained spanner that spans the initial build and every replay).
 	// A trigger past the run's last certification simply never fires.
 	AtCertify int64
-	// AtBatch fires FaultCorrupt at this 0-based batch boundary.
+	// AtBatch fires FaultCorrupt at this 0-based batch boundary (unless
+	// AtRebase is set).
 	AtBatch int
 	// Row, Col, Bit locate the corrupted bound-row entry and the bit to
 	// flip within it.
@@ -71,13 +72,12 @@ type Schedule struct {
 	Bit      uint
 	// Stall is how long the stalled certification sleeps.
 	Stall time.Duration
-	// AtRebase redirects the fault to the backward-rebase window instead
-	// of the certification path: the fault fires inside
+	// AtRebase redirects the fault to the rebase window instead of the
+	// certification path and the batch boundaries: the fault fires inside
 	// IncrementalSpanner.Flush after the keep prefix is decided, before
 	// the bound store and hub oracle rebase onto it. FaultCorrupt then
-	// targets a checkpoint snapshot (falling back to a live row when the
-	// corrupter exposes no checkpoints), modelling a damaged saved state
-	// that the digest-verified restore must detect, never launder.
+	// flips a bit of a live bound row, which the rebase must find by its
+	// guard checksum and drop, never carry into the replay.
 	AtRebase bool
 }
 
@@ -161,8 +161,8 @@ func (in *Injector) onCertify(graph.Edge) {
 }
 
 // onRebase fires the scheduled fault inside the maintained spanner's
-// backward-rebase window, at most once — a retried flush revisits the
-// window, and recovery is the property under test.
+// rebase window, at most once — a retried flush revisits the window, and
+// recovery is the property under test.
 func (in *Injector) onRebase(_ int, c core.Corrupter) {
 	if !in.sched.AtRebase {
 		return
@@ -181,30 +181,23 @@ func (in *Injector) onRebase(_ int, c core.Corrupter) {
 			time.Sleep(in.sched.Stall)
 		}
 	case FaultCorrupt:
-		if c == nil || !in.corrupted.CompareAndSwap(false, true) {
-			return
-		}
-		// Prefer damaging a checkpoint snapshot — the saved state a
-		// backward rebase restores from — and fall back to a live row
-		// when no checkpoint exists yet. Un-fire on a double miss.
-		if ck, ok := c.(interface {
-			FlipCheckpointBit(u, v int, bit uint) bool
-		}); ok && ck.FlipCheckpointBit(in.sched.Row, in.sched.Col, in.sched.Bit) {
-			return
-		}
-		if !c.FlipRowBit(in.sched.Row, in.sched.Col, in.sched.Bit) {
-			in.corrupted.Store(false)
-		}
+		in.corrupt(c)
 	}
 }
 
 func (in *Injector) onBatch(batch int, c core.Corrupter) {
-	if in.sched.Fault != FaultCorrupt || c == nil || batch != in.sched.AtBatch {
+	if in.sched.AtRebase || in.sched.Fault != FaultCorrupt || batch != in.sched.AtBatch {
 		return
 	}
 	// Fire at most once: a retried replay revisits batch AtBatch, and
 	// re-corrupting it would make recovery impossible by construction.
-	if !in.corrupted.CompareAndSwap(false, true) {
+	in.corrupt(c)
+}
+
+// corrupt flips the scheduled bound-row bit unless a corruption already
+// fired, and un-fires when no materialized row is there to damage.
+func (in *Injector) corrupt(c core.Corrupter) {
+	if c == nil || !in.corrupted.CompareAndSwap(false, true) {
 		return
 	}
 	if !c.FlipRowBit(in.sched.Row, in.sched.Col, in.sched.Bit) {

@@ -320,14 +320,13 @@ func TestChaosPropertySuite(t *testing.T) {
 	})
 
 	// Fully dynamic engine: mixed insert+delete batches, with half the
-	// schedules aiming the fault at the backward-rebase window inside
-	// Flush (Schedule.AtRebase) — a panic or cancellation mid-rebase, or
-	// a flipped bit in a checkpoint snapshot. An aborted flush must
-	// preserve the pre-flush spanner and pending tally exactly; corrupted
-	// checkpoints must be detected by the restore digests (identical
-	// output, never laundered state); and once the fault clears, the
-	// retried flush must converge to the from-scratch build on the
-	// survivors.
+	// schedules aiming the fault at the rebase window inside Flush
+	// (Schedule.AtRebase) — a panic or cancellation mid-rebase, or a
+	// flipped bit in a live bound row. An aborted flush must preserve the
+	// pre-flush spanner and pending tally exactly; a corrupted row must be
+	// caught by its guard checksum and dropped (identical output, never
+	// laundered state); and once the fault clears, the retried flush must
+	// converge to the from-scratch build on the survivors.
 	t.Run("dynamic", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(59))
 		pts := make([][]float64, 32)

@@ -259,49 +259,56 @@ func TestServeChaosFaultSchedules(t *testing.T) {
 		t.Fatalf("calibration saw only %d live certifications", maxCertify)
 	}
 
-	rng := rand.New(rand.NewSource(17))
 	schedules := 0
+	run := func(name string, sched chaos.Schedule) {
+		t.Run(name, func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			in := chaos.New(sched)
+			armedCtx, hooks := in.Arm(context.Background())
+			defer in.Release()
+			runServedRound(t, servedRound{
+				mopts: mopts,
+				hooks: hooks,
+				ctxFor: func(step int) context.Context {
+					// Once the injected cancel has fired, its context
+					// stays dead; later steps ride a fresh one, like
+					// fresh clients after one cancelled request.
+					if in.Fired() {
+						return context.Background()
+					}
+					return armedCtx
+				},
+				check: func(body map[string]any, status int, err error, step int) {
+					// Accepted outcomes: acknowledged 200 (possibly
+					// after convergence retries), or a transport error
+					// because the injector cancelled the context this
+					// mutation was riding.
+					if err == nil && status != http.StatusOK {
+						t.Fatalf("step %d: status %d body %v", step, status, body)
+					}
+					if err != nil && !errors.Is(err, context.Canceled) {
+						t.Fatalf("step %d: transport error %v", step, err)
+					}
+				},
+			}, want)
+			settleServeGoroutines(t, baseline)
+		})
+		schedules++
+	}
+	rng := rand.New(rand.NewSource(17))
 	for _, fault := range []chaos.Fault{chaos.FaultPanic, chaos.FaultCancel, chaos.FaultStall, chaos.FaultCorrupt} {
 		for round := 0; round < 5; round++ {
 			sched := chaos.RandomSchedule(rng, fault, 25, maxCertify, 2*time.Millisecond)
 			if round%2 == 1 {
 				sched.AtRebase = true
 			}
-			t.Run(fmt.Sprintf("%s/round%d", fault, round), func(t *testing.T) {
-				baseline := runtime.NumGoroutine()
-				in := chaos.New(sched)
-				armedCtx, hooks := in.Arm(context.Background())
-				defer in.Release()
-				runServedRound(t, servedRound{
-					mopts: mopts,
-					hooks: hooks,
-					ctxFor: func(step int) context.Context {
-						// Once the injected cancel has fired, its context
-						// stays dead; later steps ride a fresh one, like
-						// fresh clients after one cancelled request.
-						if in.Fired() {
-							return context.Background()
-						}
-						return armedCtx
-					},
-					check: func(body map[string]any, status int, err error, step int) {
-						// Accepted outcomes: acknowledged 200 (possibly
-						// after convergence retries), or a transport
-						// error because the injector cancelled the
-						// context this mutation was riding.
-						if err == nil && status != http.StatusOK {
-							t.Fatalf("step %d: status %d body %v", step, status, body)
-						}
-						if err != nil && !errors.Is(err, context.Canceled) {
-							t.Fatalf("step %d: transport error %v", step, err)
-						}
-					},
-				}, want)
-				settleServeGoroutines(t, baseline)
-			})
-			schedules++
+			run(fmt.Sprintf("%s/round%d", fault, round), sched)
 		}
 	}
+	// A cancel at the calibrated last certification lands in the script's
+	// last mutation: its client returns at once, while the handler still
+	// converges and publishes the final state.
+	run("cancel/last", chaos.Schedule{Fault: chaos.FaultCancel, AtCertify: maxCertify})
 	if schedules < 20 {
 		t.Fatalf("only %d fault schedules ran", schedules)
 	}
@@ -318,7 +325,7 @@ type servedRound struct {
 }
 
 // runServedRound runs the full mutation script against a fresh served
-// instance, asserts the final served digest equals want, drains, and
+// instance, drains, asserts the final served digest equals want, and
 // asserts restart recovery lands on the same digest.
 func runServedRound(t *testing.T, r servedRound, want uint64) {
 	t.Helper()
@@ -343,12 +350,16 @@ func runServedRound(t *testing.T, r servedRound, want uint64) {
 			t.Fatalf("read during step %d: status %d body %v", i, rs, rb)
 		}
 	}
-	if got := s.Stats().Digest; got != want {
-		t.Fatalf("served digest %x after script, fault-free reference %x", got, want)
-	}
 	armed.Store(false)
+	// Drain waits out every admitted handler. A client whose request the
+	// injector cancelled returns while its handler may still be
+	// converging under the writer slot, so the served digest is final
+	// only once Drain has returned.
 	if err := s.Drain(context.Background()); err != nil {
 		t.Fatalf("drain: %v", err)
+	}
+	if got := s.Stats().Digest; got != want {
+		t.Fatalf("served digest %x after script, fault-free reference %x", got, want)
 	}
 	ts.Close()
 	// Restart-recovery digest equivalence: reopening the directory must

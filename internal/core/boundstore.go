@@ -45,45 +45,17 @@ type boundStore struct {
 	// the digest would launder the corruption into a valid checksum.
 	guard bool
 	sums  []uint64
-	// hist, when checkpointing is enabled (enableCheckpoints), holds up to
-	// maxRowVersions epoch snapshots per row. A snapshot of row u at epoch
-	// e is a copy of the row when its bounds were proven on the first e
-	// accepted edges; a backward rebase to keep >= e edges can restore it
-	// instead of resetting the row, because bounds proven on a prefix the
-	// rebased scan preserves can only overestimate later distances. Each
-	// snapshot carries its own digest, verified at restore time — a
-	// corrupted snapshot is dropped, never restored, so corruption cannot
-	// be laundered through a checkpoint.
-	hist [][]rowVersion
-	// ckptEvery is the accepted-edge interval between snapshot passes
-	// (0 disables checkpointing; one-shot builds never pay for it), and
-	// nextCkpt the accepted count that triggers the next pass.
-	ckptEvery int
-	nextCkpt  int
 	// old holds, while a Euclidean replay runs (see detach), the rows the
 	// previous run proved past the replay's cut, oldEpoch their proof
 	// epochs on that run and oldSums their digests in guard mode. They are
-	// read-only evidence for the replay's slack test: get, checkpoints and
-	// accept writes never see them, and a refresh materializes a fresh row
+	// read-only evidence for the replay's slack test: get and accept
+	// writes never see them, and a refresh materializes a fresh row
 	// beside one, which replaces it when the replay ends. nil outside such
 	// a replay.
 	old      [][]uint16
 	oldEpoch []int
 	oldSums  []uint64
 }
-
-// rowVersion is one epoch snapshot of a bound row: the accepted-edge
-// prefix it was proven on, a copy of the row, and the copy's digest.
-type rowVersion struct {
-	epoch int
-	data  []uint16
-	sum   uint64
-}
-
-// maxRowVersions bounds how many snapshots a row retains; older versions
-// are evicted, so checkpoint memory is at most maxRowVersions copies of
-// the materialized rows.
-const maxRowVersions = 2
 
 // inf16 is +Inf in the bfloat16 encoding (high 16 bits of float32 +Inf).
 const inf16 = 0x7F80
@@ -95,13 +67,15 @@ func newBoundStore(n int) *boundStore {
 // enc16up encodes a non-negative float64 as the bfloat16 (high half of
 // float32) upper bound: the encoded value decodes to >= x. For
 // non-negative floats the bit pattern is monotone in the value, so uint16
-// comparisons order the encoded bounds correctly.
+// comparisons order the encoded bounds correctly — and stepping the bits
+// up by one is the next float32 up, which keeps the encoder small enough
+// to inline into foldRow.
 func enc16up(x float64) uint16 {
 	f := float32(x)
-	if float64(f) < x {
-		f = math.Nextafter32(f, float32(math.Inf(1)))
-	}
 	bits := math.Float32bits(f)
+	if float64(f) < x {
+		bits++ // rounding went down; MaxFloat32+1 lands on +Inf
+	}
 	h := uint16(bits >> 16)
 	if bits&0xFFFF != 0 {
 		h++ // truncation dropped precision; 0x7F7F+1 lands on +Inf
@@ -218,8 +192,7 @@ func (b *boundStore) verifyPair(u, v int) error {
 
 // clear drops every cached row (the budget ladder's last metric-side
 // step); the cache is only an accelerator, so dropping it cannot change
-// any decision. Checkpoint history goes with the rows — it is the same
-// cache memory the ladder is shedding.
+// any decision.
 func (b *boundStore) clear() {
 	for u := range b.rows {
 		b.rows[u] = nil
@@ -228,116 +201,9 @@ func (b *boundStore) clear() {
 			b.sums[u] = 0
 		}
 	}
-	for u := range b.hist {
-		b.hist[u] = nil
-	}
 	for u := range b.old {
 		b.old[u] = nil
 	}
-}
-
-// enableCheckpoints arms periodic row snapshots every `every` accepted
-// edges. Only the incremental engine enables this: one-shot builds never
-// rebase backward, so they skip the copies entirely.
-func (b *boundStore) enableCheckpoints(every int) {
-	if every <= 0 {
-		b.ckptEvery = 0
-		b.hist = nil
-		return
-	}
-	b.ckptEvery = every
-	b.nextCkpt = every
-	b.hist = make([][]rowVersion, len(b.rows))
-}
-
-// maybeCheckpoint snapshots, at a batch boundary with `accepted` edges
-// decided, every materialized row whose proof epoch advanced since its
-// newest snapshot. In guard mode a row failing its live checksum is
-// skipped — a snapshot must only ever hold proven state. Called from
-// serial sections only.
-func (b *boundStore) maybeCheckpoint(accepted int) {
-	if b.ckptEvery <= 0 || accepted < b.nextCkpt {
-		return
-	}
-	for b.nextCkpt <= accepted {
-		b.nextCkpt += b.ckptEvery
-	}
-	for u, ru := range b.rows {
-		if ru == nil {
-			continue
-		}
-		hv := b.hist[u]
-		if len(hv) > 0 && hv[len(hv)-1].epoch == b.epochs[u] {
-			continue // unchanged since its newest snapshot
-		}
-		if b.guard && sumRow(ru) != b.sums[u] {
-			continue // corrupted since its digest; never snapshot it
-		}
-		data := append([]uint16(nil), ru...)
-		hv = append(hv, rowVersion{epoch: b.epochs[u], data: data, sum: sumRow(data)})
-		if len(hv) > maxRowVersions {
-			copy(hv, hv[len(hv)-maxRowVersions:])
-			hv = hv[:maxRowVersions]
-		}
-		b.hist[u] = hv
-	}
-}
-
-// pruneHist drops row u's snapshots proven past the keep prefix: their
-// epochs lie on the timeline the backward rebase is discarding, so they
-// bound distances of spanners the replay will never rebuild.
-func (b *boundStore) pruneHist(u, keep int) {
-	if b.hist == nil || len(b.hist[u]) == 0 {
-		return
-	}
-	hv := b.hist[u][:0]
-	for _, v := range b.hist[u] {
-		if v.epoch <= keep {
-			hv = append(hv, v)
-		}
-	}
-	b.hist[u] = hv
-}
-
-// restoreRow rebuilds row u from its newest surviving snapshot with epoch
-// <= keep, sized to n points, and reports whether it did. Every candidate
-// snapshot's digest is verified first — always, not only in guard mode —
-// and a mismatching version is discarded on the spot, so a corrupted
-// checkpoint degrades to "no checkpoint" instead of restoring poison.
-func (b *boundStore) restoreRow(u, keep, n int) bool {
-	if b.hist == nil {
-		return false
-	}
-	hv := b.hist[u]
-	for len(hv) > 0 {
-		v := hv[len(hv)-1]
-		if v.epoch > keep {
-			hv = hv[:len(hv)-1]
-			continue
-		}
-		if sumRow(v.data) != v.sum {
-			// Corrupted snapshot: drop it, try the older one.
-			hv = hv[:len(hv)-1]
-			continue
-		}
-		ru := b.rows[u]
-		if cap(ru) < n {
-			ru = make([]uint16, n, n+b.slack)
-		} else {
-			ru = ru[:n]
-		}
-		copy(ru, v.data)
-		for i := len(v.data); i < n; i++ {
-			ru[i] = inf16
-		}
-		ru[u] = 0
-		b.rows[u] = ru
-		b.epochs[u] = v.epoch
-		b.hist[u] = hv
-		return true
-	}
-	b.hist[u] = hv
-	return false
 }
 
 // foldRow folds a refresh's exact distances into u's cached bound row,
@@ -425,7 +291,6 @@ func (b *boundStore) rebaseRows(keep, n int, detach bool) {
 		}
 	}
 	for u, ru := range b.rows {
-		b.pruneHist(u, keep)
 		if detach && ru != nil && b.epochs[u] > keep && (!b.guard || sumRow(ru) == b.sums[u]) {
 			b.old[u], b.oldEpoch[u] = ru, b.epochs[u]
 			b.rows[u], b.epochs[u] = nil, 0
@@ -440,11 +305,6 @@ func (b *boundStore) rebaseRows(keep, n int, detach bool) {
 		b.rows = append(b.rows, nil)
 		b.epochs = append(b.epochs, 0)
 	}
-	if b.hist != nil {
-		for len(b.hist) < n {
-			b.hist = append(b.hist, nil)
-		}
-	}
 	if b.guard {
 		b.sums = make([]uint64, n)
 		for u, ru := range b.rows {
@@ -456,10 +316,9 @@ func (b *boundStore) rebaseRows(keep, n int, detach bool) {
 }
 
 // rebaseRow is rebase's treatment of row u: a row failing its checksum is
-// dropped (restored from a checkpoint if one survives), a row proven past
-// keep is restored from its newest checkpoint at or below keep or reset,
-// and every surviving row is grown to n entries. The caller refreshes the
-// row's digest.
+// dropped, a row proven past keep is reset to all-+Inf, and every
+// surviving row is grown to n entries. The caller refreshes the row's
+// digest.
 func (b *boundStore) rebaseRow(u, keep, n int) {
 	ru := b.rows[u]
 	if ru == nil {
@@ -469,20 +328,12 @@ func (b *boundStore) rebaseRow(u, keep, n int) {
 		// The row was corrupted since its last digest and never
 		// consulted. Migrating it would launder the corruption into a
 		// fresh checksum; dropping it is sound — a dropped row is
-		// merely unproven and is rebuilt on demand. A digest-verified
-		// checkpoint at or below the keep prefix may still stand in.
+		// merely unproven and is rebuilt on demand.
 		b.rows[u] = nil
 		b.epochs[u] = 0
-		b.restoreRow(u, keep, n)
 		return
 	}
 	stale := b.epochs[u] > keep
-	if stale && b.restoreRow(u, keep, n) {
-		// Backward rebase: the row was proven past the keep prefix, but
-		// a checkpoint at or below it survives — restore that instead
-		// of resetting, so the replay starts with warm proven bounds.
-		return
-	}
 	old := len(ru)
 	switch {
 	case cap(ru) >= n:
@@ -517,8 +368,8 @@ func (b *boundStore) rebaseRow(u, keep, n int) {
 // to keep exactly as a start-of-flush rebase would have treated it. After
 // an aborted replay the whole store is rebased to keep instead, because
 // the rows the replay proved past keep belong to a run that never became
-// the maintained one. Either way no later flush, export, checkpoint or
-// retry sees a row that mixes two runs.
+// the maintained one. Either way no later flush, export or retry sees a
+// row that mixes two runs.
 func (b *boundStore) reattach(keep, n int, done bool) {
 	old, oldEpoch, oldSums := b.old, b.oldEpoch, b.oldSums
 	b.old, b.oldEpoch, b.oldSums = nil, nil, nil
@@ -570,9 +421,9 @@ func (b *boundStore) oldBound(u, v, at int) (float64, error) {
 }
 
 // rowCorrupter is the Corrupter handle the metric engines hand to the
-// OnBatch injection hook: FlipRowBit flips one bit of a materialized
-// bound-row entry without updating the row's checksum — the simulated
-// memory fault the guard checksums exist to catch.
+// OnBatch and OnRebase injection hooks: FlipRowBit flips one bit of a
+// materialized bound-row entry without updating the row's checksum — the
+// simulated memory fault the guard checksums exist to catch.
 type rowCorrupter struct{ b *boundStore }
 
 func (c rowCorrupter) FlipRowBit(u, v int, bit uint) bool {
@@ -581,34 +432,6 @@ func (c rowCorrupter) FlipRowBit(u, v int, bit uint) bool {
 	}
 	c.b.rows[u][v] ^= 1 << (bit % 16)
 	return true
-}
-
-// FlipCheckpointBit flips one bit in the newest checkpoint snapshot of
-// row u (scanning forward with wraparound to the first row that has one)
-// without touching the snapshot's stored digest — the simulated fault
-// that must surface at restore time as a dropped snapshot, never as
-// restored poison. Reports false when no snapshot exists to corrupt.
-func (c rowCorrupter) FlipCheckpointBit(u, v int, bit uint) bool {
-	b := c.b
-	n := len(b.hist)
-	if n == 0 {
-		return false
-	}
-	u = ((u % n) + n) % n
-	for i := 0; i < n; i++ {
-		hv := b.hist[(u+i)%n]
-		if len(hv) == 0 {
-			continue
-		}
-		data := hv[len(hv)-1].data
-		if len(data) == 0 {
-			continue
-		}
-		col := ((v % len(data)) + len(data)) % len(data)
-		data[col] ^= 1 << (bit % 16)
-		return true
-	}
-	return false
 }
 
 // boundRowSlack is the growth headroom a maintained store reserves per

@@ -74,16 +74,6 @@ type HubOracle struct {
 	// to certify long runs of them, making the common case O(1) in k.
 	lastHit int
 
-	// ckpts is the checkpoint ring (EnableCheckpoints): up to
-	// maxHubCheckpoints digest-guarded snapshots of all rows at ascending
-	// epochs. A backward rebase restores the newest snapshot at or below
-	// the keep prefix and repairs forward from it instead of refreshing
-	// every row whole. ckptEvery is the accepted-edge snapshot interval
-	// (0 = off), nextCkpt the epoch that triggers the next snapshot.
-	ckpts     []hubCheckpoint
-	ckptEvery int
-	nextCkpt  int
-
 	// Maintenance counters for benchmarks (query counters live in the
 	// engine stats, which are zeroed per build or insertion).
 	relaxed int
@@ -113,118 +103,6 @@ func NewHubOracle(hubs []int, h *graph.Graph, slack int) *HubOracle {
 	return o
 }
 
-// hubCheckpoint is one epoch snapshot of every hub array, with per-row
-// FNV-1a digests verified at restore time.
-type hubCheckpoint struct {
-	epoch int
-	rows  [][]float64
-	sums  []uint64
-}
-
-// maxHubCheckpoints bounds the checkpoint ring; older snapshots are
-// evicted first.
-const maxHubCheckpoints = 3
-
-// sumFloatRow is the deterministic FNV-1a digest of one hub array.
-func sumFloatRow(row []float64) uint64 {
-	h := uint64(1469598103934665603)
-	for _, x := range row {
-		h ^= math.Float64bits(x)
-		h *= 1099511628211
-	}
-	return h
-}
-
-// EnableCheckpoints arms the epoch snapshot ring with the given
-// accepted-edge interval. Only the incremental engine enables this;
-// one-shot builds never rebase backward and skip the copies entirely.
-func (o *HubOracle) EnableCheckpoints(every int) {
-	if every <= 0 {
-		o.ckptEvery = 0
-		o.ckpts = nil
-		return
-	}
-	o.ckptEvery = every
-	o.nextCkpt = every
-	o.ckpts = o.ckpts[:0]
-}
-
-// maybeCheckpoint snapshots all rows right after a sync brought them
-// exact at o.epoch, whenever the epoch crossed the snapshot interval.
-func (o *HubOracle) maybeCheckpoint() {
-	if o.ckptEvery <= 0 || o.epoch < o.nextCkpt {
-		return
-	}
-	for o.nextCkpt <= o.epoch {
-		o.nextCkpt += o.ckptEvery
-	}
-	if len(o.ckpts) > 0 && o.ckpts[len(o.ckpts)-1].epoch == o.epoch {
-		return
-	}
-	ck := hubCheckpoint{epoch: o.epoch, rows: make([][]float64, len(o.rows)), sums: make([]uint64, len(o.rows))}
-	for i, row := range o.rows {
-		c := append([]float64(nil), row...)
-		ck.rows[i] = c
-		ck.sums[i] = sumFloatRow(c)
-	}
-	o.ckpts = append(o.ckpts, ck)
-	if len(o.ckpts) > maxHubCheckpoints {
-		copy(o.ckpts, o.ckpts[len(o.ckpts)-maxHubCheckpoints:])
-		o.ckpts = o.ckpts[:maxHubCheckpoints]
-	}
-}
-
-// restoreCheckpoint restores the newest snapshot with epoch <= keep and
-// reports whether it did. Every candidate's row digests are verified
-// first; a snapshot failing them is dropped on the spot — corruption in a
-// checkpoint degrades to "no checkpoint", it is never restored. Restored
-// rows are exact at the snapshot epoch; entries for points added after
-// the snapshot reset to +Inf, their exact distance in that prefix spanner
-// (the preserved prefix never touches points that did not exist yet).
-func (o *HubOracle) restoreCheckpoint(keep int) bool {
-	for len(o.ckpts) > 0 {
-		ck := o.ckpts[len(o.ckpts)-1]
-		if ck.epoch > keep {
-			o.ckpts = o.ckpts[:len(o.ckpts)-1]
-			continue
-		}
-		valid := true
-		for i := range ck.rows {
-			if sumFloatRow(ck.rows[i]) != ck.sums[i] {
-				valid = false
-				break
-			}
-		}
-		if !valid {
-			o.ckpts = o.ckpts[:len(o.ckpts)-1]
-			continue
-		}
-		for i := range o.rows {
-			row, data := o.rows[i], ck.rows[i]
-			copy(row[:len(data)], data)
-			for v := len(data); v < len(row); v++ {
-				row[v] = graph.Inf
-			}
-		}
-		o.epoch = ck.epoch
-		o.stale = false
-		return true
-	}
-	return false
-}
-
-// pruneCheckpoints drops snapshots proven past the keep prefix: their
-// epochs lie on the timeline the rebase is discarding.
-func (o *HubOracle) pruneCheckpoints(keep int) {
-	kept := o.ckpts[:0]
-	for _, ck := range o.ckpts {
-		if ck.epoch <= keep {
-			kept = append(kept, ck)
-		}
-	}
-	o.ckpts = kept
-}
-
 // ReplaceHubs retires every hub whose vertex is marked dead, promoting a
 // replacement chosen by pick — called with the current hub membership
 // (surviving hubs plus promotions so far) and returning the vertex to
@@ -232,12 +110,11 @@ func (o *HubOracle) pruneCheckpoints(keep int) {
 // engine passes the same farthest-point rule the initial selection used
 // (see SelectMetricHubs), so coverage is re-sampled rather than defaulting
 // to low ids; a nil pick falls back to the smallest live vertex not
-// already serving. Promotion invalidates all rows (stale) and drops every
-// snapshot: a snapshot's rows are distances from the old hub set, and
-// restoring one under the new set would certify pairs through a vertex
-// that no longer exists. When no candidate remains the dead hub is kept —
-// the preserved prefix never touches dead vertices, so its row degrades
-// to all-+Inf and certifies nothing, which is merely slow, never wrong.
+// already serving. Promotion invalidates all rows (stale), so the next
+// sync refreshes them whole from the new hub set. When no candidate
+// remains the dead hub is kept — the preserved prefix never touches dead
+// vertices, so its row degrades to all-+Inf and certifies nothing, which
+// is merely slow, never wrong.
 func (o *HubOracle) ReplaceHubs(dead []bool, live []int, pick func(isHub map[int]bool) int) {
 	isHub := make(map[int]bool, len(o.hubs))
 	for _, h := range o.hubs {
@@ -269,7 +146,6 @@ func (o *HubOracle) ReplaceHubs(dead []bool, live []int, pick func(isHub map[int
 		replaced = true
 	}
 	if replaced {
-		o.ckpts = nil
 		o.stale = true
 	}
 }
@@ -319,7 +195,6 @@ func (o *HubOracle) sync() {
 	}
 	o.epoch = o.live
 	o.pending = o.pending[:0]
-	o.maybeCheckpoint()
 }
 
 // Certify reports whether the hub labels prove delta_H(u, v) <= limit on
@@ -389,32 +264,19 @@ func (o *HubOracle) Rebase(keep, n int, accepted []graph.Edge, h *graph.Graph, s
 	}
 	o.pending = o.pending[:0]
 	o.live = keep
-	o.pruneCheckpoints(keep)
-	switch {
-	case o.epoch > keep:
+	if o.epoch > keep {
 		// Arrays synced past the cut: distances on the discarded suffix
-		// could undercut the restart spanner's. A checkpoint at or below
-		// the cut restores exact prefix rows and repairs forward like the
-		// in-prefix case; with none, refresh whole at the next sync
-		// (epoch then resets to the live count).
-		if o.restoreCheckpoint(keep) {
-			o.pending = append(o.pending, accepted[o.epoch:keep]...)
-		} else {
-			o.stale = true
-		}
-	case o.stale:
-		// Still stale from an earlier rebase that never synced; a
-		// surviving checkpoint below the cut beats the full refresh,
-		// otherwise the refresh at the next sync covers the restart
-		// spanner as well.
-		if o.restoreCheckpoint(keep) {
-			o.pending = append(o.pending, accepted[o.epoch:keep]...)
-		}
-	default:
+		// could undercut the restart spanner's, so refresh whole at the
+		// next sync (epoch then resets to the live count).
+		o.stale = true
+	}
+	if !o.stale {
 		// Repair path: the preserved edges the rows have not seen yet are
 		// exactly accepted[epoch:keep]; the replay's own accepts follow
 		// through OnAccept, and sync advances epoch to the live count
-		// only after relaxing them all.
+		// only after relaxing them all. (Arrays still stale from an
+		// earlier rebase that never synced need nothing queued: the
+		// refresh at the next sync covers the restart spanner as well.)
 		o.pending = append(o.pending, accepted[o.epoch:keep]...)
 	}
 	for i := range o.rows {

@@ -65,12 +65,11 @@ import (
 // proven on a subgraph of every partial spanner the replay will ever hold,
 // and spanner distances only shrink as edges are added — so its entries
 // remain true upper bounds and certify skips exactly as a freshly computed
-// row would. Rows proven past the cut are restored from the nearest
-// digest-verified epoch checkpoint at or below it (see boundStore) and
-// otherwise rebuilt on demand; hub arrays restore from their own
-// checkpoint ring and repair forward by dirty-radius re-relaxation. The
-// prefix argument is what makes checkpoints sound under deletions too:
-// the kept prefix contains no deleted endpoints (the cut precedes every
+// row would. Rows proven past the cut are reset and refreshed on demand
+// (see boundStore.rebase). Hub arrays synced on the prefix repair forward
+// by dirty-radius re-relaxation; arrays synced past it are refreshed whole
+// at the next sync. The prefix argument holds under deletions too: the
+// kept prefix contains no deleted endpoints (the cut precedes every
 // accepted edge that touches one), so state proven on it never depends on
 // a vanished edge or point. A Euclidean replay instead keeps the rows
 // proven past its cut aside as read-only evidence about the previous run,
@@ -313,18 +312,6 @@ func (s *IncrementalSpanner) Pending() int { return s.pendingOps }
 // its candidate supply, because updates resume the stream mid-scan.
 var errSupplyOption = fmt.Errorf("core: incremental spanner owns its candidate supply; Source and Materialize are not supported")
 
-// checkpointInterval is the accepted-edge cadence at which a maintained
-// spanner snapshots its bound rows and hub arrays: frequent enough that a
-// backward rebase finds a checkpoint close below any cut, rare enough
-// that snapshot copying stays a small fraction of scan time.
-func checkpointInterval(n int) int {
-	every := n / 8
-	if every < 32 {
-		every = 32
-	}
-	return every
-}
-
 // NewIncrementalMetric builds the greedy t-spanner of m and returns the
 // maintained spanner ready for point insertions via Insert and deletions
 // via Delete. Workers, BatchSize, BucketPairs, and Stats of opts apply to
@@ -346,7 +333,6 @@ func NewIncrementalMetric(m metric.Metric, t float64, opts Options) (*Incrementa
 	// Reserve per-row growth headroom up front: insertions then extend
 	// rows in place instead of reallocating the whole row set.
 	s.bound.slack = boundRowSlack(n)
-	s.bound.enableCheckpoints(checkpointInterval(n))
 	// One histogram pass here replaces the source's own counting pass for
 	// the initial build AND every future update's.
 	for i := 0; i < n; i++ {
@@ -387,10 +373,10 @@ func NewIncrementalGraph(g *graph.Graph, t float64, opts Options) (*IncrementalS
 
 // build runs a constructor's initial scan over n vertices: the hub count
 // is resolved under the byte budget, the oracle installed on the hubs
-// pick selects (with slack growth headroom per array and a checkpoint
-// ring), and the whole supply drained. The oracle exists even when a
-// metric's initial set is too small to scan, so insertions that grow the
-// spanner still get the fast path.
+// pick selects (with slack growth headroom per array), and the whole
+// supply drained. The oracle exists even when a metric's initial set is
+// too small to scan, so insertions that grow the spanner still get the
+// fast path.
 func (s *IncrementalSpanner) build(n, slack int, pick func(k int) []int) error {
 	s.res = &Result{N: n, Stretch: s.t}
 	s.resView = s.res
@@ -400,7 +386,6 @@ func (s *IncrementalSpanner) build(n, slack int, pick func(k int) []int) error {
 	resolveHubBudget(s.opts.Budget, logTo(&sc.stats.Degradations), &hubs, n)
 	if hubs > 0 && n > 0 {
 		s.oracle = NewHubOracle(pick(hubs), h, slack)
-		s.oracle.EnableCheckpoints(checkpointInterval(n))
 	}
 	if s.dyn != nil && n <= 1 {
 		return nil
@@ -492,8 +477,8 @@ func (s *IncrementalSpanner) Flush() (err error) {
 	h := res.Graph()
 	// The rebase fault-injection window: panics land in the deferred
 	// recover above, a cancellation is observed by the replay scan before
-	// any decision commits, and checkpoint corruption is caught by the
-	// restore-time digests inside the rebases below.
+	// any decision commits, and a row corrupted here fails its guard
+	// checksum in the rebase below and is dropped, never carried over.
 	if hook := s.opts.Inject.OnRebase; hook != nil {
 		var corrupter Corrupter
 		if s.dyn != nil {
@@ -754,14 +739,14 @@ func (s *IncrementalSpanner) InsertEdges(edges ...graph.Edge) error {
 //
 // Cost scales with the suffix of the greedy scan the deletions disturb:
 // the scan resumes at the earliest accepted edge that touched a deleted
-// point (everything before it is preserved verbatim), checkpointed bound
-// rows and hub arrays restore to that prefix instead of resetting, and
-// the tombstone-filtered supply skips whole weight buckets below the cut
-// by count alone. Deleting points no accepted edge touched costs no
-// replay work at all beyond the bookkeeping. On a Euclidean metric the
-// replay shortcuts decide most of the tail as for an insertion, leaving
-// exact decisions to the pairs near the deleted points' vanished edges
-// that the slack bound does not cover.
+// point (everything before it is preserved verbatim), bound rows and hub
+// arrays proven on that prefix keep their cache while those proven past
+// it are reset and refreshed on demand, and the tombstone-filtered supply
+// skips whole weight buckets below the cut by count alone. Deleting
+// points no accepted edge touched costs no replay work at all beyond the
+// bookkeeping. On a Euclidean metric the replay shortcuts decide most of
+// the tail as for an insertion, leaving exact decisions to the pairs near
+// the deleted points' vanished edges that the slack bound does not cover.
 //
 // A non-nil error from a cancelled or faulted replay does NOT reject the
 // deletion: it is recorded as pending and the pre-flush spanner is
@@ -831,8 +816,8 @@ func (s *IncrementalSpanner) Delete(points ...int) error {
 	if s.oracle != nil {
 		// Hubs on deleted vertices are re-sampled by the same
 		// farthest-point rule the initial selection used and every hub
-		// array rebuilt (the replacement invalidates the rows and the
-		// checkpoint ring wholesale; see ReplaceHubs).
+		// array rebuilt (the replacement invalidates the rows wholesale;
+		// see ReplaceHubs).
 		s.oracle.ReplaceHubs(s.dyn.dead, s.dyn.live, s.pickReplacementHub)
 	}
 	return s.notePending(cut, len(points))

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/graph"
@@ -332,4 +334,128 @@ func TestReplayRefreshGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	equalResults(t, "final", want, mustResult(t, inc))
+}
+
+// TestExactReplayCountsPinned pins the exact replay's work, replay by
+// replay, at two workers with hubs off: the digest and the refresh, cached
+// and serial counters must equal the values recorded here. Two shapes take
+// the exact replay and keep a long prefix. On n=500 uniform points, the 64
+// points whose first spanner edge comes last are deleted and then inserted
+// again (each batch changes more than shortcutMaxChanged points). On a
+// matrix metric over 300 points, 8 alternating single-point inserts and
+// deletes run. In both shapes the rebase resets rows proven past the cut
+// that the replay then refreshes, so the values pin the cost of that
+// refresh. Hub counters are left out: a fresh hub Dijkstra sums in
+// another order than a relax-forward. CI runs this under the race
+// detector three times: no count may depend on how the workers are
+// scheduled.
+func TestExactReplayCountsPinned(t *testing.T) {
+	// replayCounts is one replay's pinned work: the result digest, then
+	// the Stats counters RefreshTouched, SerialRefreshes,
+	// ParallelRefreshes, CachedSkips, SerialSkips and Kept.
+	type replayCounts struct {
+		digest                                             uint64
+		refreshTouched, serialRefreshes, parallelRefreshes int
+		cachedSkips, serialSkips, kept                     int
+	}
+	var st Stats
+	opts := Options{Workers: 2, Stats: &st}
+	var got []replayCounts
+	record := func(inc *IncrementalSpanner) {
+		if short := st.ExemptKeeps + st.ExemptSkips + st.SlackSkips; short != 0 {
+			t.Errorf("replay %d took %d shortcuts, want an exact replay", len(got), short)
+		}
+		got = append(got, replayCounts{ResultDigest(mustResult(t, inc)), st.RefreshTouched, st.SerialRefreshes,
+			st.ParallelRefreshes, st.CachedSkips, st.SerialSkips, st.Kept})
+	}
+
+	pts := servePoints(1, 500)
+	inc, err := NewIncrementalMetric(metric.MustEuclidean(pts), 1.5, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := mustResult(t, inc).Edges
+	first := make([]int, len(pts))
+	for i := range first {
+		first[i] = len(edges)
+	}
+	for i := len(edges) - 1; i >= 0; i-- {
+		first[edges[i].U], first[edges[i].V] = i, i
+	}
+	ids := make([]int, len(pts))
+	for i := range ids {
+		ids[i] = i
+	}
+	order := slices.Clone(ids)
+	sort.SliceStable(order, func(a, b int) bool { return first[order[a]] > first[order[b]] })
+	gone := order[:64]
+	if err := inc.Delete(gone...); err != nil {
+		t.Fatal(err)
+	}
+	record(inc)
+	back := [][]float64{}
+	for _, p := range append(deleteAt(ids, gone), gone...) {
+		back = append(back, pts[p])
+	}
+	if err := inc.Insert(metric.MustEuclidean(back)); err != nil {
+		t.Fatal(err)
+	}
+	record(inc)
+
+	uni := metric.MustEuclidean(servePoints(12, 304))
+	d := make([][]float64, uni.N())
+	for i := range d {
+		d[i] = make([]float64, uni.N())
+		for j := range d[i] {
+			d[i][j] = uni.Dist(i, j)
+		}
+	}
+	m, err := metric.NewMatrix(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alive := make([]int, 300)
+	for i := range alive {
+		alive[i] = i
+	}
+	inc, err = NewIncrementalMetric(restrictMetric(m, alive), 1.5, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(22))
+	for k := 0; k < 8; k++ {
+		if k%2 == 0 {
+			alive = append(alive, 300+k/2)
+			err = inc.Insert(restrictMetric(m, alive))
+		} else {
+			dense := []int{rng.Intn(len(alive))}
+			err = inc.Delete(dense...)
+			alive = deleteAt(alive, dense)
+		}
+		if err != nil {
+			t.Fatalf("matrix mutation %d: %v", k, err)
+		}
+		record(inc)
+	}
+
+	want := []replayCounts{
+		{0xe8e0827decfd1263, 540339, 542, 1343, 92286, 181, 380},
+		{0xdeec1c70c957d2c5, 708031, 631, 1452, 122352, 113, 542},
+		{0x623e9dd1d5f36b5e, 221744, 534, 1101, 43750, 57, 504},
+		{0x49169d0ab55261ae, 219674, 548, 1101, 43451, 56, 519},
+		{0xefe6606c212b28a7, 219982, 468, 1008, 43749, 59, 434},
+		{0x1c13417283ef0ceb, 216218, 488, 1029, 43471, 58, 455},
+		{0x48760e6eae30b2c4, 213640, 498, 1031, 43773, 56, 467},
+		{0x558507d4d9f33422, 210011, 427, 939, 43473, 57, 392},
+		{0x8073fdace35c2991, 209237, 297, 801, 43694, 48, 264},
+		{0xd19e647b211039f8, 208789, 558, 1078, 43495, 53, 532},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d replays, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("replay %d: %+v, want %+v", i, got[i], want[i])
+		}
+	}
 }

@@ -94,13 +94,11 @@ type InjectionHooks struct {
 	OnBatch func(batch int, c Corrupter)
 	// OnRebase runs serially inside IncrementalSpanner.Flush, after the
 	// replay's keep prefix is decided but before the bound store and hub
-	// oracle rebase onto it — the window where backward-rebase faults
-	// (panic, stall, cancellation, checkpoint corruption) land. keep is
-	// the preserved accepted-edge count; c is the engine's Corrupter (nil
-	// when the engine holds no corruptible cache). Corrupters handed to
-	// this hook may additionally implement FlipCheckpointBit (see
-	// internal/chaos) to corrupt checkpoint snapshots rather than live
-	// rows.
+	// oracle rebase onto it — the window where rebase faults (panic,
+	// stall, cancellation, a corrupted row the rebase must drop rather
+	// than carry) land. keep is the preserved accepted-edge count; c is
+	// the engine's Corrupter (nil when the engine holds no corruptible
+	// cache).
 	OnRebase func(keep int, c Corrupter)
 }
 

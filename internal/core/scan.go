@@ -420,8 +420,8 @@ type certifier interface {
 	exact(i int, e graph.Edge, limit float64, fresh bool) (bool, error)
 	// accepted records an accepted edge in the certifier's cache.
 	accepted(e graph.Edge) error
-	// batchDone folds the batch's snapshot counters and checkpoints the
-	// cache at the batch boundary.
+	// batchDone folds the batch's snapshot counters at the batch
+	// boundary.
 	batchDone()
 	// cacheRows reports the materialized cache rows the budget estimate
 	// and RowsAllocated count.
@@ -809,9 +809,9 @@ type metricCert struct {
 	sc    *scan
 	bound *boundStore
 	// preseed writes each hub-certified bound into the pair's row. Only a
-	// maintained store sets it: its replays, exports and checkpoints read
-	// the entry, while in a one-shot build only the pair itself ever reads
-	// it, and the pair was just decided.
+	// maintained store sets it: its replays and exports read the entry,
+	// while in a one-shot build only the pair itself ever reads it, and
+	// the pair was just decided.
 	preseed bool
 	// touched[w] counts the vertices worker w's refreshes reached in the
 	// current batch.
@@ -1011,7 +1011,6 @@ func (c *metricCert) batchDone() {
 		st.RefreshTouched += c.touched[w]
 		c.touched[w] = 0
 	}
-	c.bound.maybeCheckpoint(len(c.sc.res.Edges))
 }
 
 func (c *metricCert) cacheRows() int { return c.bound.countRows() }

@@ -19,9 +19,9 @@ import (
 // decisions depend on round-trips exactly: the stable-id space (tie order),
 // the accepted edge sequence (the preserved prefix), the candidate weight
 // histogram (bucket layout and skip accounting), epoch-stamped bound rows
-// (cache validity), and the hub set with its distance arrays. Checkpoint
-// rings and scratch state are deliberately NOT exported: they are
-// output-invariant accelerators, rebuilt empty on import.
+// (cache validity), and the hub set with its distance arrays. Scratch
+// state is deliberately NOT exported: it is an output-invariant
+// accelerator, rebuilt empty on import.
 
 // ResultDigest is the order-sensitive FNV-1a digest of a Result used by
 // the trace, persistence, and crash-recovery suites to compare spanners
@@ -414,8 +414,8 @@ func (s *IncrementalSpanner) importResult(st *SpannerState, n int) error {
 }
 
 // importBounds installs the sparse bound store (metric mode): rows carry
-// their exported epochs, checkpointing re-arms empty, and guard digests
-// are recomputed fresh when the options request them.
+// their exported epochs, and guard digests are recomputed fresh when the
+// options request them.
 func (s *IncrementalSpanner) importBounds(st *SpannerState) error {
 	n := st.Cap
 	if len(st.BoundRows) != n || len(st.BoundEpochs) != n {
@@ -453,15 +453,14 @@ func (s *IncrementalSpanner) importBounds(st *SpannerState) error {
 	if s.opts.GuardRows {
 		b.setGuard()
 	}
-	b.enableCheckpoints(checkpointInterval(n))
 	s.bound = b
 	return nil
 }
 
 // importOracle installs the hub oracle (both modes): the hub set and
-// arrays come from the state, the attached spanner is rebuilt from the
-// accepted edges, and the checkpoint ring re-arms empty. An exported
-// oracle is always synced, so the epoch must equal the accepted count.
+// arrays come from the state, and the attached spanner is rebuilt from
+// the accepted edges. An exported oracle is always synced, so the epoch
+// must equal the accepted count.
 func (s *IncrementalSpanner) importOracle(st *SpannerState, n int) error {
 	if len(st.Hubs) == 0 {
 		if len(st.HubRows) != 0 {
@@ -514,7 +513,6 @@ func (s *IncrementalSpanner) importOracle(st *SpannerState, n int) error {
 		copy(r, row)
 		o.rows[i] = r
 	}
-	o.EnableCheckpoints(checkpointInterval(n))
 	s.oracle = o
 	return nil
 }

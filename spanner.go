@@ -31,9 +31,9 @@
 //     maintained greedy spanner: point insertions and deletions
 //     (metrics) and edge insertions and deletions (graphs) after the
 //     initial build, each batch replayed from the first scan position it
-//     disturbs — deletions rebase cached state backward onto
-//     checkpointed snapshots — with the result bit-identical to a
-//     from-scratch greedy build on the surviving input.
+//     disturbs — deletions rebase cached state backward onto the kept
+//     prefix — with the result bit-identical to a from-scratch greedy
+//     build on the surviving input.
 //   - Save / Load / OpenDurable — the durability layer for the
 //     maintained spanner: versioned, digest-guarded binary snapshots of
 //     the full dynamic state plus a write-ahead log of dynamic
@@ -270,11 +270,12 @@ func NewGraphCandidateSource(g *Graph, bucketPairs int) CandidateSource {
 // only overestimate the replay's spanner distances. A deletion cuts at
 // the earliest accepted edge touching a removed element — every decision
 // before it depended only on surviving accepted edges — and rebases the
-// cached bound rows and hub arrays backward onto digest-verified
-// periodic checkpoints instead of recomputing them, so the tail replay
-// starts from restored state. Deleted points become internal tombstones
-// (never renumbered, which would reorder weight ties); Result densely
-// renumbers the survivors in a tie-preserving order.
+// cached bound rows and hub arrays backward onto that prefix: state
+// proven on it keeps certifying skips, and state proven past it is reset
+// and refreshed on demand by the tail replay. Deleted points become
+// internal tombstones (never renumbered, which would reorder weight
+// ties); Result densely renumbers the survivors in a tie-preserving
+// order.
 type Incremental = core.IncrementalSpanner
 
 // NewIncremental builds the greedy t-spanner of m and returns it as a
