@@ -160,6 +160,8 @@ func TestReadGraphBadLines(t *testing.T) {
 		"x 1 2\n",
 		"0 y 2\n",
 		"0 1 z\n",
+		"0 0 1\n",  // self loop
+		"0 1 -3\n", // negative weight
 	}
 	for _, c := range cases {
 		path := writeTemp(t, "bad.txt", c)

@@ -11,8 +11,7 @@ import (
 
 // testing.B benchmarks over the greedy engines and their candidate
 // supplies, small enough that CI's smoke step (-benchtime=1x) stays
-// cheap while still compiling and exercising every engine/supply
-// combination.
+// cheap while still compiling and exercising every engine and supply.
 
 func benchMetric(b *testing.B, n int) metric.Metric {
 	b.Helper()
@@ -35,17 +34,6 @@ func BenchmarkGreedyMetricStreamed(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.GreedyMetricFastParallelOpts(m, 1.5, core.Options{Workers: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkGreedyMetricMaterialized(b *testing.B) {
-	m := benchMetric(b, 220)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		opts := core.Options{Workers: 1, Materialize: true}
-		if _, err := core.GreedyMetricFastParallelOpts(m, 1.5, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

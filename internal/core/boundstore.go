@@ -446,8 +446,8 @@ func boundRowSlack(n int) int {
 
 // sortedPairs materializes all n(n-1)/2 interpoint distances of m as edges
 // in the greedy scan order: non-decreasing weight, ties broken by endpoint
-// ids. This is the classic supply the streamed sources replace; it remains
-// the reference for the serial engine and the Materialize option.
+// ids. This is the classic supply the streamed source replaces; it remains
+// the supply of the serial reference engine.
 func sortedPairs(m metric.Metric) []graph.Edge {
 	n := m.N()
 	pairs := make([]graph.Edge, 0, n*(n-1)/2)

@@ -79,12 +79,12 @@
 //
 // # The streaming candidate supply and the sparse bound rows
 //
-// Both batched engines pull their candidates from a CandidateSource
+// Both batched engines pull their candidates from one streamed supply
 // instead of a materialized slice. The classic pipeline builds every
 // candidate up front — all n(n-1)/2 interpoint pairs for metrics, a full
 // copy of the edge list for graphs — and sorts it globally, so an
 // n-point Euclidean instance pays Θ(n²) memory before the first greedy
-// decision. The streamed sources exploit that the greedy scan only ever
+// decision. The streamed supply exploits that the greedy scan only ever
 // consumes candidates in non-decreasing weight order: one counting pass
 // partitions the weights into geometric buckets [2^(e-1), 2^e), and only
 // the active bucket is materialized and sorted (buckets above a
@@ -95,7 +95,7 @@
 // internal/geom, which inspects only grid cells within the bucket's
 // distance — pairs beyond the active weight scale are never even
 // evaluated. The streamed order is exactly the materialized order (ties
-// included), so engine output is bit-identical for any supply.
+// included), so engine output is bit-identical for every bucket cap.
 //
 // A bucket is held as 16-byte records (weight, u, v as int32) and sorted
 // in place by an MSD radix sort on the 128-bit key (weight bits with -0
@@ -256,18 +256,17 @@
 // cancelled or deadline-expired build returns the exact decided prefix
 // (Result.Partial set) with ErrCancelled; worker pools are always
 // joined before returning. Budget pressure walks a degradation ladder
-// (materialized supply → streamed, narrower buckets, smaller batches,
-// hub oracle dropped, bound rows dropped) in which every rung is
-// output-invariant — each merely disables a fast path whose soundness
-// argument never affected decisions — and is recorded in the stats'
-// Degradations log. The in-scan rungs run at the driver's batch
-// boundaries for every worker count, so a workers=1 build honors
-// Budget.MaxBytes after its scan starts too (TestBudgetDegradationLadder
-// walks the ladder at workers 1 and 4). Worker panics are converted to ErrEnginePanic;
-// checksum-guarded bound rows (GuardRows) surface bit flips as
-// ErrCorruptState, verified before every fold, overwrite, and
-// cache-certified skip, and incremental rebases drop rather than
-// re-digest damaged rows.
+// (narrower supply buckets, smaller batches, hub oracle dropped, bound
+// rows dropped) in which every rung is output-invariant — each merely
+// disables a fast path whose soundness argument never affected
+// decisions — and is recorded in the stats' Degradations log. The
+// in-scan rungs run at the driver's batch boundaries for every worker
+// count, so a workers=1 build honors Budget.MaxBytes after its scan
+// starts too (TestBudgetDegradationLadder walks the ladder at workers 1
+// and 4). Worker panics are converted to ErrEnginePanic; checksum-guarded
+// bound rows (GuardRows) surface bit flips as ErrCorruptState, verified
+// before every fold, overwrite, and cache-certified skip, and incremental
+// rebases drop rather than re-digest damaged rows.
 //
 // The invariant the internal/chaos property suite enforces across all
 // four engines: any injected fault — worker panic, stalled

@@ -308,21 +308,13 @@ func (s *IncrementalSpanner) SetContext(ctx context.Context) {
 // replay under a coalescing policy.
 func (s *IncrementalSpanner) Pending() int { return s.pendingOps }
 
-// errSupplyOption rejects supply overrides: a maintained spanner must own
-// its candidate supply, because updates resume the stream mid-scan.
-var errSupplyOption = fmt.Errorf("core: incremental spanner owns its candidate supply; Source and Materialize are not supported")
-
 // NewIncrementalMetric builds the greedy t-spanner of m and returns the
 // maintained spanner ready for point insertions via Insert and deletions
 // via Delete. Workers, BatchSize, BucketPairs, and Stats of opts apply to
-// the initial build and to every replay; Source and Materialize are
-// rejected.
+// the initial build and to every replay.
 func NewIncrementalMetric(m metric.Metric, t float64, opts Options) (*IncrementalSpanner, error) {
 	if !validStretch(t) {
 		return nil, errInvalidStretch(t)
-	}
-	if opts.Source != nil || opts.Materialize {
-		return nil, errSupplyOption
 	}
 	s := &IncrementalSpanner{t: t, dyn: newDynMetric(m), opts: opts}
 	n := m.N()
@@ -352,14 +344,10 @@ func NewIncrementalMetric(m metric.Metric, t float64, opts Options) (*Incrementa
 // maintained spanner ready for edge insertions via InsertEdges and
 // deletions via DeleteEdges. The graph is cloned, so later mutations of g
 // do not affect the maintained state. Workers, BatchSize, BucketPairs,
-// and Stats of opts apply to the initial build and to every replay;
-// Source and Materialize are rejected.
+// and Stats of opts apply to the initial build and to every replay.
 func NewIncrementalGraph(g *graph.Graph, t float64, opts Options) (*IncrementalSpanner, error) {
 	if !validStretch(t) {
 		return nil, errInvalidStretch(t)
-	}
-	if opts.Source != nil || opts.Materialize {
-		return nil, errSupplyOption
 	}
 	s := &IncrementalSpanner{t: t, g: g.Clone(), opts: opts}
 	for _, e := range s.g.Edges() {
@@ -409,7 +397,7 @@ func (s *IncrementalSpanner) certify(sc *scan) *scan {
 
 // source returns the maintained candidate supply, resumed at cut unless
 // cut is nil, seeded with (a copy of) the maintained weight histogram.
-func (s *IncrementalSpanner) source(cut *graph.Edge) CandidateSource {
+func (s *IncrementalSpanner) source(cut *graph.Edge) *bucketedSource {
 	var src *bucketedSource
 	if s.dyn != nil {
 		src = newMetricSourceSeeded(s.dyn, s.opts.BucketPairs, s.counts)

@@ -346,12 +346,6 @@ func TestIncrementalValidation(t *testing.T) {
 	if _, err := NewIncrementalMetric(m, 0.5, Options{}); err == nil {
 		t.Fatal("bad stretch accepted")
 	}
-	if _, err := NewIncrementalMetric(m, 2, Options{Materialize: true}); err == nil {
-		t.Fatal("Materialize accepted")
-	}
-	if _, err := NewIncrementalMetric(m, 2, Options{Source: NewMetricSource(m, 0)}); err == nil {
-		t.Fatal("Source accepted")
-	}
 	inc, err := NewIncrementalMetric(m, 2, Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -17,46 +17,15 @@ import (
 // (the bucketed sources stop at bucket boundaries), so callers must treat
 // only an empty result as end of supply.
 //
-// The streaming sources exist so the engines' resident set scales with the
-// largest weight bucket instead of with the full candidate set: the
-// classic pipeline materializes all n(n-1)/2 interpoint pairs and sorts
-// them globally before the first greedy decision, while a CandidateSource
-// produces and sorts one bounded bucket at a time.
+// The engines drain the streamed weight-bucketed supply, whose resident
+// set scales with the largest weight bucket instead of with the full
+// candidate set: the classic pipeline materializes all n(n-1)/2
+// interpoint pairs and sorts them globally before the first greedy
+// decision, while the streamed supply produces and sorts one bounded
+// bucket at a time. NewMetricSource and NewGraphEdgeSource return it for
+// callers that drain it directly.
 type CandidateSource interface {
 	NextBatch(maxW int) []graph.Edge
-}
-
-// MaterializedSource adapts an explicit, already-sorted candidate slice to
-// the CandidateSource interface. It is the bridge to the classic
-// materialize-then-sort pipeline: the engines use it when
-// Options.Materialize is set, and benchmarks use it to measure the memory
-// gap against the streamed supplies.
-type MaterializedSource struct {
-	edges []graph.Edge
-	pos   int
-}
-
-// NewMaterializedSource wraps sorted, which must already be in greedy scan
-// order (graph.SortEdges order). The slice is not copied.
-func NewMaterializedSource(sorted []graph.Edge) *MaterializedSource {
-	return &MaterializedSource{edges: sorted}
-}
-
-// NextBatch returns the next at most maxW candidates.
-func (s *MaterializedSource) NextBatch(maxW int) []graph.Edge {
-	if maxW < 1 {
-		maxW = 1
-	}
-	if s.pos >= len(s.edges) {
-		return nil
-	}
-	hi := s.pos + maxW
-	if hi > len(s.edges) {
-		hi = len(s.edges)
-	}
-	out := s.edges[s.pos:hi]
-	s.pos = hi
-	return out
 }
 
 // pairEnumerator produces the raw (unsorted) candidate pairs of one weight

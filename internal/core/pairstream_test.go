@@ -91,22 +91,11 @@ func TestGraphEdgeSourceOrder(t *testing.T) {
 	}
 }
 
-// TestMaterializedSourceDrain covers the slice-backed source used by the
-// Materialize option.
-func TestMaterializedSourceDrain(t *testing.T) {
-	edges := []graph.Edge{{U: 0, V: 1, W: 1}, {U: 0, V: 2, W: 2}, {U: 1, V: 2, W: 3}}
-	src := NewMaterializedSource(edges)
-	got := drainSource(src, []int{2})
-	equalEdgeSeq(t, "materialized", edges, got)
-	if more := src.NextBatch(4); more != nil {
-		t.Fatalf("exhausted source returned %v", more)
-	}
-}
-
-// TestGreedyMetricSupplyParallelEquivalence runs the metric engine through
-// every supply mode — default streamed, explicit bucket caps, and the
-// materialized fallback — across worker counts and batch widths, and
-// demands bit-identical output against the serial dense-matrix reference.
+// TestGreedyMetricSupplyParallelEquivalence runs the metric engine's
+// streamed supply at the default and several explicit bucket caps across
+// worker counts and batch widths, and demands bit-identical output against
+// the serial reference, which scans the materialized, globally sorted
+// pair list.
 func TestGreedyMetricSupplyParallelEquivalence(t *testing.T) {
 	for name, m := range testMetrics(t) {
 		for _, stretch := range []float64{1.2, 2} {
@@ -117,17 +106,16 @@ func TestGreedyMetricSupplyParallelEquivalence(t *testing.T) {
 			for _, workers := range []int{1, 3, 8} {
 				for _, opts := range []Options{
 					{Workers: workers},
-					{Workers: workers, Materialize: true},
 					{Workers: workers, BucketPairs: 41},
 					{Workers: workers, BucketPairs: 41, BatchSize: 9},
-					{Workers: workers, Source: NewMetricSource(m, 200)},
+					{Workers: workers, BucketPairs: 200},
 				} {
 					got, err := GreedyMetricFastParallelOpts(m, stretch, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
-					label := fmt.Sprintf("%s/t=%v/w=%d/mat=%v/bucket=%d/batch=%d",
-						name, stretch, workers, opts.Materialize, opts.BucketPairs, opts.BatchSize)
+					label := fmt.Sprintf("%s/t=%v/w=%d/bucket=%d/batch=%d",
+						name, stretch, workers, opts.BucketPairs, opts.BatchSize)
 					equalResults(t, label, want, got)
 				}
 			}
@@ -136,8 +124,9 @@ func TestGreedyMetricSupplyParallelEquivalence(t *testing.T) {
 }
 
 // TestGreedyGraphSupplyParallelEquivalence is the graph-engine
-// counterpart: streamed vs materialized supply across worker counts, all
-// bit-identical to the sequential GreedyGraph reference.
+// counterpart: the streamed supply at several bucket caps across worker
+// counts, all bit-identical to the sequential GreedyGraph reference, which
+// scans a sorted copy of the edge list.
 func TestGreedyGraphSupplyParallelEquivalence(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		for _, stretch := range []float64{1.5, 3} {
@@ -148,16 +137,15 @@ func TestGreedyGraphSupplyParallelEquivalence(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				for _, opts := range []Options{
 					{Workers: workers},
-					{Workers: workers, Materialize: true},
 					{Workers: workers, BucketPairs: 29},
-					{Workers: workers, Source: NewGraphEdgeSource(g, 64)},
+					{Workers: workers, BucketPairs: 64},
 				} {
 					got, err := GreedyGraphParallelOpts(g, stretch, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
-					label := fmt.Sprintf("%s/t=%v/w=%d/mat=%v/bucket=%d",
-						name, stretch, workers, opts.Materialize, opts.BucketPairs)
+					label := fmt.Sprintf("%s/t=%v/w=%d/bucket=%d",
+						name, stretch, workers, opts.BucketPairs)
 					equalResults(t, label, want, got)
 				}
 			}

@@ -45,8 +45,8 @@ var (
 
 // Budget bounds the resources one engine run may consume. The zero value
 // imposes no bounds. Degradation under a budget is graceful and recorded:
-// each step the engine takes down the ladder (materialized → streamed
-// supply, shrink batch width, drop the hub oracle, drop cached bound rows)
+// each step the engine takes down the ladder (clamp the supply's bucket
+// cap, shrink batch width, drop the hub oracle, drop cached bound rows)
 // lands in the stats' Degradations log instead of an OOM kill, and none of
 // the steps can change the output — every knob the ladder turns is
 // output-invariant by the engines' bit-identity guarantees.
@@ -270,29 +270,22 @@ func hubBytes(hubs, n int) int64 {
 	return int64(hubs) * int64(n) * hubBytesPerVertex
 }
 
-// resolveSupplyBudget degrades the supply configuration before the scan
-// starts: under a byte budget a materialized supply falls back to the
-// streamed one when the full candidate list alone would eat more than half
-// the budget, and the streamed bucket cap is clamped so the supply's
-// resident buckets (two record buffers of three quarters of the cap
-// each, as many bytes as one bucket of edges) fit in a quarter of it.
-// Both knobs are output-invariant.
-func resolveSupplyBudget(b Budget, record func(string), materialize *bool, bucketPairs *int, candidates int) {
+// resolveSupplyBudget returns the bucket cap the supply runs with: under
+// a byte budget, bucketPairs clamped so the supply's resident buckets (two
+// record buffers of three quarters of the cap each, as many bytes as one
+// bucket of edges) fit in a quarter of it. The cap is output-invariant.
+func resolveSupplyBudget(b Budget, record func(string), bucketPairs int) int {
 	if b.MaxBytes <= 0 {
-		return
+		return bucketPairs
 	}
-	if *materialize && int64(candidates)*edgeBytes > b.MaxBytes/2 {
-		*materialize = false
-		record(fmt.Sprintf("supply: materialized list (%d candidates) over budget; streaming", candidates))
+	cap := int(b.MaxBytes / 4 / edgeBytes)
+	if cap <= 0 || (bucketPairs > 0 && bucketPairs <= cap) {
+		return bucketPairs
 	}
-	if !*materialize {
-		if cap := int(b.MaxBytes / 4 / edgeBytes); cap > 0 && (*bucketPairs <= 0 || *bucketPairs > cap) {
-			if *bucketPairs > 0 || int64(DefaultBucketPairs)*edgeBytes > b.MaxBytes/4 {
-				record(fmt.Sprintf("supply: bucket cap clamped to %d pairs", cap))
-			}
-			*bucketPairs = cap
-		}
+	if bucketPairs > 0 || int64(DefaultBucketPairs)*edgeBytes > b.MaxBytes/4 {
+		record(fmt.Sprintf("supply: bucket cap clamped to %d pairs", cap))
 	}
+	return cap
 }
 
 // resolveHubBudget drops the hub count to what the byte budget accommodates

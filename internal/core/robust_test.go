@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -174,9 +175,12 @@ func TestBudgetDeadlineAborts(t *testing.T) {
 // loop, so a single-worker scan walks it too: the in-scan steps (hub
 // oracle or cached rows dropped) must appear at workers=1 as well. One
 // worker pools 2 searchers instead of 5, so it gets half the budget to
-// reach those rungs on the same instances. The fault-tolerant engine runs
-// on the same loop at one worker, so it walks the ladder too, and at
-// f = 0 it reports into the caller's Stats like the metric engine.
+// reach those rungs on the same instances. Before the scan, the first
+// rung clamps the supply's bucket cap to MaxBytes/96 pairs (two record
+// buffers in a quarter of the budget), and no bucket may then exceed
+// three quarters of that cap. The fault-tolerant engine runs on the same
+// loop at one worker, so it walks the ladder too, and at f = 0 it
+// reports into the caller's Stats like the metric engine.
 func TestBudgetDegradationLadder(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	m := robustPoints(t, rng, 40)
@@ -196,6 +200,16 @@ func TestBudgetDegradationLadder(t *testing.T) {
 			}
 		}
 		return false
+	}
+	supplyRung := func(label string, st Stats, maxBytes int64) {
+		t.Helper()
+		cap := int(maxBytes / 96)
+		if want := fmt.Sprintf("supply: bucket cap clamped to %d pairs", cap); st.Degradations[0] != want {
+			t.Fatalf("%s: first step %q, want %q", label, st.Degradations[0], want)
+		}
+		if 4*st.PeakBucketPairs > 3*cap {
+			t.Fatalf("%s: peak bucket %d pairs exceeds 3/4 of the %d-pair cap", label, st.PeakBucketPairs, cap)
+		}
 	}
 	for _, tc := range []struct {
 		workers  int
@@ -218,6 +232,7 @@ func TestBudgetDegradationLadder(t *testing.T) {
 		if !inScan(stats.Degradations) {
 			t.Fatalf("workers=%d: no in-scan ladder step logged: %q", workers, stats.Degradations)
 		}
+		supplyRung(fmt.Sprintf("workers=%d", workers), stats, tc.maxBytes)
 		assertSameResult(t, ref, res)
 
 		var gstats Stats
@@ -236,6 +251,7 @@ func TestBudgetDegradationLadder(t *testing.T) {
 		if !inScan(gstats.Degradations) {
 			t.Fatalf("graph workers=%d: no in-scan ladder step logged: %q", workers, gstats.Degradations)
 		}
+		supplyRung(fmt.Sprintf("graph workers=%d", workers), gstats, tc.maxBytes)
 		assertSameResult(t, gref, gres)
 	}
 

@@ -23,10 +23,10 @@ type Options struct {
 	// against the live spanner — still with the bidirectional decision
 	// query on graphs and the cached bound rows on metrics. The
 	// fault-tolerant engine always runs at one worker. At every worker
-	// count the default streamed supply adds one producer goroutine that
-	// fills the next weight bucket while the scan certifies the current
-	// one; it only enumerates and sorts candidates, is not a certifier,
-	// and is joined before the engine returns. An IncrementalSpanner's
+	// count the streamed supply adds one producer goroutine that fills
+	// the next weight bucket while the scan certifies the current one;
+	// it only enumerates and sorts candidates, is not a certifier, and
+	// is joined before the engine returns. An IncrementalSpanner's
 	// Euclidean replays of at most 48 changed points certify serially
 	// whatever Workers says (their shortcuts read changed sets that grow
 	// inside a batch); its initial build and every other replay honor it.
@@ -36,25 +36,15 @@ type Options struct {
 	// width grows while batches certify cleanly and shrinks when too many
 	// candidates fall through to the serial re-check.
 	BatchSize int
-	// Source overrides the candidate supply. The default is the streamed
-	// weight-bucketed supply of NewGraphEdgeSource or NewMetricSource
-	// (grid-bucketed on Euclidean metrics); any CandidateSource emitting
-	// every candidate in greedy scan order yields the identical spanner.
-	Source CandidateSource
-	// Materialize forces the classic supply: every candidate built and
-	// globally sorted up front (a copy of the edge list, or all n(n-1)/2
-	// pairs before the first greedy decision). It exists for benchmarks
-	// and comparison; output is identical either way. Ignored when Source
-	// is set.
-	Materialize bool
-	// BucketPairs bounds the default streamed supply's resident buckets
-	// to the bytes of BucketPairs 24-byte edges; <= 0 selects
-	// DefaultBucketPairs (scaled up on very large instances). A bucket is
-	// held as 16-byte records, and two buckets are resident while a scan
-	// runs — the one being certified and the one the producer fills —
-	// so each holds at most three quarters of BucketPairs candidates and
-	// both together at most 24*BucketPairs bytes, plus the current batch
-	// as edges. Ignored when Source is set or Materialize is true.
+	// BucketPairs bounds the streamed weight-bucketed candidate supply's
+	// resident buckets (grid-bucketed on Euclidean metrics) to the bytes
+	// of BucketPairs 24-byte edges; <= 0 selects DefaultBucketPairs
+	// (scaled up on very large instances). A bucket is held as 16-byte
+	// records, and two buckets are resident while a scan runs — the one
+	// being certified and the one the producer fills — so each holds at
+	// most three quarters of BucketPairs candidates and both together at
+	// most 24*BucketPairs bytes, plus the current batch as edges. The cap
+	// schedules the supply only; the output is identical for every value.
 	BucketPairs int
 	// Hubs enables the hub-label certification fast path: k hub vertices
 	// (degree-selected on graphs, ball-growth-sampled on metrics) carry
@@ -149,15 +139,15 @@ type Stats struct {
 	// cost no memory at all.
 	RowsAllocated int
 	// PeakBucketPairs is the largest single bucket the streamed supply
-	// materialized (0 for materialized or custom supplies); at most three
-	// quarters of the resolved BucketPairs unless one weight ties across
-	// more candidates. Up to two buckets are resident at once, so the
-	// supply's records peak at 2*16*PeakBucketPairs bytes.
+	// materialized; at most three quarters of the resolved BucketPairs
+	// unless one weight ties across more candidates. Up to two buckets are
+	// resident at once, so the supply's records peak at
+	// 2*16*PeakBucketPairs bytes.
 	PeakBucketPairs int
 	// SupplyPasses counts the streamed supply's enumeration passes
-	// (counting, subdivision, collection; 0 for materialized or custom
-	// supplies). The producer goroutine runs them beside the scan, so they
-	// cost wall time only where the scan would otherwise wait.
+	// (counting, subdivision, collection). The producer goroutine runs
+	// them beside the scan, so they cost wall time only where the scan
+	// would otherwise wait.
 	SupplyPasses int
 	// FinalBatchSize is the adaptive batch width at the end of the scan.
 	FinalBatchSize int
@@ -176,7 +166,7 @@ type Stats struct {
 	// outside any scan; one-shot builds always report 0.
 	HubsReselected int
 	// Degradations logs, in order, each step the engine took down the
-	// resource-budget ladder (supply streamed, batch width floored, hub
+	// resource-budget ladder (bucket cap clamped, batch width floored, hub
 	// oracle dropped, cached rows dropped, ...). Empty for unbudgeted or
 	// in-budget runs. Every logged step is output-invariant: it changes
 	// speed and memory, never the spanner.
@@ -224,7 +214,7 @@ func adaptBatch(batch, survivors, span int) int {
 // GreedyGraph, but fans the per-edge distance queries out over
 // opts.Workers goroutines (0 selects GOMAXPROCS). The output — edge
 // sequence, weight, and EdgesExamined — is deterministic (independent of
-// workers, batching, supply, and scheduling) and identical to
+// workers, batching, bucketing, and scheduling) and identical to
 // GreedyGraph's, with one caveat: the bidirectional search sums path
 // weights in a different order than the one-sided search, so the two
 // engines could in principle disagree on an edge whose alternative-path
@@ -277,19 +267,18 @@ func GreedyMetricFastParallelOpts(m metric.Metric, t float64, opts Options) (*Re
 // build is the setup every one-shot build shares; exactly one of g and m
 // is non-nil, and f > 0 (metrics only) selects the fault-tolerant
 // certifier. It validates the stretch, prepares the scan, resolves the
-// default supply and then the hub count under the byte budget (each
+// supply's bucket cap and then the hub count under the byte budget (each
 // degradation logged in that order), installs the oracle and the mode's
 // certifier, and drains the supply.
 func build(t float64, opts Options, g *graph.Graph, m metric.Metric, f int) (*Result, error) {
 	if !validStretch(t) {
 		return nil, errInvalidStretch(t)
 	}
-	var n, candidates int
+	var n int
 	if g != nil {
-		n, candidates = g.N(), g.M()
+		n = g.N()
 	} else {
 		n = m.N()
-		candidates = n * (n - 1) / 2
 	}
 	res := &Result{N: n, Stretch: t}
 	sc := newScan(t, graph.New(n), res, opts)
@@ -297,20 +286,12 @@ func build(t float64, opts Options, g *graph.Graph, m metric.Metric, f int) (*Re
 		return res, nil
 	}
 	record := logTo(&sc.stats.Degradations)
-	src := opts.Source
-	if src == nil {
-		materialize, bucketPairs := opts.Materialize, opts.BucketPairs
-		resolveSupplyBudget(opts.Budget, record, &materialize, &bucketPairs, candidates)
-		switch {
-		case g != nil && materialize:
-			src = NewMaterializedSource(g.SortedEdges())
-		case g != nil:
-			src = NewGraphEdgeSource(g, bucketPairs)
-		case materialize:
-			src = NewMaterializedSource(sortedPairs(m))
-		default:
-			src = NewMetricSource(m, bucketPairs)
-		}
+	bucketPairs := resolveSupplyBudget(opts.Budget, record, opts.BucketPairs)
+	var src *bucketedSource
+	if g != nil {
+		src = newBucketedSource(graphEdgeEnumerator{g: g}, bucketPairs)
+	} else {
+		src = newBucketedSource(metricEnumeratorFor(m), bucketPairs)
 	}
 	hubs := opts.Hubs
 	resolveHubBudget(opts.Budget, record, &hubs, n)
@@ -440,11 +421,11 @@ type certifier interface {
 // the live spanner. At one worker the same loop skips the pre-pass and
 // the snapshot pass and settles each candidate inline in the serial pass.
 //
-// A streamed supply (*bucketedSource) is prefetched: a producer
-// goroutine enumerates, sorts, and cut-filters the next weight bucket
-// while the scan certifies the current one, and run joins it on every
-// exit path. It hands buckets over by value, so the scan — at any worker
-// count — sees exactly the candidate sequence a synchronous drain yields.
+// The supply is prefetched: a producer goroutine enumerates, sorts, and
+// cut-filters the next weight bucket while the scan certifies the
+// current one, and run joins it on every exit path. It hands buckets
+// over by value, so the scan — at any worker count — sees exactly the
+// candidate sequence a synchronous drain yields.
 //
 // On clean completion the returned error is nil, the stats are final, and
 // any candidates a cut-resumed source suppressed are folded into
@@ -458,7 +439,7 @@ type certifier interface {
 // possibly-truncated search or an unverified cached bound is committed
 // (the cancellation predicates are monotone, so "not cancelled after the
 // search" proves the search was not cut short).
-func (sc *scan) run(src CandidateSource, batchSize int) (err error) {
+func (sc *scan) run(src *bucketedSource, batchSize int) (err error) {
 	res, stats, env, c := sc.res, sc.stats, sc.env, sc.cert
 	defer func() {
 		if p := recover(); p != nil {
@@ -470,10 +451,8 @@ func (sc *scan) run(src CandidateSource, batchSize int) (err error) {
 	}()
 	// Deferred after the recover, so the producer is joined on every exit
 	// path, panics included, before a panic becomes the returned error.
-	if bs, ok := src.(*bucketedSource); ok {
-		bs.startProducer()
-		defer bs.joinProducer()
-	}
+	src.startProducer()
+	defer src.joinProducer()
 	relaxed0 := 0
 	if sc.oracle != nil {
 		relaxed0 = sc.oracle.Relaxed()
@@ -669,17 +648,15 @@ func (sc *scan) accept(e graph.Edge) error {
 // record exhaustion once. Every step is output-invariant — the width only
 // schedules, and the oracle and the cache only accelerate decisions the
 // exact searches re-derive.
-func (sc *scan) checkBudget(batch int, src CandidateSource) int {
+func (sc *scan) checkBudget(batch int, src *bucketedSource) int {
 	env := sc.env
 	if env == nil || env.budget.MaxBytes <= 0 {
 		return batch
 	}
 	n := sc.h.N()
 	est := searcherPoolBytes(sc.workers, n) + int64(batch)*edgeBytes +
-		int64(sc.cert.cacheRows())*int64(n)*boundRowBytesPerVertex
-	if bs, ok := src.(*bucketedSource); ok {
-		est += 2 * int64(bs.PeakBucket()) * recBytes // both buffers in flight
-	}
+		int64(sc.cert.cacheRows())*int64(n)*boundRowBytesPerVertex +
+		2*int64(src.PeakBucket())*recBytes // both buffers in flight
 	if sc.oracle != nil {
 		est += hubBytes(len(sc.oracle.Hubs()), n)
 	}
@@ -705,14 +682,12 @@ func (sc *scan) checkBudget(batch int, src CandidateSource) int {
 
 // finish fills the end-of-scan stats and folds the candidates a
 // cut-resumed source suppressed into EdgesExamined.
-func (sc *scan) finish(src CandidateSource, relaxed0 int) {
+func (sc *scan) finish(src *bucketedSource, relaxed0 int) {
 	st := sc.stats
 	st.RowsAllocated = sc.cert.cacheRows()
-	if bs, ok := src.(*bucketedSource); ok {
-		st.PeakBucketPairs = bs.PeakBucket()
-		st.SupplyPasses = bs.Passes()
-		sc.res.EdgesExamined += bs.Skipped()
-	}
+	st.PeakBucketPairs = src.PeakBucket()
+	st.SupplyPasses = src.Passes()
+	sc.res.EdgesExamined += src.Skipped()
 	if sc.oracle != nil {
 		st.HubRelaxed = sc.oracle.Relaxed() - relaxed0
 		st.HubsReselected = sc.oracle.Reselected()

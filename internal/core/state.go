@@ -249,10 +249,9 @@ func validateEdges(edges []graph.Edge, n int, dead []bool) error {
 // ImportIncremental reconstructs a maintained spanner from an exported
 // state. The metric-mode engine options come from mopts and the
 // graph-mode ones from gopts (whichever matches st.GraphMode applies;
-// Source and Materialize are rejected as in the constructors, and
-// opts.Hubs is ignored — the hub set, like everything else, comes from the
-// state). The imported spanner is update-for-update bit-identical to the
-// exported one. Validation is structural and O(state size): every index,
+// opts.Hubs is ignored — the hub set, like everything else, comes from
+// the state). The imported spanner is update-for-update bit-identical to
+// the exported one. Validation is structural and O(state size): every index,
 // length, epoch, and histogram total is checked and a violation returns an
 // error wrapping ErrCorruptState; it does not re-verify distances against
 // the metric payload (the persistence layer's digests own byte integrity).
@@ -262,9 +261,6 @@ func ImportIncremental(st *SpannerState, mopts, gopts Options) (*IncrementalSpan
 	}
 	if !validStretch(st.T) {
 		return nil, errInvalidStretch(st.T)
-	}
-	if mopts.Source != nil || mopts.Materialize || gopts.Source != nil || gopts.Materialize {
-		return nil, errSupplyOption
 	}
 	if st.GraphMode {
 		return importGraph(st, gopts)

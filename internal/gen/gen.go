@@ -281,30 +281,3 @@ func UnboundedDegreeMetric(scales, perRing int, eps float64) (*metric.Matrix, er
 	}
 	return metric.NewMatrix(d)
 }
-
-// HighGirthGraph returns a unit-weight graph with girth > girthMin via
-// randomized incremental insertion: random candidate edges are accepted only
-// if the current graph distance between their endpoints is at least
-// girthMin (so every cycle created has length >= girthMin + ... >= girthMin).
-// It aims for the requested edge count but may stop short when the girth
-// constraint saturates. This realizes the paper's "dense graph of high
-// girth" lower-bound instances at practical sizes.
-func HighGirthGraph(rng *rand.Rand, n, edges, girthMin int) *graph.Graph {
-	g := graph.New(n)
-	attempts := 0
-	maxAttempts := 50 * edges
-	for g.M() < edges && attempts < maxAttempts {
-		attempts++
-		u, v := rng.Intn(n), rng.Intn(n)
-		if u == v || g.HasEdge(u, v) {
-			continue
-		}
-		// Adding (u,v) creates a cycle of length dist(u,v)+1; require
-		// dist >= girthMin - 1, i.e. no path of length <= girthMin - 2.
-		if _, short := g.DistanceWithin(u, v, float64(girthMin-2)); short {
-			continue
-		}
-		g.MustAddEdge(u, v, 1)
-	}
-	return g
-}

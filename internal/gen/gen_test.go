@@ -162,14 +162,3 @@ func TestUnboundedDegreeMetricValid(t *testing.T) {
 		t.Fatal("eps=0.5 accepted")
 	}
 }
-
-func TestHighGirthGraph(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	g := HighGirthGraph(rng, 60, 90, 6)
-	if g.M() == 0 {
-		t.Fatal("no edges generated")
-	}
-	if girth := g.GirthUnweighted(); girth != 0 && girth < 6 {
-		t.Fatalf("girth = %d, want >= 6 (or acyclic)", girth)
-	}
-}

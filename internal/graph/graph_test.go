@@ -476,3 +476,30 @@ func TestUnionFindQuickProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestSearcherMatchesGraphMethods(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	g := randomConnectedGraph(rng, 30, 60)
+	s := NewSearcher(g.N())
+	dist := make([]float64, g.N())
+	for trial := 0; trial < 20; trial++ {
+		u, v := rng.Intn(g.N()), rng.Intn(g.N())
+		want := g.DijkstraTo(u, v)
+		if got, ok := s.DistanceWithin(g, u, v, Inf); !ok || got != want {
+			t.Fatalf("DistanceWithin(%d,%d) = %v, want %v", u, v, got, want)
+		}
+		limit := want / 2
+		if u != v {
+			if _, ok := s.DistanceWithin(g, u, v, limit); ok && limit < want {
+				t.Fatalf("DistanceWithin accepted beyond limit")
+			}
+		}
+		s.Distances(g, u, dist)
+		full := g.Dijkstra(u)
+		for x := range dist {
+			if dist[x] != full.Dist[x] {
+				t.Fatalf("Distances mismatch at %d", x)
+			}
+		}
+	}
+}

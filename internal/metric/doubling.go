@@ -1,9 +1,6 @@
 package metric
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Net computes a greedy r-net of the metric restricted to the given points
 // (all points if pts is nil): a maximal subset with pairwise distances > r,
@@ -31,34 +28,6 @@ func Net(m Metric, pts []int, r float64) []int {
 		}
 	}
 	return net
-}
-
-// NetAssignment computes an r-net and, for every input point, the index
-// (into the returned net) of a net point within distance r. Net centers are
-// assigned to themselves.
-func NetAssignment(m Metric, pts []int, r float64) (net []int, assign map[int]int) {
-	if pts == nil {
-		pts = make([]int, m.N())
-		for i := range pts {
-			pts[i] = i
-		}
-	}
-	assign = make(map[int]int, len(pts))
-	for _, p := range pts {
-		found := -1
-		for ci, c := range net {
-			if m.Dist(p, c) <= r {
-				found = ci
-				break
-			}
-		}
-		if found < 0 {
-			net = append(net, p)
-			found = len(net) - 1
-		}
-		assign[p] = found
-	}
-	return net, assign
 }
 
 // DoublingDimension estimates the doubling dimension of m empirically: for a
@@ -97,41 +66,4 @@ func DoublingDimension(m Metric) float64 {
 		}
 	}
 	return math.Log2(float64(worst))
-}
-
-// PackingCount returns the maximum number of points with pairwise distance
-// greater than r that fit inside the ball B(center, radR), via a greedy
-// packing. Used to validate Lemma 1-style packing bounds in tests.
-func PackingCount(m Metric, center int, radR, r float64) int {
-	var packed []int
-	// Deterministic order: by distance from center, nearest first.
-	type pd struct {
-		p int
-		d float64
-	}
-	var in []pd
-	for p := 0; p < m.N(); p++ {
-		if d := m.Dist(center, p); d <= radR {
-			in = append(in, pd{p, d})
-		}
-	}
-	sort.Slice(in, func(i, j int) bool {
-		if in[i].d != in[j].d {
-			return in[i].d < in[j].d
-		}
-		return in[i].p < in[j].p
-	})
-	for _, cand := range in {
-		ok := true
-		for _, q := range packed {
-			if m.Dist(cand.p, q) <= r {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			packed = append(packed, cand.p)
-		}
-	}
-	return len(packed)
 }

@@ -240,12 +240,3 @@ func MinDistance(m Metric) float64 {
 	}
 	return best
 }
-
-// AspectRatio returns Diameter / MinDistance, the spread of the metric.
-func AspectRatio(m Metric) float64 {
-	md := MinDistance(m)
-	if math.IsInf(md, 1) || md == 0 {
-		return 0
-	}
-	return Diameter(m) / md
-}

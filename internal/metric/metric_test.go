@@ -127,11 +127,8 @@ func TestDiameterMinDistanceAspect(t *testing.T) {
 	if d := MinDistance(m); d != 1 {
 		t.Fatalf("MinDistance = %v, want 1", d)
 	}
-	if a := AspectRatio(m); a != 4 {
-		t.Fatalf("AspectRatio = %v, want 4", a)
-	}
 	single := MustEuclidean([][]float64{{0, 0}})
-	if Diameter(single) != 0 || AspectRatio(single) != 0 {
+	if Diameter(single) != 0 || !math.IsInf(MinDistance(single), 1) {
 		t.Fatal("degenerate metric stats wrong")
 	}
 }
@@ -161,28 +158,6 @@ func TestNetProperties(t *testing.T) {
 			if !ok {
 				t.Fatalf("r=%v: point %d uncovered", r, p)
 			}
-		}
-	}
-}
-
-func TestNetAssignment(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	m := MustEuclidean(unitSquarePoints(rng, 60))
-	r := 0.2
-	net, assign := NetAssignment(m, nil, r)
-	for p := 0; p < m.N(); p++ {
-		ci, ok := assign[p]
-		if !ok {
-			t.Fatalf("point %d unassigned", p)
-		}
-		if d := m.Dist(p, net[ci]); d > r {
-			t.Fatalf("point %d assigned to center at distance %v > r=%v", p, d, r)
-		}
-	}
-	// Centers assigned to themselves.
-	for ci, c := range net {
-		if assign[c] != ci {
-			t.Fatalf("center %d assigned to %d", c, assign[c])
 		}
 	}
 }
@@ -219,24 +194,6 @@ func TestDoublingDimensionPlaneVsLine(t *testing.T) {
 	ddPlane := DoublingDimension(MustEuclidean(plane))
 	if ddPlane <= ddLine {
 		t.Fatalf("plane ddim (%v) should exceed line ddim (%v)", ddPlane, ddLine)
-	}
-}
-
-func TestPackingCountBound(t *testing.T) {
-	// On a unit grid, a ball of radius R contains at most O((2R/r)^2) points
-	// pairwise > r apart (Lemma 1 shape). Spot-check smallish values.
-	var pts [][]float64
-	for x := 0; x < 10; x++ {
-		for y := 0; y < 10; y++ {
-			pts = append(pts, []float64{float64(x), float64(y)})
-		}
-	}
-	m := MustEuclidean(pts)
-	center := 55 // (5,5)
-	got := PackingCount(m, center, 2.0, 0.9)
-	// Points pairwise > 0.9 apart within radius 2: at most ~(2*2/0.9+1)^2 ≈ 29.
-	if got < 5 || got > 29 {
-		t.Fatalf("PackingCount = %d, want within [5, 29]", got)
 	}
 }
 

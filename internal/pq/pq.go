@@ -2,12 +2,13 @@
 // minimum-spanning-tree algorithms in this repository.
 //
 // The central type is IndexedMinHeap, a 4-ary min-heap keyed by float64
-// priorities over a dense universe of integer items [0, n). It supports the
-// DecreaseKey operation required by Dijkstra's and Prim's algorithms in
-// O(log n) time, and O(1) membership and priority lookup. Each heap slot
-// stores its key beside its item, so the sift loops compare keys read
-// straight from the slots instead of through a per-item key array, and the
-// four children of a slot share one or two cache lines.
+// priorities over a dense universe of integer items [0, n). Push of an
+// item already in the heap is the decrease-key operation Dijkstra's and
+// Prim's algorithms require, in O(log n) time; membership and priority
+// lookup are O(1). Each heap slot stores its key beside its item, so the
+// sift loops compare keys read straight from the slots instead of through
+// a per-item key array, and the four children of a slot share one or two
+// cache lines.
 package pq
 
 // entry is one heap slot: an item and its current key.
@@ -55,9 +56,9 @@ func (h *IndexedMinHeap) Key(v int) float64 {
 	return 0
 }
 
-// Push inserts item v with priority k. If v is already present, Push behaves
-// like DecreaseKey when k is smaller than the current key and is a no-op
-// otherwise.
+// Push inserts item v with priority k. If v is already present, Push
+// lowers its priority to k when k is smaller than the current key and is a
+// no-op otherwise.
 func (h *IndexedMinHeap) Push(v int, k float64) {
 	if p := h.pos[v]; p >= 0 {
 		if k < h.heap[p].key {
@@ -67,16 +68,6 @@ func (h *IndexedMinHeap) Push(v int, k float64) {
 	}
 	h.heap = append(h.heap, entry{})
 	h.siftUp(len(h.heap)-1, entry{key: k, item: int32(v)})
-}
-
-// DecreaseKey lowers the priority of item v to k. It is a no-op if v is not
-// in the heap or k is not smaller than the current key.
-func (h *IndexedMinHeap) DecreaseKey(v int, k float64) {
-	p := h.pos[v]
-	if p < 0 || k >= h.heap[p].key {
-		return
-	}
-	h.siftUp(int(p), entry{key: k, item: int32(v)})
 }
 
 // Peek returns the item with the minimum key and that key without removing

@@ -48,35 +48,10 @@ func TestIndexedMinHeapBasic(t *testing.T) {
 	}
 }
 
-func TestIndexedMinHeapDecreaseKey(t *testing.T) {
-	h := NewIndexedMinHeap(5)
-	h.Push(0, 10)
-	h.Push(1, 20)
-	h.Push(2, 30)
-	h.DecreaseKey(2, 5)
-	if got := h.Key(2); got != 5 {
-		t.Fatalf("Key(2) = %v, want 5", got)
-	}
-	v, _ := h.Pop()
-	if v != 2 {
-		t.Fatalf("Pop = %d, want 2", v)
-	}
-	// Increasing key must be a no-op.
-	h.DecreaseKey(1, 100)
-	if got := h.Key(1); got != 20 {
-		t.Fatalf("Key(1) = %v after bogus decrease, want 20", got)
-	}
-	// DecreaseKey on an absent item must be a no-op.
-	h.DecreaseKey(4, 1)
-	if h.Contains(4) {
-		t.Fatal("DecreaseKey inserted absent item")
-	}
-}
-
 func TestIndexedMinHeapPushDuplicate(t *testing.T) {
 	h := NewIndexedMinHeap(3)
 	h.Push(1, 10)
-	h.Push(1, 4) // acts as DecreaseKey
+	h.Push(1, 4) // lowers the key
 	if h.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", h.Len())
 	}
@@ -191,7 +166,7 @@ func (h *naiveHeap) Pop() (int, float64) {
 
 // TestHeapsAgree cross-checks the indexed heap against the naive
 // reference under a random mixed workload of pushes, decrease-keys, and
-// pops.
+// pops. The indexed heap lowers a key with Push, as Dijkstra does.
 func TestHeapsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const n = 64
@@ -212,7 +187,7 @@ func TestHeapsAgree(t *testing.T) {
 			v := rng.Intn(n)
 			if a.Contains(v) {
 				k := a.Key(v) - rng.Float64()*10
-				a.DecreaseKey(v, k)
+				a.Push(v, k)
 				b.DecreaseKey(v, k)
 			}
 		default:
@@ -255,7 +230,7 @@ func TestHeapsAgreeWithTies(t *testing.T) {
 			a.Push(v, k)
 			b.Push(v, k)
 		case a.Contains(v) && b.in[v] && k < a.Key(v):
-			a.DecreaseKey(v, k)
+			a.Push(v, k)
 			b.DecreaseKey(v, k)
 		}
 	}

@@ -1,14 +1,13 @@
-// Package verify provides independent checkers for spanner outputs: stretch
-// verification (exact over all edges or pairs, and sampled for large
-// instances), lightness, degree, and MST containment. These are written
-// against the definitions in Section 2 of the paper and deliberately avoid
-// sharing code paths with the constructions they audit.
+// Package verify provides independent checkers for spanner outputs: exact
+// stretch verification over all edges or pairs, lightness, and the equal
+// MST weights of a graph and its induced metric. These are written against
+// the definitions in Section 2 of the paper and deliberately avoid sharing
+// code paths with the constructions they audit.
 package verify
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/graph"
 	"repro/internal/metric"
@@ -82,35 +81,6 @@ func MetricSpanner(h *graph.Graph, m metric.Metric, t, eps float64) (StretchRepo
 	return rep, nil
 }
 
-// SampledMetricSpanner estimates the stretch of h against m on `samples`
-// random pairs. Cheap audit for instances too large for MetricSpanner.
-func SampledMetricSpanner(h *graph.Graph, m metric.Metric, t, eps float64, samples int, rng *rand.Rand) (StretchReport, error) {
-	n := m.N()
-	rep := StretchReport{}
-	if n < 2 {
-		return rep, nil
-	}
-	for s := 0; s < samples; s++ {
-		u := rng.Intn(n)
-		v := rng.Intn(n)
-		if u == v {
-			continue
-		}
-		rep.Pairs++
-		d := h.DijkstraTo(u, v)
-		want := m.Dist(u, v)
-		if d > t*want+eps {
-			return rep, fmt.Errorf("verify: sampled stretch violated at (%d, %d): %v > %v", u, v, d, t*want)
-		}
-		if want > 0 {
-			if st := d / want; st > rep.MaxStretch {
-				rep.MaxStretch, rep.WorstU, rep.WorstV = st, u, v
-			}
-		}
-	}
-	return rep, nil
-}
-
 // Lightness returns weight(h) / weight(MST(g)), the paper's Psi(H).
 func Lightness(h, g *graph.Graph) (float64, error) {
 	l, ok := graph.Lightness(h, g)
@@ -128,25 +98,6 @@ func MetricLightness(h *graph.Graph, m metric.Metric) (float64, error) {
 		return 0, fmt.Errorf("verify: metric MST weight is zero")
 	}
 	return h.Weight() / mst, nil
-}
-
-// ContainsMSTEdges verifies that h contains every edge of the deterministic
-// Kruskal MST of g (Observation 2 of the paper for greedy outputs).
-func ContainsMSTEdges(h, g *graph.Graph) error {
-	for _, e := range g.MSTKruskal() {
-		found := false
-		h.Neighbors(e.U, func(to int, w float64) bool {
-			if to == e.V && w == e.W {
-				found = true
-				return false
-			}
-			return true
-		})
-		if !found {
-			return fmt.Errorf("verify: MST edge (%d, %d, %v) not in subgraph", e.U, e.V, e.W)
-		}
-	}
-	return nil
 }
 
 // SameMSTWeight verifies Observation 6: the metric M_G induced by g and g

@@ -87,25 +87,6 @@ func TestMetricSpanner(t *testing.T) {
 	}
 }
 
-func TestSampledMetricSpanner(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	pts := gen.UniformPoints(rng, 40, 2)
-	m := metric.MustEuclidean(pts)
-	h := metric.CompleteGraph(m)
-	rep, err := SampledMetricSpanner(h, m, 1, 1e-12, 200, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Pairs == 0 {
-		t.Fatal("no pairs sampled")
-	}
-	// Single-point metric: nothing to check, no error.
-	one := metric.MustEuclidean([][]float64{{0, 0}})
-	if _, err := SampledMetricSpanner(graph.New(1), one, 1, 0, 10, rng); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestLightnessFunctions(t *testing.T) {
 	g := graph.New(3)
 	g.MustAddEdge(0, 1, 1)
@@ -123,18 +104,6 @@ func TestLightnessFunctions(t *testing.T) {
 	ml, err := MetricLightness(h, m)
 	if err != nil || ml != 2 {
 		t.Fatalf("MetricLightness = %v, %v; want 2", ml, err)
-	}
-}
-
-func TestContainsMSTEdges(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g := gen.ErdosRenyi(rng, 20, 0.4, 1, 5)
-	mst := g.Subgraph(g.MSTKruskal())
-	if err := ContainsMSTEdges(mst, g); err != nil {
-		t.Fatalf("MST does not contain itself: %v", err)
-	}
-	if err := ContainsMSTEdges(graph.New(20), g); err == nil {
-		t.Fatal("empty graph passed MST containment")
 	}
 }
 

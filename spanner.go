@@ -16,7 +16,7 @@
 //     metrics), and the survivors are re-checked serially in greedy
 //     order — so parallel output is deterministic and bit-identical to
 //     the sequential scan while construction runs across all cores.
-//     Candidates are streamed from a weight-bucketed CandidateSource
+//     Candidates come from one streamed weight-bucketed supply
 //     (grid-bucketed on Euclidean metrics) and metric distance bounds
 //     live in sparse rows allocated on first refresh, so memory scales
 //     with the active weight bucket and the spanner's working set
@@ -42,9 +42,9 @@
 //   - ApproxGreedy — the O(n log n)-style approximate-greedy algorithm for
 //     doubling metrics (Section 5, Theorem 6), with constant lightness and
 //     degree.
-//   - Verification utilities — stretch, lightness, MST containment, and the
-//     Lemma 3 self-spanner property, so downstream users can audit any
-//     spanner against the paper's definitions.
+//   - Verification utilities — stretch, lightness, and the Lemma 3
+//     self-spanner property, so downstream users can audit any spanner
+//     against the paper's definitions.
 //
 // Quick start:
 //
@@ -86,9 +86,9 @@ type Result = core.Result
 
 // Budget re-exports the engines' resource budget: a byte cap on the
 // estimated working set, a batch-width cap, and a deadline. Budgeted runs
-// degrade gracefully down an output-invariant ladder (materialized →
-// streamed supply, shrink batch width, drop the hub oracle, drop cached
-// bound rows), recording each step in the stats' Degradations log.
+// degrade gracefully down an output-invariant ladder (clamp the supply's
+// bucket cap, shrink batch width, drop the hub oracle, drop cached bound
+// rows), recording each step in the stats' Degradations log.
 type Budget = core.Budget
 
 // Typed failure sentinels, matched with errors.Is. Every engine error
@@ -127,19 +127,13 @@ var (
 	ErrLocked = persist.ErrLocked
 )
 
-// CandidateSource re-exports the streaming candidate-supply interface: a
-// source of spanner candidates in greedy scan order, pulled batch by
-// batch so memory scales with the active weight bucket instead of the
-// full candidate set.
-type CandidateSource = core.CandidateSource
-
 // ParallelOptions and MetricParallelOptions both re-export core.Options,
 // the one options struct of the batched engines: tuning knobs (workers,
-// batch width, candidate supply, bucket cap, hubs, stats) plus the
-// robustness controls — Ctx cancels the build at the next check point
-// (typed ErrCancelled, prefix Result), Budget bounds its resources with
-// graceful degradation, and Inject is the fault-injection surface the
-// chaos harness drives. GuardRows, honored by the metric engine only,
+// batch width, bucket cap, hubs, stats) plus the robustness controls —
+// Ctx cancels the build at the next check point (typed ErrCancelled,
+// prefix Result), Budget bounds its resources with graceful
+// degradation, and Inject is the fault-injection surface the chaos
+// harness drives. GuardRows, honored by the metric engine only,
 // arms per-row checksums over the cached bound rows so a corrupted entry
 // surfaces as ErrCorruptState instead of silently certifying a wrong
 // skip. The two names are interchangeable.
@@ -207,12 +201,11 @@ func Greedy(g *Graph, t float64) (*Result, error) {
 }
 
 // GreedyParallelOpts is Greedy with explicit engine controls: the worker
-// count (0 selects GOMAXPROCS), batching, hubs, stats, cancellation, and
-// budget. By default the engine streams candidates from a weight-bucketed
-// supply (NewGraphCandidateSource) instead of sorting a full copy of the
-// edge list; set Materialize to force the classic sorted-copy supply, or
-// Source to plug in a custom one. Output is bit-identical to Greedy for
-// any supply that emits the edges in greedy scan order.
+// count (0 selects GOMAXPROCS), batching, bucket cap, hubs, stats,
+// cancellation, and budget. The engine streams candidates from a
+// weight-bucketed supply instead of sorting a full copy of the edge list;
+// BucketPairs caps its resident bucket. Output is bit-identical to Greedy
+// under every setting.
 func GreedyParallelOpts(g *Graph, t float64, opts ParallelOptions) (*Result, error) {
 	return core.GreedyGraphParallelOpts(g, t, opts)
 }
@@ -230,31 +223,15 @@ func GreedyMetric(m Metric, t float64) (*Result, error) {
 }
 
 // GreedyMetricParallelOpts is GreedyMetric with explicit engine controls.
-// By default the engine streams the n(n-1)/2 candidate pairs from a
-// weight-bucketed supply (grid-bucketed on Euclidean metrics, so a bucket
-// is produced without touching farther pairs at all) and keeps distance
-// bounds in sparse rows allocated on first refresh — memory scales with
-// the spanner's working set, not with n^2. Set Workers to fix the worker
-// count, Materialize to force the classic materialize-then-sort supply,
-// BucketPairs to cap the streamed supply's resident bucket, or Source to
-// plug in a custom supply. Output is bit-identical in every mode.
+// The engine streams the n(n-1)/2 candidate pairs from a weight-bucketed
+// supply (grid-bucketed on Euclidean metrics, so a bucket is produced
+// without touching farther pairs at all) and keeps distance bounds in
+// sparse rows allocated on first refresh — memory scales with the
+// spanner's working set, not with n^2. Set Workers to fix the worker
+// count or BucketPairs to cap the supply's resident bucket. Output is
+// bit-identical under every setting.
 func GreedyMetricParallelOpts(m Metric, t float64, opts MetricParallelOptions) (*Result, error) {
 	return core.GreedyMetricFastParallelOpts(m, t, opts)
-}
-
-// NewMetricCandidateSource returns the streamed weight-bucketed candidate
-// supply over all interpoint pairs of m in greedy scan order; bucketPairs
-// <= 0 selects the default cap. Useful for driving GreedyMetricParallelOpts
-// with a shared or instrumented supply.
-func NewMetricCandidateSource(m Metric, bucketPairs int) CandidateSource {
-	return core.NewMetricSource(m, bucketPairs)
-}
-
-// NewGraphCandidateSource returns the streamed weight-bucketed supply over
-// g's edge list in greedy scan order; bucketPairs <= 0 selects the default
-// cap.
-func NewGraphCandidateSource(g *Graph, bucketPairs int) CandidateSource {
-	return core.NewGraphEdgeSource(g, bucketPairs)
 }
 
 // Incremental re-exports the fully dynamic maintained greedy spanner:
@@ -288,8 +265,7 @@ func NewIncremental(m Metric, t float64, workers int) (*Incremental, error) {
 }
 
 // NewIncrementalOpts is NewIncremental with explicit engine controls
-// (batch width, bucket cap, stats). Source and Materialize are rejected:
-// a maintained spanner owns its candidate supply.
+// (batch width, bucket cap, stats).
 func NewIncrementalOpts(m Metric, t float64, opts MetricParallelOptions) (*Incremental, error) {
 	return core.NewIncrementalMetric(m, t, opts)
 }
@@ -302,7 +278,7 @@ func NewIncrementalGraph(g *Graph, t float64, workers int) (*Incremental, error)
 }
 
 // NewIncrementalGraphOpts is NewIncrementalGraph with explicit engine
-// controls; Source and Materialize are rejected.
+// controls (batch width, bucket cap, stats).
 func NewIncrementalGraphOpts(g *Graph, t float64, opts ParallelOptions) (*Incremental, error) {
 	return core.NewIncrementalGraph(g, t, opts)
 }
