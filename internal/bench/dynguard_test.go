@@ -22,9 +22,19 @@ import (
 // on its survivors. A rebase that silently falls back to full replays,
 // one that resets rows proven on the kept prefix, or a hub oracle that
 // rebuilds from scratch on every delete shows up here as a speedup
-// collapse long before anyone reads a benchmark. Gated behind
-// DYN_GUARD=1 because the n=4000 workloads take a couple of minutes; CI
-// runs it as a dedicated step.
+// collapse long before anyone reads a benchmark.
+//
+// Beside the timing floor it checks two counts that do not move with the
+// rebuild's speed, per operation as the speedups count operations:
+// row vertices refreshed (Stats.RefreshTouched) and supply weights
+// evaluated (Stats.SupplyEvaluated), each as a share of the one-shot
+// build's. Measured: insert-only 3.1% and 5.2%, delete-only 3.1% and
+// 5.3%, mixed 8.4% and 15.4%. The ceilings, 20% and 30%, leave about 2x
+// margin over the mixed trace; a replay per operation that refreshed
+// every row, or re-counted and re-enumerated the whole pair set, would
+// read 100% or more.
+// Gated behind DYN_GUARD=1 because the n=4000 workloads take a couple of
+// minutes; CI runs it as a dedicated step.
 func TestDynamicRegressionGuardN4000(t *testing.T) {
 	if os.Getenv("DYN_GUARD") != "1" {
 		t.Skip("set DYN_GUARD=1 to run the n=4000 dynamic maintenance guard")
@@ -36,8 +46,12 @@ func TestDynamicRegressionGuardN4000(t *testing.T) {
 		updated, batch = 64, 16
 		// The mixed trace: single queries and batches of mixBatch points.
 		mixQueries, mixInserts, mixDeletes, mixBatch = 32, 4, 4, 8
+		// Ceilings on an operation's refreshed row vertices and supply
+		// evaluations, as shares of the build's.
+		touchedCeiling, evaluatedCeiling = 0.20, 0.30
 	)
-	opts := core.Options{Workers: 1}
+	var st core.Stats
+	opts := core.Options{Workers: 1, Stats: &st}
 	// The guard's instance is the 4032 points that follow the first 516
 	// of the seed-42 stream; its recorded speedups refer to that instance.
 	rng := rand.New(rand.NewSource(42))
@@ -57,6 +71,19 @@ func TestDynamicRegressionGuardN4000(t *testing.T) {
 		fullDigest = core.ResultDigest(res)
 	}
 	rebuildMS := median(rebuild)
+	build := st
+	// work sums the maintained engine's counted work over every replay
+	// of a workload (all repetitions); tally runs one update or query and
+	// adds the replay it ran, if any.
+	type work struct{ touched, evaluated int }
+	var w work
+	tally := func(op func() error) error {
+		st = core.Stats{}
+		err := op()
+		w.touched += st.RefreshTouched
+		w.evaluated += st.SupplyEvaluated
+		return err
+	}
 	// scratch is the from-scratch build's digest on pts[alive...].
 	scratch := func(alive []int) uint64 {
 		res, err := core.GreedyMetricFastParallelOpts(pick(pts, alive), stretch, opts)
@@ -78,12 +105,14 @@ func TestDynamicRegressionGuardN4000(t *testing.T) {
 		return core.NewIncrementalMetric(metric.MustEuclidean(pts[:n-updated]), stretch, opts)
 	}, func(inc *core.IncrementalSpanner) error {
 		for _, u := range unions {
-			if err := inc.Insert(u); err != nil {
+			if err := tally(func() error { return inc.Insert(u) }); err != nil {
 				return err
 			}
 		}
 		return nil
 	})
+	insertWork := w
+	w = work{}
 
 	// Delete-only: random victims, drawn from seed 42+n.
 	delRng := rand.New(rand.NewSource(42 + n))
@@ -96,12 +125,14 @@ func TestDynamicRegressionGuardN4000(t *testing.T) {
 	}
 	deleteMS := timeOps(t, reps, scratch(alive), fromFull, func(inc *core.IncrementalSpanner) error {
 		for _, v := range victims {
-			if err := inc.Delete(v...); err != nil {
+			if err := tally(func() error { return inc.Delete(v...) }); err != nil {
 				return err
 			}
 		}
 		return nil
 	})
+	deleteWork := w
+	w = work{}
 
 	// Mixed 80/10/10: one trace shuffled by seed 42+7, replayed under
 	// CoalesceUntilQuery. An insert step carries its grown point set, a
@@ -136,35 +167,51 @@ func TestDynamicRegressionGuardN4000(t *testing.T) {
 		return inc, err
 	}, func(inc *core.IncrementalSpanner) error {
 		for _, s := range steps {
-			var err error
-			switch {
-			case s.union != nil:
-				err = inc.Insert(s.union)
-			case s.victims != nil:
-				err = inc.Delete(s.victims...)
-			default:
-				_, err = inc.Result()
-			}
+			err := tally(func() error {
+				switch {
+				case s.union != nil:
+					return inc.Insert(s.union)
+				case s.victims != nil:
+					return inc.Delete(s.victims...)
+				}
+				_, err := inc.Result()
+				return err
+			})
 			if err != nil {
 				return err
 			}
 		}
 		return nil
 	})
+	mixedWork := w
 
 	speedups := []struct {
 		name    string
 		speedup float64
+		work    work
+		ops     int
 	}{
-		{"insert-only", rebuildMS / (insertMS / updated)},
-		{"delete-only", rebuildMS / (deleteMS / updated)},
-		{"mixed-80/10/10", rebuildMS / (mixedMS / float64(len(ops)))},
+		{"insert-only", rebuildMS / (insertMS / updated), insertWork, updated},
+		{"delete-only", rebuildMS / (deleteMS / updated), deleteWork, updated},
+		{"mixed-80/10/10", rebuildMS / (mixedMS / float64(len(ops))), mixedWork, len(ops)},
 	}
 	t.Logf("n=%d rebuild %.1f ms/op; speedups: insert %.1fx, delete %.1fx, mixed %.1fx",
 		n, rebuildMS, speedups[0].speedup, speedups[1].speedup, speedups[2].speedup)
 	for _, s := range speedups {
 		if s.speedup < floor {
 			t.Errorf("%s per-op speedup %.2fx below the %.0fx regression floor", s.name, s.speedup, floor)
+		}
+		per := float64(reps * s.ops)
+		touched := float64(s.work.touched) / per / float64(build.RefreshTouched)
+		evaluated := float64(s.work.evaluated) / per / float64(build.SupplyEvaluated)
+		t.Logf("%s per op: refresh_touched %.0f (%.1f%% of the build's %d), supply_evaluated %.0f (%.1f%% of the build's %d)",
+			s.name, float64(s.work.touched)/per, 100*touched, build.RefreshTouched,
+			float64(s.work.evaluated)/per, 100*evaluated, build.SupplyEvaluated)
+		if touched > touchedCeiling {
+			t.Errorf("%s refreshes %.1f%% of the build's row vertices per op, above the %.0f%% ceiling", s.name, 100*touched, 100*touchedCeiling)
+		}
+		if evaluated > evaluatedCeiling {
+			t.Errorf("%s evaluates %.1f%% of the build's supply weights per op, above the %.0f%% ceiling", s.name, 100*evaluated, 100*evaluatedCeiling)
 		}
 	}
 }

@@ -22,8 +22,19 @@ import (
 // re-runs the scan, or a replay that stops using the maintained fast
 // path shows up here as a speedup collapse; a recovery that goes back to
 // one engine replay per WAL record shows up as a recovery slower than
-// the rebuild. Gated behind PERSIST_GUARD=1 because the n=4000 build
-// takes a while; CI runs it as a dedicated step.
+// the rebuild.
+//
+// Beside the timings it checks counts that do not move with the
+// rebuild's speed, on one more, untimed recovery: the 8-record tail must
+// replay as exactly one coalesced flush, and that replay's supply must
+// evaluate at most recoverEvaluated of the weights the build's supply
+// evaluated, the build's counting pass included. Measured: 0.85
+// (45,712,985 of 53,528,840). The ceiling, 1.0, leaves 18% margin: one
+// replay of a tail never needs more than the whole build's supply, while
+// a recovery that replayed once per record would read about 8x, and one
+// that also re-counted the pair set would pass 1.0. Gated behind
+// PERSIST_GUARD=1 because the n=4000 build takes a while; CI runs it as
+// a dedicated step.
 func TestPersistWarmStartGuardN4000(t *testing.T) {
 	if os.Getenv("PERSIST_GUARD") != "1" {
 		t.Skip("set PERSIST_GUARD=1 to run the n=4000 warm-start guard")
@@ -31,7 +42,9 @@ func TestPersistWarmStartGuardN4000(t *testing.T) {
 	const (
 		n, stretch, reps, walOps = 4000, 1.5, 3, 8
 		floor, recoverCeiling    = 20.0, 2.0
+		recoverEvaluated         = 1.0
 	)
+	var st core.Stats
 	opts := core.Options{Workers: 1}
 	dopts := persist.Options{Metric: opts}
 	// The guard's instance is the 4008 points that follow the first 508
@@ -45,7 +58,9 @@ func TestPersistWarmStartGuardN4000(t *testing.T) {
 	for r := range build {
 		start := time.Now()
 		var err error
-		if inc, err = core.NewIncrementalMetric(metric.MustEuclidean(pts[:n]), stretch, opts); err == nil {
+		o := opts
+		o.Stats = &st
+		if inc, err = core.NewIncrementalMetric(metric.MustEuclidean(pts[:n]), stretch, o); err == nil {
 			_, err = inc.Result()
 		}
 		if err != nil {
@@ -54,6 +69,7 @@ func TestPersistWarmStartGuardN4000(t *testing.T) {
 		build[r] = msSince(start)
 	}
 	buildMS := median(build)
+	buildEvaluated := st.SupplyEvaluated
 	dir := t.TempDir()
 	d, err := persist.Create(dir, inc, dopts)
 	if err != nil {
@@ -79,6 +95,32 @@ func TestPersistWarmStartGuardN4000(t *testing.T) {
 		t.Fatal(err)
 	}
 	recoverMS := openMS(t, reps, dir, dopts, want)
+
+	// The counted recovery: its replays (one rebase each) and the supply
+	// work of the one it should take.
+	replays := 0
+	counted := dopts
+	counted.Metric.Stats = &st
+	counted.Metric.Inject.OnRebase = func(int, core.Corrupter) { replays++ }
+	d, err = persist.Open(dir, counted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := durableDigest(t, d); got != want {
+		t.Fatalf("counted recovery digest %016x, saved state %016x", got, want)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	evaluated := float64(st.SupplyEvaluated) / float64(buildEvaluated)
+	t.Logf("recovery of %d wal records: %d replays, supply_evaluated %d (%.2fx the build's %d)",
+		walOps, replays, st.SupplyEvaluated, evaluated, buildEvaluated)
+	if replays != 1 {
+		t.Errorf("recovery of %d wal records ran %d replays, want one coalesced flush", walOps, replays)
+	}
+	if evaluated > recoverEvaluated {
+		t.Errorf("recovery's supply evaluated %.2fx the build's weights, above the %.2fx ceiling", evaluated, recoverEvaluated)
+	}
 
 	speedup := buildMS / loadMS
 	t.Logf("n=%d build %.1f ms, load %.1f ms, warm-start %.1fx, recover %.1f ms (%.2fx the build)",

@@ -90,12 +90,21 @@
 // the active bucket is materialized and sorted (buckets above a
 // configurable pair cap are first subdivided into narrower weight
 // ranges), so supply memory is O(bucket cap) and sorting costs a few
-// linear radix passes per bucket instead of one global O(N log N). On
-// Euclidean metrics the bucket is produced by the grid enumerator of
-// internal/geom, which inspects only grid cells within the bucket's
-// distance — pairs beyond the active weight scale are never even
-// evaluated. The streamed order is exactly the materialized order (ties
-// included), so engine output is bit-identical for every bucket cap.
+// linear radix passes per bucket instead of one global O(N log N).
+// Adjacent small buckets merge into one collection pass, up to an eighth
+// of the candidate set (at least minMergePairs pairs), so no bucket
+// gathers the whole set and the scan can certify the first bucket while
+// the next is filled. On Euclidean metrics the bucket is produced by the
+// grid enumerator of internal/geom: one dense grid over a flat
+// coordinate array per range, with cells about 1/12 of the range's upper
+// edge in the plane, so pairs beyond the range and most pairs well below
+// it are never evaluated; its counting pass tallies the exponent
+// histogram on the same flat kernel. Weights come from geom.Dist, the
+// routine metric.Euclidean.Dist calls, so the streamed order is exactly
+// the materialized order (ties included) and engine output is
+// bit-identical for every bucket cap. Stats.SupplyEvaluated counts the
+// weights the supply computed or read, as Stats.SupplyPasses counts its
+// passes; both travel with each bucket, since the core reads no clock.
 //
 // A bucket is held as 16-byte records (weight, u, v as int32) and sorted
 // in place by an MSD radix sort on the 128-bit key (weight bits with -0

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/geom"
 	"repro/internal/graph"
 	"repro/internal/metric"
 )
@@ -123,7 +124,7 @@ type IncrementalSpanner struct {
 	// find the cut). Seeding the replay's source with it removes the
 	// counting pass — an update never enumerates the full candidate set,
 	// only the touched pairs and the disturbed tail.
-	counts pairCounts
+	counts geom.Histogram
 
 	// oracle is the maintained hub-label fast path (nil when the engine
 	// options disable hubs); it is rebased across updates exactly as the
@@ -215,14 +216,21 @@ func (d *dynMetric) Dist(i, j int) float64 {
 
 // Pairs enumerates the surviving candidate pairs of one weight range in
 // stable ids, filtering tombstoned endpoints at collection.
-func (d *dynMetric) Pairs(lo, hi float64, fn func(u, v int, w float64)) {
-	d.enum.Pairs(lo, hi, func(a, b int, w float64) {
+func (d *dynMetric) Pairs(lo, hi float64, fn func(u, v int, w float64)) int {
+	return d.enum.Pairs(lo, hi, func(a, b int, w float64) {
 		sa, sb := d.stableOf[a], d.stableOf[b]
 		if sa < 0 || sb < 0 {
 			return
 		}
 		fn(sa, sb, w)
 	})
+}
+
+// Histogram tallies the surviving candidates' weights. The engine seeds
+// every source over the view with its maintained histogram, so this runs
+// only where a caller drains the view unseeded.
+func (d *dynMetric) Histogram(h *geom.Histogram) int {
+	return d.Pairs(0, math.Inf(1), func(_, _ int, w float64) { h.Add(w) })
 }
 
 // extend replaces latest with union — whose first len(live) points are
@@ -326,15 +334,12 @@ func NewIncrementalMetric(m metric.Metric, t float64, opts Options) (*Incrementa
 	// rows in place instead of reallocating the whole row set.
 	s.bound.slack = boundRowSlack(n)
 	// One histogram pass here replaces the source's own counting pass for
-	// the initial build AND every future update's.
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			s.counts.add(m.Dist(i, j))
-		}
-	}
+	// the initial build AND every future update's. A fresh view tombstones
+	// nothing, so the metric's own enumerator counts the candidate set.
+	counted := s.dyn.enum.Histogram(&s.counts)
 	// Hubs are selected once, on the initial points, and their arrays
 	// carry the same growth slack as the bound rows.
-	if err := s.build(n, boundRowSlack(n), func(k int) []int { return SelectMetricHubs(m, k) }); err != nil {
+	if err := s.build(n, boundRowSlack(n), counted, func(k int) []int { return SelectMetricHubs(m, k) }); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -350,10 +355,8 @@ func NewIncrementalGraph(g *graph.Graph, t float64, opts Options) (*IncrementalS
 		return nil, errInvalidStretch(t)
 	}
 	s := &IncrementalSpanner{t: t, g: g.Clone(), opts: opts}
-	for _, e := range s.g.Edges() {
-		s.counts.add(e.W)
-	}
-	if err := s.build(g.N(), 0, func(k int) []int { return SelectGraphHubs(s.g, k) }); err != nil {
+	counted := graphEdgeEnumerator{g: s.g}.Histogram(&s.counts)
+	if err := s.build(g.N(), 0, counted, func(k int) []int { return SelectGraphHubs(s.g, k) }); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -364,8 +367,10 @@ func NewIncrementalGraph(g *graph.Graph, t float64, opts Options) (*IncrementalS
 // pick selects (with slack growth headroom per array), and the whole
 // supply drained. The oracle exists even when a metric's initial set is
 // too small to scan, so insertions that grow the spanner still get the
-// fast path.
-func (s *IncrementalSpanner) build(n, slack int, pick func(k int) []int) error {
+// fast path. counted is the work of the constructor's histogram pass,
+// which the initial supply reports as its counting pass, as a one-shot
+// build's supply does.
+func (s *IncrementalSpanner) build(n, slack, counted int, pick func(k int) []int) error {
 	s.res = &Result{N: n, Stretch: s.t}
 	s.resView = s.res
 	h := graph.New(n)
@@ -378,7 +383,9 @@ func (s *IncrementalSpanner) build(n, slack int, pick func(k int) []int) error {
 	if s.dyn != nil && n <= 1 {
 		return nil
 	}
-	if err := s.certify(sc).run(s.source(nil), s.opts.BatchSize); err != nil {
+	src := s.source(nil)
+	src.fill.passes, src.fill.evaluated = 1, counted
+	if err := s.certify(sc).run(src, s.opts.BatchSize); err != nil {
 		return fmt.Errorf("core: incremental initial build aborted: %w", err)
 	}
 	return nil
@@ -666,7 +673,7 @@ func (s *IncrementalSpanner) Insert(union metric.Metric) error {
 		sz := cap0 + z  // its stable id
 		for i := 0; i < zi; i++ {
 			w := union.Dist(i, zi)
-			s.counts.add(w)
+			s.counts.Add(w)
 			si := cap0 + (i - liveN)
 			if i < liveN {
 				si = s.dyn.live[i]
@@ -709,7 +716,7 @@ func (s *IncrementalSpanner) InsertEdges(edges ...graph.Edge) error {
 	for _, e := range edges {
 		e = e.Canonical()
 		s.g.MustAddEdge(e.U, e.V, e.W)
-		s.counts.add(e.W)
+		s.counts.Add(e.W)
 		if graph.EdgeLess(e, cut) {
 			cut = e
 		}
@@ -773,7 +780,7 @@ func (s *IncrementalSpanner) Delete(points ...int) error {
 			if x == d || (batch[x] && x < d) {
 				continue
 			}
-			s.counts.remove(s.dyn.Dist(d, x))
+			s.counts.Remove(s.dyn.Dist(d, x))
 		}
 	}
 	// The cut is the earliest accepted edge with a deleted endpoint: every
@@ -852,7 +859,7 @@ func (s *IncrementalSpanner) DeleteEdges(edges ...graph.Edge) error {
 		if rerr := s.g.RemoveEdge(e.U, e.V, e.W); rerr != nil {
 			panic(rerr) // unreachable: validated above
 		}
-		s.counts.remove(e.W)
+		s.counts.Remove(e.W)
 	}
 	return s.notePending(cut, len(edges))
 }

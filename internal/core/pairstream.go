@@ -33,9 +33,12 @@ type CandidateSource interface {
 // pair (u, v) with u < v and weight in the range (see weightInRange), in
 // any order. Enumeration must be deterministic in w: repeated calls see
 // identical weights, so a pair is assigned to exactly one range of a
-// partition.
+// partition. Histogram tallies every candidate's weight, as Pairs over
+// the whole weight axis would report them. Both return the number of
+// candidate weights they computed or read (Stats.SupplyEvaluated).
 type pairEnumerator interface {
-	Pairs(lo, hi float64, fn func(u, v int, w float64))
+	Pairs(lo, hi float64, fn func(u, v int, w float64)) int
+	Histogram(h *geom.Histogram) int
 }
 
 // Enumerators share graph.WeightInRange as the range predicate, so
@@ -52,7 +55,7 @@ type metricEnumerator struct {
 	m metric.Metric
 }
 
-func (e metricEnumerator) Pairs(lo, hi float64, fn func(u, v int, w float64)) {
+func (e metricEnumerator) Pairs(lo, hi float64, fn func(u, v int, w float64)) int {
 	n := e.m.N()
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
@@ -61,6 +64,17 @@ func (e metricEnumerator) Pairs(lo, hi float64, fn func(u, v int, w float64)) {
 			}
 		}
 	}
+	return n * (n - 1) / 2
+}
+
+func (e metricEnumerator) Histogram(h *geom.Histogram) int {
+	n := e.m.N()
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			h.Add(e.m.Dist(i, j))
+		}
+	}
+	return n * (n - 1) / 2
 }
 
 // graphEdgeEnumerator enumerates a graph's own edge list, the candidate
@@ -69,10 +83,18 @@ type graphEdgeEnumerator struct {
 	g *graph.Graph
 }
 
-func (e graphEdgeEnumerator) Pairs(lo, hi float64, fn func(u, v int, w float64)) {
+func (e graphEdgeEnumerator) Pairs(lo, hi float64, fn func(u, v int, w float64)) int {
 	e.g.EdgesInRange(lo, hi, func(ed graph.Edge) {
 		fn(ed.U, ed.V, ed.W)
 	})
+	return e.g.M()
+}
+
+func (e graphEdgeEnumerator) Histogram(h *geom.Histogram) int {
+	for _, ed := range e.g.Edges() {
+		h.Add(ed.W)
+	}
+	return e.g.M()
 }
 
 // DefaultBucketPairs is the default cap on the candidate pairs a bucketed
@@ -86,6 +108,16 @@ const DefaultBucketPairs = 1 << 19
 // maxSubranges bounds how many sub-ranges one oversized bucket is split
 // into per pass; deeper recursion handles the rest.
 const maxSubranges = 64
+
+// mergeShare and minMergePairs bound how far open merges adjacent weight
+// buckets: a merged bucket stops growing at 1/mergeShare of the candidate
+// set, or at minMergePairs pairs when that is more. So no bucket gathers
+// the whole set by merging, and the scan certifies the first bucket while
+// the producer fills the next; small sets still take one pass.
+const (
+	mergeShare    = 8
+	minMergePairs = 1 << 14
+)
 
 // interval is one pending weight range [lo, hi) of a bucketed source with
 // its known candidate count. noSplit marks ranges that subdivision cannot
@@ -133,7 +165,7 @@ type bucketedSource struct {
 	pos int
 	out []graph.Edge
 	// The fill's counters as of the last bucket received.
-	peak, passes, skipped int
+	peak, passes, skipped, evaluated int
 	// done marks the end of the supply, or a source whose producer was
 	// stopped early (its fill went with the producer).
 	done bool
@@ -165,7 +197,7 @@ type bucketFill struct {
 	// already knows the candidate set's weight histogram (the incremental
 	// engine maintains it across insertions), so the source never has to
 	// enumerate the full candidate set just to bucket it.
-	seed *pairCounts
+	seed *geom.Histogram
 	// alloc is a bucket buffer's target capacity, fixed at open time to
 	// min(cap, largest bucket count) so each buffer serves every bucket
 	// without repeated regrowth garbage.
@@ -181,10 +213,11 @@ type bucketFill struct {
 	prefetchIv   interval
 	prefetchOK   bool
 	prefetchHits int
-	// passes counts pairEnumerator.Pairs calls (counting, subdivision,
-	// and collection), the supply's dominant repeated cost on brute-force
+	// passes counts enumeration passes (counting, subdivision, and
+	// collection), the supply's dominant repeated cost on brute-force
 	// enumerators; benchmarks record it to track pass-merging wins.
-	passes int
+	// evaluated sums the candidate weights those passes computed or read.
+	passes, evaluated int
 }
 
 // filled is one bucket as a fill hands it over: the sorted records (nil
@@ -192,10 +225,10 @@ type bucketFill struct {
 // the cut, and the fill's counters as of this bucket. panic carries a
 // producer's panic to the consumer, which re-raises it.
 type filled struct {
-	recs                  []pairRec
-	start                 int
-	peak, passes, skipped int
-	panic                 any
+	recs                             []pairRec
+	start                            int
+	peak, passes, skipped, evaluated int
+	panic                            any
 }
 
 // newBucketedSource wraps enum with bucket-size cap bucketPairs. With
@@ -221,10 +254,9 @@ func metricEnumeratorFor(m metric.Metric) pairEnumerator {
 		for i := range pts {
 			pts[i] = eu.Point(i)
 		}
-		// Weights come from m.Dist, the same call the materialized
-		// pipeline makes, so streamed weights are bit-identical; the grid
-		// only decides which pairs to test.
-		return geom.NewGridEnumerator(pts, m.Dist)
+		// The grid computes weights with geom.Dist, the routine m.Dist
+		// calls, so streamed weights are bit-identical to the metric's.
+		return geom.NewGridEnumerator(pts)
 	}
 	return metricEnumerator{m: m}
 }
@@ -242,7 +274,7 @@ func NewMetricSource(m metric.Metric, bucketPairs int) CandidateSource {
 
 // newMetricSourceSeeded is NewMetricSource with the counting pass replaced
 // by a caller-maintained weight histogram; see bucketFill.seed.
-func newMetricSourceSeeded(m metric.Metric, bucketPairs int, counts pairCounts) *bucketedSource {
+func newMetricSourceSeeded(m metric.Metric, bucketPairs int, counts geom.Histogram) *bucketedSource {
 	s := newBucketedSource(metricEnumeratorFor(m), bucketPairs)
 	s.fill.seed = &counts
 	return s
@@ -259,66 +291,10 @@ func NewGraphEdgeSource(g *graph.Graph, bucketPairs int) CandidateSource {
 
 // newGraphEdgeSourceSeeded is NewGraphEdgeSource with a caller-maintained
 // weight histogram; see newMetricSourceSeeded.
-func newGraphEdgeSourceSeeded(g *graph.Graph, bucketPairs int, counts pairCounts) *bucketedSource {
+func newGraphEdgeSourceSeeded(g *graph.Graph, bucketPairs int, counts geom.Histogram) *bucketedSource {
 	s := newBucketedSource(graphEdgeEnumerator{g: g}, bucketPairs)
 	s.fill.seed = &counts
 	return s
-}
-
-// expOffset aligns Frexp exponents into the pairCounts histogram: the
-// lowest subnormal exponent from Frexp is -1074.
-const expOffset = 1075
-
-// pairCounts is the weight histogram of a candidate set — per-binary-
-// exponent counts plus dedicated zero and +Inf tallies, exactly the
-// product of the bucketed source's counting pass. The incremental engine
-// maintains one across insertions (each new candidate is added once) and
-// seeds its sources with it, so a resumed scan never enumerates the full
-// candidate set just to bucket it.
-type pairCounts struct {
-	exp   [expOffset + 1025]int
-	zeros int
-	infs  int
-}
-
-// add tallies one candidate weight; it must mirror exactly what open's
-// counting pass does with the weight.
-func (c *pairCounts) add(w float64) {
-	switch {
-	case w == 0:
-		c.zeros++
-	case math.IsInf(w, 1):
-		c.infs++
-	default:
-		_, e := math.Frexp(w)
-		c.exp[e+expOffset]++
-	}
-}
-
-// remove un-tallies one candidate weight; the exact inverse of add. The
-// incremental engine calls it when a deletion retires a candidate pair, so
-// the maintained histogram stays the histogram of the surviving set and a
-// resumed scan's bucket layout matches what a fresh counting pass over the
-// survivors would build.
-func (c *pairCounts) remove(w float64) {
-	switch {
-	case w == 0:
-		c.zeros--
-	case math.IsInf(w, 1):
-		c.infs--
-	default:
-		_, e := math.Frexp(w)
-		c.exp[e+expOffset]--
-	}
-}
-
-// total reports the number of tallied candidates.
-func (c *pairCounts) total() int {
-	n := c.zeros + c.infs
-	for _, k := range c.exp {
-		n += k
-	}
-	return n
 }
 
 // open partitions the candidate weights into geometric buckets keyed by
@@ -326,7 +302,8 @@ func (c *pairCounts) total() int {
 // histogram comes from the seed when the caller maintains one, otherwise
 // from a single counting pass over the enumerator. Exponent extraction is
 // exactly monotone in the weight, so bucket order is scan order; zero
-// weights (degenerate inputs) get a dedicated first bucket.
+// weights (degenerate inputs) get a dedicated first bucket. Adjacent
+// buckets then merge up to the merge limit (see mergeShare).
 //
 // The resolved cap is the bytes budget of two 16-byte record buffers
 // standing in for one bucket of 24-byte edges, so each bucket holds at
@@ -336,14 +313,12 @@ func (f *bucketFill) open() {
 	f.opened = true
 	counts := f.seed
 	if counts == nil {
-		counts = &pairCounts{}
+		counts = &geom.Histogram{}
 		f.passes++
-		f.enum.Pairs(0, math.Inf(1), func(u, v int, w float64) {
-			counts.add(w)
-		})
+		f.evaluated += f.enum.Histogram(counts)
 	}
 	first := math.Inf(1)
-	total := counts.total()
+	total := counts.Total()
 	if f.cap == 0 {
 		f.cap = DefaultBucketPairs
 		if auto := total / 32; auto > f.cap {
@@ -351,28 +326,28 @@ func (f *bucketFill) open() {
 		}
 	}
 	f.cap = max(f.cap/4*3+f.cap%4*3/4, 1) // three quarters, without overflow
-	for e := range counts.exp {
-		if counts.exp[e] == 0 {
+	for e, k := range counts.Exp {
+		if k == 0 {
 			continue
 		}
-		lo := math.Ldexp(1, e-expOffset-1)
-		hi := math.Ldexp(1, e-expOffset)
+		lo := math.Ldexp(1, e-geom.ExpOffset-1)
+		hi := math.Ldexp(1, e-geom.ExpOffset)
 		if lo < first {
 			first = lo
 		}
-		f.queue = append(f.queue, interval{lo: lo, hi: hi, count: counts.exp[e]})
+		f.queue = append(f.queue, interval{lo: lo, hi: hi, count: k})
 	}
-	if counts.zeros > 0 {
+	if counts.Zeros > 0 {
 		// Cap below +Inf so the zero bucket can never swallow the
 		// infinite-weight bucket when no finite weights exist.
 		if math.IsInf(first, 1) {
 			first = math.MaxFloat64
 		}
-		f.queue = append([]interval{{lo: 0, hi: first, count: counts.zeros, noSplit: true}}, f.queue...)
+		f.queue = append([]interval{{lo: 0, hi: first, count: counts.Zeros, noSplit: true}}, f.queue...)
 	}
-	if counts.infs > 0 {
+	if counts.Infs > 0 {
 		// Infinite weights scan last, after every finite bucket.
-		f.queue = append(f.queue, interval{lo: math.Inf(1), hi: math.Inf(1), count: counts.infs, noSplit: true})
+		f.queue = append(f.queue, interval{lo: math.Inf(1), hi: math.Inf(1), count: counts.Infs, noSplit: true})
 	}
 	if f.cut != nil {
 		// Drop every interval wholly before the cut by its count alone:
@@ -394,14 +369,16 @@ func (f *bucketFill) open() {
 	// geometric buckets partition the weight axis in scan order, so a
 	// merged range [lo_a, hi_b) enumerates, sorts, and emits exactly the
 	// concatenation the individual buckets would — one pass instead of
-	// several — and the cap keeps the peak bucket bound intact. The
-	// dedicated infinite-weight bucket stays unmerged (next's finite-only
-	// filter depends on its identity).
+	// several. The merge limit keeps the peak bucket bound intact and
+	// keeps any merged bucket to a share of the whole set. The dedicated
+	// infinite-weight bucket stays unmerged (next's finite-only filter
+	// depends on its identity).
+	limit := min(f.cap, max(total/mergeShare, minMergePairs))
 	merged := f.queue[:0]
 	for _, iv := range f.queue {
 		if n := len(merged); n > 0 {
 			prev := &merged[n-1]
-			if !math.IsInf(iv.lo, 1) && prev.count+iv.count <= f.cap {
+			if !math.IsInf(iv.lo, 1) && prev.count+iv.count <= limit {
 				prev.hi = iv.hi
 				prev.count += iv.count
 				prev.noSplit = false
@@ -484,7 +461,7 @@ func (f *bucketFill) next(buf []pairRec) filled {
 			// candidate is ever emitted twice.
 			finiteOnly := !math.IsInf(iv.lo, 1) && math.IsInf(iv.hi, 1)
 			f.passes++
-			f.enum.Pairs(iv.lo, iv.hi, func(u, v int, w float64) {
+			f.evaluated += f.enum.Pairs(iv.lo, iv.hi, func(u, v int, w float64) {
 				if finiteOnly && math.IsInf(w, 1) {
 					return
 				}
@@ -512,9 +489,9 @@ func (f *bucketFill) next(buf []pairRec) filled {
 			}
 			f.cut = nil
 		}
-		return filled{recs: buf, start: start, peak: f.peak, passes: f.passes, skipped: f.skipped}
+		return filled{recs: buf, start: start, peak: f.peak, passes: f.passes, skipped: f.skipped, evaluated: f.evaluated}
 	}
-	return filled{peak: f.peak, passes: f.passes, skipped: f.skipped}
+	return filled{peak: f.peak, passes: f.passes, skipped: f.skipped, evaluated: f.evaluated}
 }
 
 // reserve returns buf emptied, with room for count records: a buffer
@@ -566,7 +543,7 @@ func (f *bucketFill) split(iv interval, buf []pairRec) ([]interval, []pairRec) {
 	f.prefetchOK = false
 	buf = f.reserve(buf, f.alloc)
 	f.passes++
-	f.enum.Pairs(iv.lo, iv.hi, func(u, v int, w float64) {
+	f.evaluated += f.enum.Pairs(iv.lo, iv.hi, func(u, v int, w float64) {
 		// Locate the sub-range with lo <= w < hi; ranges partition
 		// [iv.lo, iv.hi) so linear probing from the top is exact.
 		j := k - 1
@@ -751,7 +728,7 @@ func (s *bucketedSource) advance() bool {
 		b = s.fill.next(s.cur)
 	}
 	s.cur, s.pos = b.recs, b.start
-	s.peak, s.passes, s.skipped = b.peak, b.passes, b.skipped
+	s.peak, s.passes, s.skipped, s.evaluated = b.peak, b.passes, b.skipped, b.evaluated
 	s.done = b.recs == nil
 	return !s.done
 }
@@ -857,3 +834,7 @@ func (s *bucketedSource) Skipped() int { return s.skipped }
 // collection) the source has issued — the repeated-pass cost the merged
 // buckets and the subdivision prefetch eliminate; benchmarks record it.
 func (s *bucketedSource) Passes() int { return s.passes }
+
+// Evaluated reports how many candidate weights the source's enumeration
+// passes computed or read, the counting pass included.
+func (s *bucketedSource) Evaluated() int { return s.evaluated }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/geom"
 	"repro/internal/graph"
 	"repro/internal/metric"
 )
@@ -226,11 +227,11 @@ func TestStreamedPairOrderInfiniteWeights(t *testing.T) {
 // and honor a cut with identical Skipped accounting.
 func TestStreamedPairOrderSeededCounts(t *testing.T) {
 	for name, m := range testMetrics(t) {
-		var counts pairCounts
+		var counts geom.Histogram
 		n := m.N()
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				counts.add(m.Dist(i, j))
+				counts.Add(m.Dist(i, j))
 			}
 		}
 		want := sortedPairs(m)
@@ -252,7 +253,7 @@ func TestStreamedPairOrderSeededCounts(t *testing.T) {
 // way IncrementalSpanner replays: candidates strictly before cut in scan
 // order are counted into Skipped instead of emitted, and whole weight
 // buckets below the cut are skipped by count alone.
-func newMetricSourceAfter(m metric.Metric, bucketPairs int, cut graph.Edge, counts pairCounts) *bucketedSource {
+func newMetricSourceAfter(m metric.Metric, bucketPairs int, cut graph.Edge, counts geom.Histogram) *bucketedSource {
 	s := newMetricSourceSeeded(m, bucketPairs, counts)
 	s.fill.cut = &cut
 	return s
@@ -317,11 +318,13 @@ func TestMetricSourceDegenerateInputs(t *testing.T) {
 	}
 }
 
-// TestMergedBucketsReducePasses pins the pass-merging optimization: a
-// candidate set spread over many small geometric weight buckets must be
-// collected in far fewer enumeration passes than buckets (adjacent small
-// buckets merge into one collection range up to the pair cap), with the
-// emitted sequence unchanged.
+// TestMergedBucketsReducePasses pins the pass-merging optimization and
+// its limit: a candidate set spread over many small geometric weight
+// buckets must be collected in far fewer enumeration passes than buckets
+// (adjacent small buckets merge into one collection range), with the
+// emitted sequence unchanged; and no merge may grow past the merge limit
+// (an eighth of the candidate set, at least minMergePairs), so a
+// serve-sized replay's tail arrives in several buckets, not one.
 func TestMergedBucketsReducePasses(t *testing.T) {
 	// 40 points on an exponential line: pair distances span ~40 binary
 	// exponents, one tiny bucket each.
@@ -342,6 +345,39 @@ func TestMergedBucketsReducePasses(t *testing.T) {
 	// one pass per occupied exponent (~tens).
 	if src.Passes() > 4 {
 		t.Fatalf("merged supply used %d passes, want <= 4", src.Passes())
+	}
+
+	// The seeded supply of a single-point insert into n=500 servePoints,
+	// resumed at the insert's cut, as the replay drains it. A bucket above
+	// the limit may only be one binary exponent wide: merging stops at the
+	// limit, and only the cap splits a single geometric bucket.
+	serve := servePoints(1, 500)
+	inc, err := NewIncrementalMetric(metric.MustEuclidean(serve), 1.5, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := inc.SetPolicy(IncrementalPolicy{CoalesceUntilQuery: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := inc.Insert(metric.MustEuclidean(append(serve, []float64{50.5, 49.5}))); err != nil {
+		t.Fatal(err)
+	}
+	f := inc.source(inc.pendingCut).fill
+	buckets, limit := 0, 0
+	for b := f.next(nil); b.recs != nil; b = f.next(nil) {
+		if buckets == 0 {
+			limit = min(f.cap, max(inc.counts.Total()/mergeShare, minMergePairs))
+		}
+		buckets++
+		_, e0 := math.Frexp(b.recs[0].w)
+		_, e1 := math.Frexp(b.recs[len(b.recs)-1].w)
+		t.Logf("replay bucket %d: %d pairs in [%g, %g]", buckets, len(b.recs), b.recs[0].w, b.recs[len(b.recs)-1].w)
+		if len(b.recs) > limit && e0 != e1 {
+			t.Errorf("replay bucket %d merges %d pairs over exponents %d..%d, above the %d-pair merge limit", buckets, len(b.recs), e0, e1, limit)
+		}
+	}
+	if buckets < 4 {
+		t.Errorf("replay tail arrived in %d buckets, want at least 4", buckets)
 	}
 }
 
@@ -391,12 +427,20 @@ func TestSplitPrefetchReusesCountingPass(t *testing.T) {
 // can build buckets of any weight shape.
 type listEnumerator []graph.Edge
 
-func (l listEnumerator) Pairs(lo, hi float64, fn func(u, v int, w float64)) {
+func (l listEnumerator) Pairs(lo, hi float64, fn func(u, v int, w float64)) int {
 	for _, e := range l {
 		if graph.WeightInRange(e.W, lo, hi) {
 			fn(e.U, e.V, e.W)
 		}
 	}
+	return len(l)
+}
+
+func (l listEnumerator) Histogram(h *geom.Histogram) int {
+	for _, e := range l {
+		h.Add(e.W)
+	}
+	return len(l)
 }
 
 // radixFamilies are bucket shapes the radix order must get right: tie

@@ -311,8 +311,8 @@ func TestReplayRefreshGuard(t *testing.T) {
 		tail := st.CachedSkips + st.HubSkips + st.CertifiedSkips + st.SerialSkips + st.ExemptSkips + st.SlackSkips + st.Kept
 		short := st.ExemptKeeps + st.ExemptSkips + st.SlackSkips
 		share := float64(short) / float64(tail)
-		t.Logf("mutation %d: refresh_touched %d (%.1f%% of the build's %d), shortcuts %.2f%% of %d (exempt keeps %d, exempt skips %d, slack %d)",
-			k, st.RefreshTouched, 100*frac, build, 100*share, tail, st.ExemptKeeps, st.ExemptSkips, st.SlackSkips)
+		t.Logf("mutation %d: refresh_touched %d (%.1f%% of the build's %d), shortcuts %.2f%% of %d (exempt keeps %d, exempt skips %d, slack %d), supply_evaluated %d",
+			k, st.RefreshTouched, 100*frac, build, 100*share, tail, st.ExemptKeeps, st.ExemptSkips, st.SlackSkips, st.SupplyEvaluated)
 		if frac > 0.40 {
 			t.Errorf("mutation %d refreshed %.1f%% of the build's row vertices, want at most 40%%", k, 100*frac)
 		}
@@ -337,8 +337,12 @@ func TestReplayRefreshGuard(t *testing.T) {
 }
 
 // TestExactReplayCountsPinned pins the exact replay's work, replay by
-// replay, at two workers with hubs off: the digest and the refresh, cached
-// and serial counters must equal the values recorded here. Two shapes take
+// replay, at two workers with hubs off: the digest, the refresh, cached
+// and serial counters, and the supply's evaluations must equal the values
+// recorded here. The refresh and skip counters were re-recorded when the
+// supply stopped merging a whole candidate set into one bucket: bucket
+// ends cut batches, which moves work between the parallel and serial
+// passes; no digest or Kept moved. Two shapes take
 // the exact replay and keep a long prefix. On n=500 uniform points, the 64
 // points whose first spanner edge comes last are deleted and then inserted
 // again (each batch changes more than shortcutMaxChanged points). On a
@@ -352,11 +356,12 @@ func TestReplayRefreshGuard(t *testing.T) {
 func TestExactReplayCountsPinned(t *testing.T) {
 	// replayCounts is one replay's pinned work: the result digest, then
 	// the Stats counters RefreshTouched, SerialRefreshes,
-	// ParallelRefreshes, CachedSkips, SerialSkips and Kept.
+	// ParallelRefreshes, CachedSkips, SerialSkips, Kept and
+	// SupplyEvaluated.
 	type replayCounts struct {
 		digest                                             uint64
 		refreshTouched, serialRefreshes, parallelRefreshes int
-		cachedSkips, serialSkips, kept                     int
+		cachedSkips, serialSkips, kept, supplyEvaluated    int
 	}
 	var st Stats
 	opts := Options{Workers: 2, Stats: &st}
@@ -366,7 +371,7 @@ func TestExactReplayCountsPinned(t *testing.T) {
 			t.Errorf("replay %d took %d shortcuts, want an exact replay", len(got), short)
 		}
 		got = append(got, replayCounts{ResultDigest(mustResult(t, inc)), st.RefreshTouched, st.SerialRefreshes,
-			st.ParallelRefreshes, st.CachedSkips, st.SerialSkips, st.Kept})
+			st.ParallelRefreshes, st.CachedSkips, st.SerialSkips, st.Kept, st.SupplyEvaluated})
 	}
 
 	pts := servePoints(1, 500)
@@ -439,16 +444,16 @@ func TestExactReplayCountsPinned(t *testing.T) {
 	}
 
 	want := []replayCounts{
-		{0xe8e0827decfd1263, 540339, 542, 1343, 92286, 181, 380},
-		{0xdeec1c70c957d2c5, 708031, 631, 1452, 122352, 113, 542},
-		{0x623e9dd1d5f36b5e, 221744, 534, 1101, 43750, 57, 504},
-		{0x49169d0ab55261ae, 219674, 548, 1101, 43451, 56, 519},
-		{0xefe6606c212b28a7, 219982, 468, 1008, 43749, 59, 434},
-		{0x1c13417283ef0ceb, 216218, 488, 1029, 43471, 58, 455},
-		{0x48760e6eae30b2c4, 213640, 498, 1031, 43773, 56, 467},
-		{0x558507d4d9f33422, 210011, 427, 939, 43473, 57, 392},
-		{0x8073fdace35c2991, 209237, 297, 801, 43694, 48, 264},
-		{0xd19e647b211039f8, 208789, 558, 1078, 43495, 53, 532},
+		{0xe8e0827decfd1263, 529439, 527, 1333, 92382, 167, 380, 180966},
+		{0xdeec1c70c957d2c5, 704031, 629, 1446, 122394, 111, 542, 180966},
+		{0x623e9dd1d5f36b5e, 222045, 534, 1102, 43751, 57, 504, 135450},
+		{0x49169d0ab55261ae, 219974, 548, 1102, 43452, 56, 519, 135450},
+		{0xefe6606c212b28a7, 218477, 468, 1003, 43759, 59, 434, 135450},
+		{0x1c13417283ef0ceb, 213518, 488, 1020, 43485, 58, 455, 135450},
+		{0x48760e6eae30b2c4, 213339, 498, 1030, 43772, 56, 467, 135450},
+		{0x558507d4d9f33422, 209711, 427, 938, 43472, 57, 392, 135450},
+		{0x8073fdace35c2991, 208936, 297, 800, 43691, 48, 264, 135450},
+		{0xd19e647b211039f8, 208489, 558, 1077, 43494, 53, 532, 135450},
 	}
 	if len(got) != len(want) {
 		t.Fatalf("%d replays, want %d", len(got), len(want))

@@ -149,6 +149,13 @@ type Stats struct {
 	// them beside the scan, so they cost wall time only where the scan
 	// would otherwise wait.
 	SupplyPasses int
+	// SupplyEvaluated counts the candidate weights the supply's
+	// enumerator computed or read over all its passes, the counting pass
+	// included: distance evaluations on a metric, edges scanned on a
+	// graph. A maintained engine's initial build counts the constructor's
+	// histogram pass; a replay, seeded with the maintained histogram, has
+	// none.
+	SupplyEvaluated int
 	// FinalBatchSize is the adaptive batch width at the end of the scan.
 	FinalBatchSize int
 	// HubQueries / HubSkips count certification queries put to the hub
@@ -687,6 +694,7 @@ func (sc *scan) finish(src *bucketedSource, relaxed0 int) {
 	st.RowsAllocated = sc.cert.cacheRows()
 	st.PeakBucketPairs = src.PeakBucket()
 	st.SupplyPasses = src.Passes()
+	st.SupplyEvaluated = src.Evaluated()
 	sc.res.EdgesExamined += src.Skipped()
 	if sc.oracle != nil {
 		st.HubRelaxed = sc.oracle.Relaxed() - relaxed0

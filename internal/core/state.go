@@ -96,7 +96,7 @@ type SpannerState struct {
 
 	// The candidate set's maintained weight histogram (metric mode only;
 	// graph mode rebuilds it from GraphEdges). Sparse: HistCount[i]
-	// candidates have binary exponent HistExp[i]-expOffset.
+	// candidates have binary exponent HistExp[i]-geom.ExpOffset.
 	HistExp   []int32
 	HistCount []int64
 	HistZeros int64
@@ -193,14 +193,14 @@ func (s *IncrementalSpanner) ExportState() (*SpannerState, error) {
 			}
 		}
 	}
-	for e, k := range s.counts.exp {
+	for e, k := range s.counts.Exp {
 		if k != 0 {
 			st.HistExp = append(st.HistExp, int32(e))
 			st.HistCount = append(st.HistCount, int64(k))
 		}
 	}
-	st.HistZeros = int64(s.counts.zeros)
-	st.HistInfs = int64(s.counts.infs)
+	st.HistZeros = int64(s.counts.Zeros)
+	st.HistInfs = int64(s.counts.Infs)
 	st.BoundRows = make([][]uint16, len(s.bound.rows))
 	st.BoundEpochs = make([]int, len(s.bound.epochs))
 	copy(st.BoundEpochs, s.bound.epochs)
@@ -282,9 +282,7 @@ func importGraph(st *SpannerState, opts Options) (*IncrementalSpanner, error) {
 		return nil, err
 	}
 	s := &IncrementalSpanner{t: st.T, g: g, opts: opts, policy: st.Policy}
-	for _, e := range s.g.Edges() {
-		s.counts.add(e.W)
-	}
+	graphEdgeEnumerator{g: s.g}.Histogram(&s.counts)
 	if err := s.importResult(st, st.GraphN); err != nil {
 		return nil, err
 	}
@@ -364,14 +362,14 @@ func importMetric(st *SpannerState, opts Options) (*IncrementalSpanner, error) {
 	var total int64
 	for i, e := range st.HistExp {
 		c := st.HistCount[i]
-		if int(e) < 0 || int(e) >= len(s.counts.exp) || c <= 0 {
+		if int(e) < 0 || int(e) >= len(s.counts.Exp) || c <= 0 {
 			return nil, corrupt("histogram bucket %d (exp %d, count %d) invalid", i, e, c)
 		}
-		s.counts.exp[e] = int(c)
+		s.counts.Exp[e] = int(c)
 		total += c
 	}
-	s.counts.zeros = int(st.HistZeros)
-	s.counts.infs = int(st.HistInfs)
+	s.counts.Zeros = int(st.HistZeros)
+	s.counts.Infs = int(st.HistInfs)
 	total += st.HistZeros + st.HistInfs
 	if want := int64(ln) * int64(ln-1) / 2; total != want {
 		return nil, corrupt("histogram tallies %d candidates, live set has %d", total, want)

@@ -1,9 +1,13 @@
 // Package geom provides the computational-geometry substrate for the
-// Euclidean spanner constructions: axis-aligned bounding boxes, a fair
-// split tree (Callahan–Kosaraju), the well-separated pair decomposition
-// (WSPD) built on it, and the grid pair enumerator that produces the
-// distance buckets of the streamed greedy candidate supply without
-// touching farther pairs. Works in any dimension d >= 1.
+// Euclidean spanner constructions: the one Euclidean distance routine
+// (Dist), axis-aligned bounding boxes, a fair split tree
+// (Callahan–Kosaraju), the well-separated pair decomposition (WSPD) built
+// on it, and the grid pair enumerator that produces the distance buckets
+// of the streamed greedy candidate supply. The enumerator lays one dense
+// grid over a flat copy of the coordinates, with cells of about 1/12 of
+// the range's upper edge in 1-D and 2-D (see GridEnumerator for the cell
+// rule), so a bucket costs about its own pair count rather than n^2; its
+// Histogram is the supply's counting pass. Works in any dimension d >= 1.
 package geom
 
 import (
@@ -65,12 +69,17 @@ func (r Rect) Center() []float64 {
 	return c
 }
 
-// Dist returns the L2 distance between points a and b.
+// Dist returns the L2 distance between points a and b, which share one
+// dimension. It is the one Euclidean distance routine: metric.Euclidean.Dist
+// and GridEnumerator both call it, so a pair's weight is bit-identical
+// however it is computed. The explicit conversion rounds each square before
+// the sum; without it the Go spec lets a compiler fuse the multiply-add,
+// and a fused sum can differ in the last bit.
 func Dist(a, b []float64) float64 {
 	var s float64
-	for k := range a {
-		d := a[k] - b[k]
-		s += d * d
+	for k, x := range a {
+		d := x - b[k]
+		s += float64(d * d)
 	}
 	return math.Sqrt(s)
 }

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"repro/internal/graph"
 )
 
 type pairRec struct {
@@ -39,12 +41,13 @@ func l2(a, b []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// brutePairs is the reference enumeration: all i<j pairs with w in [lo, hi).
+// brutePairs is the reference enumeration: all i<j pairs with w in [lo, hi)
+// (at hi = +Inf, infinite weights included).
 func brutePairs(pts [][]float64, lo, hi float64) []pairRec {
 	var out []pairRec
 	for i := range pts {
 		for j := i + 1; j < len(pts); j++ {
-			if w := l2(pts[i], pts[j]); lo <= w && w < hi {
+			if w := l2(pts[i], pts[j]); graph.WeightInRange(w, lo, hi) {
 				out = append(out, pairRec{i, j, w})
 			}
 		}
@@ -80,6 +83,10 @@ func testPointSets(t *testing.T) map[string][][]float64 {
 		"duplicates":  {{0, 0}, {0, 0}, {1, 1}, {1, 1}, {3, 0}},
 		"two-points":  {{0, 0, 0}, {1, 2, 2}},
 		"collinear-x": {{0, 0}, {1, 0}, {2, 0}, {4, 0}, {8, 0}, {16, 0}},
+		// Cells sized to the 2e300 span dwarf the 1e-10 gaps, so the
+		// squared range edges underflow in cell units; the pairs across
+		// the span weigh +Inf.
+		"spread-1d": {{0}, {1e-10}, {3e-10}, {1e300}, {-1e300}},
 	}
 }
 
@@ -87,7 +94,7 @@ func testPointSets(t *testing.T) map[string][][]float64 {
 // brute-force enumeration: same pairs, same weights, each exactly once.
 func TestGridEnumeratorMatchesBruteForce(t *testing.T) {
 	for name, pts := range testPointSets(t) {
-		e := NewGridEnumerator(pts, func(i, j int) float64 { return l2(pts[i], pts[j]) })
+		e := NewGridEnumerator(pts)
 		bounds := []float64{0, 1e-6, 0.05, 0.25, 0.7, 1.1, 2, 8, math.Inf(1)}
 		for b := 1; b < len(bounds); b++ {
 			lo, hi := bounds[b-1], bounds[b]
@@ -114,7 +121,7 @@ func TestGridEnumeratorMatchesBruteForce(t *testing.T) {
 // relies on.
 func TestGridEnumeratorPartitionCoversEveryPairOnce(t *testing.T) {
 	for name, pts := range testPointSets(t) {
-		e := NewGridEnumerator(pts, func(i, j int) float64 { return l2(pts[i], pts[j]) })
+		e := NewGridEnumerator(pts)
 		seen := make(map[[2]int]int)
 		bounds := []float64{0, 0.1, 0.5, 1, 4, math.Inf(1)}
 		for b := 1; b < len(bounds); b++ {
@@ -140,7 +147,7 @@ func TestGridEnumeratorPartitionCoversEveryPairOnce(t *testing.T) {
 // TestGridEnumeratorEmpty covers the trivial inputs.
 func TestGridEnumeratorEmpty(t *testing.T) {
 	for _, pts := range [][][]float64{nil, {{1, 2}}} {
-		e := NewGridEnumerator(pts, func(i, j int) float64 { return 0 })
+		e := NewGridEnumerator(pts)
 		if got := collectPairs(e, 0, math.Inf(1)); len(got) != 0 {
 			t.Fatalf("%d points emitted %d pairs", len(pts), len(got))
 		}
@@ -155,7 +162,7 @@ func TestGridEnumeratorEmpty(t *testing.T) {
 func TestGridEnumeratorHugeCoordinates(t *testing.T) {
 	big := math.Ldexp(1, 511)
 	pts := [][]float64{{1.9 * big}, {2.1 * big}, {0}}
-	e := NewGridEnumerator(pts, func(i, j int) float64 { return Dist(pts[i], pts[j]) })
+	e := NewGridEnumerator(pts)
 	lo, hi := math.Ldexp(1, 490), math.Ldexp(1, 512)
 	want := map[[2]int]bool{}
 	for i := 0; i < len(pts); i++ {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/geom"
 	"repro/internal/graph"
 )
 
@@ -66,15 +67,10 @@ func (m *Euclidean) Dim() int { return m.dim }
 // Point returns the coordinates of point i (shared storage; do not modify).
 func (m *Euclidean) Point(i int) []float64 { return m.pts[i] }
 
-// Dist returns the Euclidean distance between points i and j.
+// Dist returns the Euclidean distance between points i and j, computed by
+// geom.Dist.
 func (m *Euclidean) Dist(i, j int) float64 {
-	var s float64
-	pi, pj := m.pts[i], m.pts[j]
-	for k := range pi {
-		d := pi[k] - pj[k]
-		s += d * d
-	}
-	return math.Sqrt(s)
+	return geom.Dist(m.pts[i], m.pts[j])
 }
 
 // Matrix is a Metric backed by an explicit symmetric distance matrix.

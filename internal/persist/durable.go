@@ -310,7 +310,6 @@ func Open(dir string, o Options) (*Durable, error) {
 
 	d := &Durable{dir: dir, o: o}
 	var st *core.SpannerState
-	var snapBytes []byte
 	var snapErr error
 	for _, g := range gens {
 		data, rerr := os.ReadFile(filepath.Join(dir, snapName(g)))
@@ -318,7 +317,7 @@ func Open(dir string, o Options) (*Durable, error) {
 			snapErr = rerr
 			continue
 		}
-		s, opSeq, derr := DecodeSnapshot(data)
+		s, opSeq, digest, derr := decodeSnapshot(data)
 		if derr != nil {
 			if errors.Is(derr, ErrUnsupportedVersion) {
 				return nil, derr
@@ -329,7 +328,7 @@ func Open(dir string, o Options) (*Durable, error) {
 			snapErr = derr
 			continue
 		}
-		st, snapBytes, d.gen, d.opSeq = s, data, g, opSeq
+		st, d.snapDigest, d.gen, d.opSeq = s, digest, g, opSeq
 		break
 	}
 	if st == nil {
@@ -341,7 +340,6 @@ func Open(dir string, o Options) (*Durable, error) {
 	}
 	d.inc = inc
 	d.adoptState(st)
-	d.snapDigest = SnapshotDigest(snapBytes)
 
 	walPath := filepath.Join(dir, walName(d.gen))
 	walData, rerr := os.ReadFile(walPath)

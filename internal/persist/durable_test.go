@@ -253,6 +253,62 @@ func TestPersistOpenErrors(t *testing.T) {
 	}
 }
 
+// TestPersistOpenBindsLoadedDigest: the snapshot digest Open binds, and
+// checks the WAL against, is SnapshotDigest of the file it loaded: for the
+// newest generation, and after a fallback past a corrupt newer one.
+func TestPersistOpenBindsLoadedDigest(t *testing.T) {
+	o := Options{Metric: core.Options{Workers: 1}}
+	dir := t.TempDir()
+	d := newEuclidDurable(t, dir, o)
+	if err := d.Insert(mustEuclid(t, euclidPts()[:10])); err != nil {
+		t.Fatal(err)
+	}
+	d.Close()
+	read := func(name string) []byte {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	write := func(name string, data []byte) {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	open := func(label string, gen uint64) *Durable {
+		d, err := Open(dir, o)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if d.gen != gen {
+			t.Fatalf("%s: opened generation %d, want %d", label, d.gen, gen)
+		}
+		if want := SnapshotDigest(read(snapName(gen))); d.snapDigest != want {
+			t.Fatalf("%s: bound digest %016x, SnapshotDigest of the loaded file %016x", label, d.snapDigest, want)
+		}
+		return d
+	}
+
+	// Keep generation 1, checkpoint to 2, then put generation 1 back
+	// beside a corrupt generation 2: Open must fall back to 1.
+	snap1, wal1 := read(snapName(1)), read(walName(1))
+	d = open("newest", 1)
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	d.Close()
+	d = open("after checkpoint", 2)
+	d.Close()
+	write(snapName(1), snap1)
+	write(walName(1), wal1)
+	snap2 := read(snapName(2))
+	snap2[len(snap2)-1] ^= 1
+	write(snapName(2), snap2)
+	d = open("fallback", 1)
+	d.Close()
+}
+
 // TestPersistWalTailTruncation: garbage appended to the log (a torn
 // final record) is dropped at the exact valid prefix on Open, the file is
 // truncated, and the recovered spanner both matches the pre-garbage

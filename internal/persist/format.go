@@ -79,18 +79,41 @@ func corruptf(format string, args ...any) error {
 	return fmt.Errorf("persist: "+format+": %w", append(args, core.ErrCorruptState)...)
 }
 
+// The FNV-1a 64 offset basis and prime.
+const (
+	fnvBasis = 1469598103934665603
+	fnvPrime = 1099511628211
+)
+
 // fnv1a is the repo's standard FNV-1a 64 digest over raw bytes.
-func fnv1a(b []byte) uint64 {
-	h := uint64(1469598103934665603)
+func fnv1a(b []byte) uint64 { return fnv1aFrom(fnvBasis, b) }
+
+// fnv1aFrom continues the FNV-1a state h over b.
+func fnv1aFrom(h uint64, b []byte) uint64 {
 	for _, x := range b {
 		h ^= uint64(x)
-		h *= 1099511628211
+		h *= fnvPrime
 	}
 	return h
 }
 
+// fnv1aBoth continues the state h over b and digests b alone, two states
+// in one loop: the decoder's pass over a section payload also advances
+// the whole-file digest.
+func fnv1aBoth(h uint64, b []byte) (cont, own uint64) {
+	own = fnvBasis
+	for _, x := range b {
+		h ^= uint64(x)
+		h *= fnvPrime
+		own ^= uint64(x)
+		own *= fnvPrime
+	}
+	return h, own
+}
+
 // SnapshotDigest is the identity digest of an encoded snapshot, stored in
-// the bound WAL's header.
+// the bound WAL's header: FNV-1a over the whole file. Open reads it from
+// the decoder's pass rather than hashing the file a second time.
 func SnapshotDigest(data []byte) uint64 { return fnv1a(data) }
 
 // buf is the append-only little-endian encoder.
@@ -378,49 +401,77 @@ func totalLen[T any](xs []T, f func(T) int) int {
 // the input. The returned state is structurally plausible but not deeply
 // validated; core.ImportIncremental owns semantic validation.
 func DecodeSnapshot(data []byte) (*core.SpannerState, uint64, error) {
+	st, opSeq, _, err := decodeSnapshot(data)
+	return st, opSeq, err
+}
+
+// decodeSnapshot is DecodeSnapshot that also returns SnapshotDigest(data),
+// computed in the pass that verifies the header and section digests: the
+// header digest is the whole-file state after the table, and each
+// section laid out right after the previous one advances it while its own
+// digest is checked. Only a file whose sections are out of order or
+// overlap (never an encoded one) is hashed whole a second time.
+func decodeSnapshot(data []byte) (*core.SpannerState, uint64, uint64, error) {
 	if len(data) < 16 {
-		return nil, 0, corruptf("snapshot header truncated (%d bytes)", len(data))
+		return nil, 0, 0, corruptf("snapshot header truncated (%d bytes)", len(data))
 	}
 	var magic [8]byte
 	copy(magic[:], data[:8])
 	if magic != snapMagic {
-		return nil, 0, corruptf("bad snapshot magic %q", string(magic[:]))
+		return nil, 0, 0, corruptf("bad snapshot magic %q", string(magic[:]))
 	}
 	version := leU32(data[8:])
 	if version != snapVersion {
-		return nil, 0, fmt.Errorf("persist: snapshot format version %d (this build reads %d): %w", version, snapVersion, ErrUnsupportedVersion)
+		return nil, 0, 0, fmt.Errorf("persist: snapshot format version %d (this build reads %d): %w", version, snapVersion, ErrUnsupportedVersion)
 	}
 	nsec := leU32(data[12:])
 	if nsec > uint32(len(data)/32) {
-		return nil, 0, corruptf("section table of %d entries exceeds file size", nsec)
+		return nil, 0, 0, corruptf("section table of %d entries exceeds file size", nsec)
 	}
 	tableEnd := 16 + 32*int(nsec)
 	if tableEnd+8 > len(data) {
-		return nil, 0, corruptf("section table truncated")
+		return nil, 0, 0, corruptf("section table truncated")
 	}
-	if leU64(data[tableEnd:]) != fnv1a(data[:tableEnd]) {
-		return nil, 0, corruptf("header digest mismatch")
+	digest := fnv1a(data[:tableEnd])
+	if leU64(data[tableEnd:]) != digest {
+		return nil, 0, 0, corruptf("header digest mismatch")
 	}
+	digest = fnv1aFrom(digest, data[tableEnd:tableEnd+8])
+	// next is where the whole-file digest has reached; 0 once a section
+	// breaks the in-order layout.
+	next := uint64(tableEnd + 8)
 	sections := make(map[uint32][]byte, nsec)
 	for i := 0; i < int(nsec); i++ {
 		ent := data[16+32*i:]
 		id := leU32(ent)
 		name := sectionNames[id]
 		if name == "" {
-			return nil, 0, corruptf("unknown section id %d", id)
+			return nil, 0, 0, corruptf("unknown section id %d", id)
 		}
 		if _, dup := sections[id]; dup {
-			return nil, 0, corruptf("section %s listed twice", name)
+			return nil, 0, 0, corruptf("section %s listed twice", name)
 		}
 		off, length := leU64(ent[8:]), leU64(ent[16:])
 		if off < uint64(tableEnd+8) || off > uint64(len(data)) || length > uint64(len(data))-off {
-			return nil, 0, corruptf("section %s range [%d, +%d) outside file", name, off, length)
+			return nil, 0, 0, corruptf("section %s range [%d, +%d) outside file", name, off, length)
 		}
 		payload := data[off : off+length]
-		if fnv1a(payload) != leU64(ent[24:]) {
-			return nil, 0, corruptf("section %s digest mismatch", name)
+		var own uint64
+		if off == next {
+			digest, own = fnv1aBoth(digest, payload)
+			next = off + length
+		} else {
+			own, next = fnv1a(payload), 0
+		}
+		if own != leU64(ent[24:]) {
+			return nil, 0, 0, corruptf("section %s digest mismatch", name)
 		}
 		sections[id] = payload
+	}
+	if next > 0 {
+		digest = fnv1aFrom(digest, data[next:])
+	} else {
+		digest = fnv1a(data)
 	}
 	need := func(id uint32) (*rdr, error) {
 		p, ok := sections[id]
@@ -432,7 +483,7 @@ func DecodeSnapshot(data []byte) (*core.SpannerState, uint64, error) {
 
 	mr, err := need(secMeta)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 	var meta snapMeta
 	meta.graphMode = mr.u8() != 0
@@ -450,7 +501,7 @@ func DecodeSnapshot(data []byte) (*core.SpannerState, uint64, error) {
 	hubEpoch := mr.u64()
 	hubsResel := mr.u64()
 	if err := mr.done(); err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 	for _, c := range []struct {
 		name string
@@ -458,11 +509,11 @@ func DecodeSnapshot(data []byte) (*core.SpannerState, uint64, error) {
 	}{{"capacity", capN}, {"live count", liveN}, {"dimension", dim}, {"vertex count", graphN},
 		{"min batch", minBatch}, {"hub epoch", hubEpoch}, {"hub reselections", hubsResel}} {
 		if c.v > maxDecodeElems {
-			return nil, 0, corruptf("section meta: %s %d exceeds limit %d", c.name, c.v, maxDecodeElems)
+			return nil, 0, 0, corruptf("section meta: %s %d exceeds limit %d", c.name, c.v, maxDecodeElems)
 		}
 	}
 	if examined > math.MaxInt64/2 {
-		return nil, 0, corruptf("section meta: examined count overflows")
+		return nil, 0, 0, corruptf("section meta: examined count overflows")
 	}
 	meta.capN, meta.liveN, meta.dim, meta.graphN = int(capN), int(liveN), int(dim), int(graphN)
 	meta.examined = int(examined)
@@ -485,23 +536,23 @@ func DecodeSnapshot(data []byte) (*core.SpannerState, uint64, error) {
 
 	er, err := need(secEdges)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 	if st.Edges, err = decodeEdgeList(er); err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 
 	if meta.graphMode {
 		gr, err := need(secGraph)
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, 0, err
 		}
 		if st.GraphEdges, err = decodeEdgeList(gr); err != nil {
-			return nil, 0, err
+			return nil, 0, 0, err
 		}
 	} else {
 		if err := decodeMetricSections(st, meta, sections, need); err != nil {
-			return nil, 0, err
+			return nil, 0, 0, err
 		}
 	}
 
@@ -513,18 +564,18 @@ func DecodeSnapshot(data []byte) (*core.SpannerState, uint64, error) {
 		}
 		k, err := hr.count("hub", 8)
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, 0, err
 		}
 		st.Hubs = make([]int, k)
 		for i := range st.Hubs {
 			v := hr.u64()
 			if v > maxDecodeElems {
-				return nil, 0, corruptf("section hubs: hub id %d out of range", v)
+				return nil, 0, 0, corruptf("section hubs: hub id %d out of range", v)
 			}
 			st.Hubs[i] = int(v)
 		}
 		if k > 0 && (rowLen > (len(hp)-hr.pos)/8/k) {
-			return nil, 0, corruptf("section hubs: %d rows of %d entries exceed payload", k, rowLen)
+			return nil, 0, 0, corruptf("section hubs: %d rows of %d entries exceed payload", k, rowLen)
 		}
 		st.HubRows = make([][]float64, k)
 		for i := range st.HubRows {
@@ -535,10 +586,10 @@ func DecodeSnapshot(data []byte) (*core.SpannerState, uint64, error) {
 			st.HubRows[i] = row
 		}
 		if err := hr.done(); err != nil {
-			return nil, 0, err
+			return nil, 0, 0, err
 		}
 	}
-	return st, meta.opSeq, nil
+	return st, meta.opSeq, digest, nil
 }
 
 // decodeMetricSections fills the metric-mode sections: idspace, the point

@@ -13,8 +13,10 @@ import (
 // FuzzSnapshotDecode: arbitrary bytes fed to the snapshot decoder produce
 // either a typed error (ErrUnsupportedVersion or ErrCorruptState) or a
 // state that survives a full import attempt — never a panic and never an
-// allocation out of proportion to the input. The seed corpus is the
-// golden snapshots plus the interesting small prefixes.
+// allocation out of proportion to the input. A successful decode's
+// whole-file digest, computed in the decode pass, must equal
+// SnapshotDigest. The seed corpus is the golden snapshots plus the
+// interesting small prefixes.
 func FuzzSnapshotDecode(f *testing.F) {
 	for _, name := range []string{"snap_metric_v1.bin", "snap_matrix_v1.bin", "snap_graph_v1.bin"} {
 		if data, err := os.ReadFile(filepath.Join("testdata", name)); err == nil {
@@ -26,12 +28,15 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(snapMagic[:])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		st, _, err := DecodeSnapshot(data)
+		st, _, digest, err := decodeSnapshot(data)
 		if err != nil {
 			if !errors.Is(err, core.ErrCorruptState) && !errors.Is(err, ErrUnsupportedVersion) {
 				t.Fatalf("untyped decode error: %v", err)
 			}
 			return
+		}
+		if want := SnapshotDigest(data); digest != want {
+			t.Fatalf("decode-pass digest %016x, SnapshotDigest %016x", digest, want)
 		}
 		// A structurally plausible decode must still be survivable: the
 		// semantic layer may reject it, but only with its typed error.
