@@ -46,8 +46,14 @@
 // shrinks when the snapshot goes stale too fast, capped by
 // Budget.MaxBatchWidth), the worker fan-out with per-worker error slots,
 // panic capture, join, and post-join cancellation check, the in-scan
-// budget ladder, the accept bookkeeping, and the OnBatch/OnCertify hook
-// points. Each batch runs a serial pre-pass over the cheap certificates,
+// budget ladder, the accept bookkeeping, the work counts, and the
+// OnBatch/OnCertify hook points. Each worker searches with its own
+// graph.Searcher, and search state a worker owns never shares a cache
+// line with another worker's: every push, pop and count writes it, and a
+// shared line would stall both cores on each write. The searchers count
+// the vertices they label, and the driver folds the counts into
+// Stats.RefreshTouched after each batch's join, so workers share no
+// counter. Each batch runs a serial pre-pass over the cheap certificates,
 // a snapshot pass fanned out over the workers, and a serial pass over the
 // survivors. At one worker the same loop skips the pre-pass and the
 // snapshot pass and settles each candidate inline, so a single-worker
@@ -57,10 +63,12 @@
 //
 //   - The graph certifier answers each query, after the hub-label check,
 //     with the bounded bidirectional decision query (two balls of radius
-//     ~t*w/2 instead of one of radius t*w, stopped at the first path
-//     within t*w). While nothing was accepted since the snapshot pass,
-//     a survivor's snapshot verdict stands, so the first survivor of each
-//     batch is kept with no second search.
+//     ~t*w/2 instead of one of radius t*w, stopped as soon as a
+//     relaxation labels a vertex from both sides within t*w, the first
+//     admissible walk). While nothing was accepted since the snapshot
+//     pass, a survivor's snapshot verdict stands, so the first survivor
+//     of each batch is kept with no second search. Stats.RefreshTouched
+//     counts the vertices these searches labelled.
 //   - The metric certifier maintains the cached distance-bound rows of
 //     GreedyMetricFastSerial (the Bose et al. [BCF+10] trick): cached
 //     upper bounds certify most skips with no search at all, then the hub

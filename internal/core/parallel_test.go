@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -151,6 +152,41 @@ func TestGreedyGraphParallelStats(t *testing.T) {
 	}
 	if stats.Batches == 0 || stats.FinalBatchSize == 0 {
 		t.Fatalf("implausible stats: %+v", stats)
+	}
+}
+
+// TestGraphEngineCountsPinned pins the one-shot graph engine's work on
+// one instance (Erdős–Rényi n=400, p=0.1, weights U[0.5, 10], t=3, hubs
+// off, the build-graph workload's shape) at two workers and at one: the
+// output digest and every Stats counter must equal the values recorded
+// here. RefreshTouched counts the vertices the decision searches
+// labelled, so it pins the volume of the bidirectional certification
+// kernel as well as its answers. CI runs this under the race detector
+// three times: the counts must not depend on how the workers are
+// scheduled.
+func TestGraphEngineCountsPinned(t *testing.T) {
+	g := gen.ErdosRenyi(rand.New(rand.NewSource(400)), 400, 0.1, 0.5, 10)
+	const digest = 0x458bdc29052ce67
+	for _, c := range []struct {
+		workers int
+		want    Stats
+	}{
+		{2, Stats{Batches: 37, CertifiedSkips: 7104, SerialSkips: 7, Kept: 796, RefreshTouched: 361698,
+			PeakBucketPairs: 7907, SupplyPasses: 2, SupplyEvaluated: 15814, FinalBatchSize: 4096}},
+		{1, Stats{Batches: 248, SerialSkips: 7111, Kept: 796, RefreshTouched: 339627,
+			PeakBucketPairs: 7907, SupplyPasses: 2, SupplyEvaluated: 15814, FinalBatchSize: 32}},
+	} {
+		var st Stats
+		res, err := GreedyGraphParallelOpts(g, 3, Options{Workers: c.workers, Stats: &st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := ResultDigest(res); d != digest {
+			t.Errorf("workers=%d: digest %#x, want %#x", c.workers, d, uint64(digest))
+		}
+		if !reflect.DeepEqual(st, c.want) {
+			t.Errorf("workers=%d: stats\n%+v\nwant\n%+v", c.workers, st, c.want)
+		}
 	}
 }
 

@@ -129,10 +129,12 @@ type Stats struct {
 	// SerialRefreshes counts rows recomputed by the ordered re-check
 	// against the live spanner.
 	SerialRefreshes int
-	// RefreshTouched is the total number of vertices all row refreshes
-	// reached — the metric engine's exact-Dijkstra work volume. Full-row
-	// refreshes touch ~n vertices each; the bounded refreshes of the
-	// hub-label fast path touch only the query ball.
+	// RefreshTouched counts the vertices the certifier's exact searches
+	// labelled: row refreshes on metrics, decision searches on graphs
+	// (both sides of each bidirectional search), masked searches in the
+	// fault-tolerant engine. Full-row refreshes touch ~n vertices each;
+	// the bounded refreshes of the hub-label fast path touch only the
+	// query ball.
 	RefreshTouched int
 	// RowsAllocated counts distinct bound rows the sparse store
 	// materialized; n minus RowsAllocated rows were never refreshed and
@@ -238,9 +240,9 @@ func adaptBatch(batch, survivors, span int) int {
 // accept/reject decision matches the sequential scan bit for bit. Each
 // query is the bounded bidirectional decision query (Searcher.BidirWithin),
 // which explores two balls of radius ~t*w/2 instead of one of radius t*w
-// and stops at the first path within t*w; it agrees with the exact
-// bidirectional distance query on whether such a path exists, so it adds
-// no caveat of its own.
+// and stops at the first walk within t*w a relaxation finds. It answers
+// yes whenever the exact bidirectional distance query would, and
+// otherwise only on the ulp ties above, so it adds no caveat of its own.
 func GreedyGraphParallelOpts(g *graph.Graph, t float64, opts Options) (*Result, error) {
 	return build(t, opts, g, nil, 0)
 }
@@ -536,6 +538,7 @@ func (sc *scan) run(src *bucketedSource, batchSize int) (err error) {
 			fresh = false
 		}
 		c.batchDone()
+		stats.RefreshTouched += sc.takeLabelled()
 
 		// Adapt only on full-width rounds: a batch truncated at a bucket
 		// boundary says nothing about snapshot staleness, the signal the
@@ -600,6 +603,17 @@ func (sc *scan) snapshotPass(edges []graph.Edge, settled []bool) error {
 	// predicates are monotone, so passing this check proves no snapshot
 	// search was cut short).
 	return env.cancelled()
+}
+
+// takeLabelled collects the vertices the scan's searchers labelled since
+// the previous call. The driver calls it at batch boundaries, after the
+// join, so each worker counts in its own Searcher and shares no counter.
+func (sc *scan) takeLabelled() int {
+	n := sc.serial.TakeLabelled()
+	for _, s := range sc.pool {
+		n += s.TakeLabelled()
+	}
+	return n
 }
 
 // presettled reports whether candidate i, open after the pre-pass, is
@@ -713,8 +727,8 @@ func (noCache) shedCache() string         { return "" }
 
 // graphCert certifies on graphs with the bounded bidirectional decision
 // query (Searcher.BidirWithin), which explores two balls of radius
-// ~t*w/2 instead of one of radius t*w and stops at the first path within
-// t*w. It keeps no state between batches.
+// ~t*w/2 instead of one of radius t*w and stops at the first walk within
+// t*w a relaxation finds. It keeps no state between batches.
 type graphCert struct {
 	noCache
 	sc *scan
@@ -796,9 +810,6 @@ type metricCert struct {
 	// while in a one-shot build only the pair itself ever reads it, and
 	// the pair was just decided.
 	preseed bool
-	// touched[w] counts the vertices worker w's refreshes reached in the
-	// current batch.
-	touched []int
 	// The current batch's plan: sources lists the distinct rows it needs
 	// refreshed in first-need order, probes[k] the first batch position
 	// sourced at sources[k], srcPairs[k] all of them, and srcLimit[k] their
@@ -826,7 +837,6 @@ func (sc *scan) certifyMetric(bound *boundStore, preseed bool) {
 	c := &metricCert{sc: sc, bound: bound, preseed: preseed}
 	if sc.pool != nil {
 		n := sc.h.N()
-		c.touched = make([]int, len(sc.pool))
 		c.inBatch = make([]int, n)
 		c.srcAt = make([]int, n)
 	}
@@ -940,7 +950,6 @@ func (c *metricCert) snapshot(w, k int) (err error) {
 		if err = c.bound.foldRow(u, reached, dist, len(sc.res.Edges)); err != nil {
 			return
 		}
-		c.touched[w] += len(reached)
 		for _, i := range c.srcPairs[k] {
 			c.dist[i] = dist[c.pairs[i].V]
 		}
@@ -976,7 +985,6 @@ func (c *metricCert) refresh(u, v int, limit float64) (d float64, err error) {
 		if err = c.bound.foldRow(u, reached, dist, len(sc.res.Edges)); err == nil {
 			d = dist[v]
 			sc.stats.SerialRefreshes++
-			sc.stats.RefreshTouched += len(reached)
 		}
 	})
 	return d, err
@@ -987,13 +995,8 @@ func (c *metricCert) accepted(e graph.Edge) error {
 }
 
 func (c *metricCert) batchDone() {
-	st := c.sc.stats
-	st.ParallelRefreshes += len(c.sources)
+	c.sc.stats.ParallelRefreshes += len(c.sources)
 	c.sources = c.sources[:0]
-	for w := range c.touched {
-		st.RefreshTouched += c.touched[w]
-		c.touched[w] = 0
-	}
 }
 
 func (c *metricCert) cacheRows() int { return c.bound.countRows() }

@@ -10,7 +10,7 @@ import (
 // time proportional to the vertices actually visited, so repeated queries
 // (the greedy main loop issues one per candidate edge) allocate nothing.
 type bidirScratch struct {
-	hf, hb             *pq.IndexedMinHeap
+	hf, hb             pq.IndexedMinHeap
 	distF, distB       []float64
 	touchedF, touchedB []int32
 	// stop mirrors dijkstraScratch.stop: polled whenever the pop count
@@ -19,24 +19,32 @@ type bidirScratch struct {
 	// the search (see Searcher.SetStop).
 	stop     func() bool
 	pollMask int
+	// labelled mirrors dijkstraScratch.labelled, both sides counted.
+	labelled int
 }
 
 func newBidirScratch(n int) *bidirScratch {
-	s := &bidirScratch{
-		hf:       pq.NewIndexedMinHeap(n),
-		hb:       pq.NewIndexedMinHeap(n),
-		distF:    make([]float64, n),
-		distB:    make([]float64, n),
-		pollMask: stopMask,
-	}
+	s := new(bidirScratch)
+	s.init(n)
+	return s
+}
+
+// init sizes s for graphs on n vertices, every entry pristine; it leaves
+// stop as it is.
+func (s *bidirScratch) init(n int) {
+	s.hf.Init(n)
+	s.hb.Init(n)
+	s.distF = make([]float64, n)
+	s.distB = make([]float64, n)
+	s.pollMask = stopMask
 	for i := 0; i < n; i++ {
 		s.distF[i] = Inf
 		s.distB[i] = Inf
 	}
-	return s
 }
 
-// reset restores the touched entries to their pristine state.
+// reset counts the touched entries and restores them to their pristine
+// state.
 func (s *bidirScratch) reset() {
 	for _, v := range s.touchedF {
 		s.distF[v] = Inf
@@ -44,6 +52,7 @@ func (s *bidirScratch) reset() {
 	for _, v := range s.touchedB {
 		s.distB[v] = Inf
 	}
+	s.labelled += len(s.touchedF) + len(s.touchedB)
 	s.touchedF = s.touchedF[:0]
 	s.touchedB = s.touchedB[:0]
 	s.hf.Reset()
@@ -58,18 +67,30 @@ func (s *bidirScratch) reset() {
 //
 // The returned value is the exact shortest-path distance whenever that
 // distance is at most limit; values above limit (including Inf) only mean
-// "no path within limit exists". With decide set the search instead
-// returns at the first meeting of length at most limit — a real path, but
-// not necessarily the shortest — which is all a threshold test needs; up
-// to that meeting it runs exactly the schedule of the exact search, so
-// both forms agree on whether a path within limit exists. The scratch
-// buffers are left dirty; the caller resets.
+// "no path within limit exists". The scratch buffers are left dirty; the
+// caller resets.
 //
 // Termination uses the symmetric stopping rule: once the sum of the two
 // frontier minima reaches the best meeting distance found — or exceeds
 // limit, so no admissible meeting remains — no shorter path exists. Any
 // path of length <= limit has every forward prefix and backward suffix
 // within the limit, so the pruning never hides an admissible path.
+//
+// With decide set the search answers only whether a path within limit
+// exists: it returns as soon as a relaxation gives a vertex labels from
+// both sides that sum to at most limit. The returned sum is the forward
+// fold plus the backward fold, the expression the pop-time check
+// evaluates for that vertex, so it is the length of a real walk within
+// limit, though not necessarily the shortest. Labels only fall and
+// rounding is monotone, so a later pop-time candidate for the same vertex
+// can only be smaller; and the two labels a pop-time check reads were
+// summed when the later of them was set. So the decision answers true
+// whenever the exact search would, and in exact arithmetic the two answer
+// alike. In floating point the decision may also answer true when the
+// shortest path ties limit within an ulp: the caveat
+// GreedyGraphParallelOpts documents for the bidirectional search applies
+// unchanged. A sum is formed only while the other side's label is
+// finite, since at a limit of +Inf an unlabelled side would admit Inf.
 func (g *Graph) bidirDistanceWithin(src, dst int, limit float64, decide bool, s *bidirScratch) float64 {
 	if src == dst {
 		return 0
@@ -100,9 +121,6 @@ func (g *Graph) bidirDistanceWithin(src, dst int, limit float64, decide bool, s 
 			if s.distB[v] < Inf {
 				if cand := dv + s.distB[v]; cand < best {
 					best = cand
-					if decide && best <= limit {
-						return best
-					}
 				}
 			}
 			for _, h := range g.adj[v] {
@@ -116,6 +134,9 @@ func (g *Graph) bidirDistanceWithin(src, dst int, limit float64, decide bool, s 
 						s.touchedF = append(s.touchedF, int32(u))
 					}
 					s.distF[u] = nd
+					if decide && s.distB[u] < Inf && nd+s.distB[u] <= limit {
+						return nd + s.distB[u]
+					}
 					s.hf.Push(u, nd)
 				}
 			}
@@ -124,9 +145,6 @@ func (g *Graph) bidirDistanceWithin(src, dst int, limit float64, decide bool, s 
 			if s.distF[v] < Inf {
 				if cand := dv + s.distF[v]; cand < best {
 					best = cand
-					if decide && best <= limit {
-						return best
-					}
 				}
 			}
 			for _, h := range g.adj[v] {
@@ -140,6 +158,9 @@ func (g *Graph) bidirDistanceWithin(src, dst int, limit float64, decide bool, s 
 						s.touchedB = append(s.touchedB, int32(u))
 					}
 					s.distB[u] = nd
+					if decide && s.distF[u] < Inf && s.distF[u]+nd <= limit {
+						return s.distF[u] + nd
+					}
 					s.hb.Push(u, nd)
 				}
 			}

@@ -73,6 +73,53 @@ func TestBidirDistanceWithinMatchesUnidirectional(t *testing.T) {
 	}
 }
 
+// TestBidirWithinRealWeights checks the decision query against the
+// one-sided search on Erdős–Rényi graphs with real (non-dyadic) weights
+// U[0.5, 10], for every pair from a sample of sources, at limits a
+// relative 1e-12 either side of the distance, at half and twice it, and
+// at +Inf. The decision returns at the first admissible walk it labels,
+// which at the loose limits is often not the shortest, and sums it in
+// another order than the one-sided search; quarter-weight fuzz inputs add
+// exactly and cannot show that rounding. Summation-order differences stay
+// within a few ulps, far inside 1e-12, so every answer must agree, and a
+// returned walk may not undercut the distance by more than that.
+func TestBidirWithinRealWeights(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, cfg := range []struct {
+		n int
+		p float64
+	}{{40, 0.1}, {120, 0.04}, {300, 0.02}} {
+		g := New(cfg.n)
+		for u := 0; u < cfg.n; u++ {
+			for v := u + 1; v < cfg.n; v++ {
+				if rng.Float64() < cfg.p {
+					g.MustAddEdge(u, v, 0.5+9.5*rng.Float64())
+				}
+			}
+		}
+		s := NewSearcher(cfg.n)
+		row := make([]float64, cfg.n)
+		for trial := 0; trial < 20; trial++ {
+			src := rng.Intn(cfg.n)
+			s.Distances(g, src, row)
+			for dst, d := range row {
+				for _, limit := range []float64{d * (1 - 1e-12), d * (1 + 1e-12), d / 2, 2 * d, Inf} {
+					_, want := s.DistanceWithin(g, src, dst, limit)
+					if got := s.BidirWithin(g, src, dst, limit); got != want {
+						t.Fatalf("n=%d (%d,%d) d=%v limit=%v: BidirWithin %v, DistanceWithin %v", cfg.n, src, dst, d, limit, got, want)
+					}
+					if _, ok := s.BidirDistanceWithin(g, src, dst, limit); ok != want {
+						t.Fatalf("n=%d (%d,%d) d=%v limit=%v: BidirDistanceWithin %v, DistanceWithin %v", cfg.n, src, dst, d, limit, ok, want)
+					}
+					if walk := s.bidirSearch(g, src, dst, limit, true); walk <= limit && walk < d*(1-1e-12) {
+						t.Fatalf("n=%d (%d,%d) limit=%v: decision returned a walk of %v, below the distance %v", cfg.n, src, dst, limit, walk, d)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestBidirDistanceWithinDisconnected checks behaviour across components.
 func TestBidirDistanceWithinDisconnected(t *testing.T) {
 	g := New(4)

@@ -28,11 +28,15 @@ func decodeQuarterGraph(data []byte) (g *Graph, limit float64, cut int) {
 // search on every ordered pair of a decoded quarter-weight graph, at the
 // exact distance, a quarter below and above it, 0, Inf and a fuzz-chosen
 // limit: BidirWithin must give DistanceWithin's decision, and
-// BidirDistanceWithin its distance bit for bit. A stop predicate that
-// fires from the cut-th poll on (polled at every pop) may turn a true
-// decision false, never a false one true. The seed corpus in
-// testdata/fuzz/FuzzBidirWithin covers ties, parallel edges, disconnected
-// pairs and a single vertex, and replays in ordinary go test runs.
+// BidirDistanceWithin its distance bit for bit. The walk the decision
+// search returns at may be longer than the distance, but never shorter.
+// A stop predicate that fires from the cut-th poll on (polled at every
+// pop) may turn a true decision false, never a false one true. The seed
+// corpus in testdata/fuzz/FuzzBidirWithin covers ties, parallel edges,
+// disconnected pairs, a single vertex, and the decision's early return:
+// at a walk longer than the shortest path, at a walk that ties the limit
+// exactly, and after a relaxation whose sum exceeds the limit while a
+// shorter path exists. It replays in ordinary go test runs.
 func FuzzBidirWithin(f *testing.F) {
 	f.Add([]byte{4, 8, 3, 0, 1, 4, 1, 2, 4, 0, 3, 4, 3, 2, 4})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -43,7 +47,7 @@ func FuzzBidirWithin(f *testing.F) {
 		n := g.N()
 		oneSided, bidir, stopped := NewSearcher(n), NewSearcher(n), NewSearcher(n)
 		polls := 0
-		stopped.bidir = newBidirScratch(n)
+		stopped.bidir.init(n)
 		stopped.bidir.pollMask = 0
 		stopped.SetStop(func() bool { polls++; return polls >= cut })
 		row := make([]float64, n)
@@ -55,6 +59,9 @@ func FuzzBidirWithin(f *testing.F) {
 					wantD, wantOK := oneSided.DistanceWithin(g, src, dst, limit)
 					if got := bidir.BidirWithin(g, src, dst, limit); got != wantOK {
 						t.Fatalf("n=%d (%d,%d) limit=%v: BidirWithin %v, DistanceWithin (%v,%v)", n, src, dst, limit, got, wantD, wantOK)
+					}
+					if walk := bidir.bidirSearch(g, src, dst, limit, true); walk <= limit && walk < d {
+						t.Fatalf("n=%d (%d,%d) limit=%v: decision returned a walk of %v, below the distance %v", n, src, dst, limit, walk, d)
 					}
 					gotD, gotOK := bidir.BidirDistanceWithin(g, src, dst, limit)
 					if gotOK != wantOK || math.Float64bits(gotD) != math.Float64bits(wantD) {

@@ -62,13 +62,16 @@ func (g *Graph) DistanceWithin(src, dst int, limit float64) (float64, bool) {
 // dijkstraScratch holds reusable buffers for repeated Dijkstra runs over the
 // same graph, avoiding per-call allocation in the greedy main loop.
 type dijkstraScratch struct {
-	heap    *pq.IndexedMinHeap
+	heap    pq.IndexedMinHeap
 	dist    []float64
 	parent  []int32
 	touched []int32
 	// stop, when non-nil, is polled every stopMask+1 heap pops; a true
 	// return abandons the search (see Searcher.SetStop for the contract).
 	stop func() bool
+	// labelled counts the vertices the searches run on s labelled, added
+	// at each reset (see Searcher.TakeLabelled).
+	labelled int
 }
 
 // stopMask throttles the cooperative cancellation poll of every search
@@ -78,24 +81,30 @@ type dijkstraScratch struct {
 const stopMask = 4095
 
 func newDijkstraScratch(n int) *dijkstraScratch {
-	s := &dijkstraScratch{
-		heap:   pq.NewIndexedMinHeap(n),
-		dist:   make([]float64, n),
-		parent: make([]int32, n),
-	}
+	s := new(dijkstraScratch)
+	s.init(n)
+	return s
+}
+
+// init sizes s for graphs on n vertices, every entry pristine.
+func (s *dijkstraScratch) init(n int) {
+	s.heap.Init(n)
+	s.dist = make([]float64, n)
+	s.parent = make([]int32, n)
 	for i := 0; i < n; i++ {
 		s.dist[i] = Inf
 		s.parent[i] = -1
 	}
-	return s
 }
 
-// reset restores the touched entries to their pristine state.
+// reset counts the touched entries and restores them to their pristine
+// state.
 func (s *dijkstraScratch) reset() {
 	for _, v := range s.touched {
 		s.dist[v] = Inf
 		s.parent[v] = -1
 	}
+	s.labelled += len(s.touched)
 	s.touched = s.touched[:0]
 	s.heap.Reset()
 }

@@ -15,13 +15,18 @@
 // allocations of the convenience methods on Graph disappear from the main
 // loops. Its BidirWithin grows bounded Dijkstra balls from both endpoints
 // at once — two balls of radius ~limit/2 instead of one of radius limit —
-// and stops at the first meeting within limit: the yes-or-no certification
-// primitive of the batched-parallel graph engine. BidirDistanceWithin runs
-// the same search on to the exact distance for point queries (serving's
-// distance endpoint). Its Distances fills a caller-owned row and backs the
-// concurrent bound-matrix refreshes of the metric engine. Every search
-// runs on pq.IndexedMinHeap, a 4-ary heap that stores each key beside its
-// item. A Searcher is not safe for concurrent use: parallel callers hold
-// one Searcher per worker (the graph being queried may be shared
-// read-only).
+// and stops as soon as a relaxation labels a vertex from both sides
+// within limit: the yes-or-no certification primitive of the
+// batched-parallel graph engine. BidirDistanceWithin runs the same search
+// on to the exact distance for point queries (serving's distance
+// endpoint). Its BoundedReach hands the vertices a bounded search reached
+// to the caller and backs the concurrent bound-row refreshes of the
+// metric engine. Every search runs on pq.IndexedMinHeap, a 4-ary heap
+// that stores each key beside its item. A Searcher is not safe for
+// concurrent use: parallel callers hold one Searcher per worker (the
+// graph being queried may be shared read-only). Its scratches and heaps
+// live inside it by value, padded at both ends, so one worker's pushes
+// and pops never write a cache line another worker's Searcher uses, and
+// it counts the vertices its searches label (TakeLabelled), the work
+// volume the engines report.
 package graph

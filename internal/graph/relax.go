@@ -33,7 +33,7 @@ func (s *Searcher) RelaxNewEdge(g *Graph, dist []float64, u, v int, w float64) i
 	default:
 		return 0
 	}
-	h := s.scratch.heap
+	h := &s.scratch.heap
 	dist[seed] = key
 	h.Push(seed, key)
 	improved := 1

@@ -5,26 +5,36 @@ package graph
 // allocations of the convenience methods on Graph. It is the workhorse of
 // the greedy main loops, which issue one distance query per candidate edge.
 //
-// A Searcher is not safe for concurrent use. The graph passed to each call
-// may differ between calls (e.g., a growing spanner) as long as its vertex
-// count matches the Searcher's.
+// A Searcher is not safe for concurrent use: parallel callers hold one per
+// worker. Its search state — both scratches and their heaps, held by value
+// — sits between two pads of cacheLinePad bytes, so the fields every push,
+// pop and count writes never share a cache line with another Searcher or
+// with anything else the allocator places beside it. The graph passed to
+// each call may differ between calls (e.g., a growing spanner) as long as
+// its vertex count matches the Searcher's.
 type Searcher struct {
-	scratch *dijkstraScratch
-	// bidir is allocated on first use so Searchers that only ever run
-	// one-sided queries don't pay for the second set of buffers.
-	bidir *bidirScratch
+	_ [cacheLinePad]byte
+	// scratch serves the one-sided searches and bidir the bidirectional
+	// ones. bidir's arrays are allocated on first use, so Searchers that
+	// only ever run one-sided queries don't pay for the second set.
+	scratch dijkstraScratch
+	bidir   bidirScratch
 	// masked is the vertex-failure mark buffer of the masked searches,
 	// allocated on first use and cleared after every call.
 	masked []bool
-	// stop is the cooperative cancellation predicate installed by SetStop,
-	// propagated to the bidirectional scratch when that is allocated.
-	stop func() bool
-	n    int
+	n      int
+	_      [cacheLinePad]byte
 }
+
+// cacheLinePad is the pad around a Searcher's search state: at least one
+// 64-byte cache line.
+const cacheLinePad = 64
 
 // NewSearcher returns a Searcher for graphs on n vertices.
 func NewSearcher(n int) *Searcher {
-	return &Searcher{scratch: newDijkstraScratch(n), n: n}
+	s := &Searcher{n: n}
+	s.scratch.init(n)
+	return s
 }
 
 // N reports the vertex count the Searcher was sized for.
@@ -39,11 +49,21 @@ func (s *Searcher) N() int { return s.n }
 // answer when it fired. A nil stop restores unconditional searches and
 // costs the hot loops nothing.
 func (s *Searcher) SetStop(stop func() bool) {
-	s.stop = stop
 	s.scratch.stop = stop
-	if s.bidir != nil {
-		s.bidir.stop = stop
-	}
+	s.bidir.stop = stop
+}
+
+// TakeLabelled returns the number of vertices the Searcher's searches
+// labelled since the previous call, and restarts the count. A search
+// counts each vertex it gave a finite tentative distance once per side,
+// whether or not it settled it: the volume of work the search did. A
+// one-sided search that hands its reached vertices to a caller (see
+// BoundedReach) counts exactly those. RelaxNewEdge repairs a caller's
+// array and counts nothing.
+func (s *Searcher) TakeLabelled() int {
+	n := s.scratch.labelled + s.bidir.labelled
+	s.scratch.labelled, s.bidir.labelled = 0, 0
+	return n
 }
 
 // DistanceWithin reports the shortest-path distance from src to dst in g if
@@ -53,7 +73,7 @@ func (s *Searcher) DistanceWithin(g *Graph, src, dst int, limit float64) (float6
 	if src == dst {
 		return 0, true
 	}
-	g.dijkstra(src, dst, limit, s.scratch)
+	g.dijkstra(src, dst, limit, &s.scratch)
 	d := s.scratch.dist[dst]
 	s.scratch.reset()
 	if d < Inf && d <= limit {
@@ -83,13 +103,15 @@ func (s *Searcher) BidirDistanceWithin(g *Graph, src, dst int, limit float64) (f
 
 // BidirWithin reports whether g holds a path from src to dst of length at
 // most limit: the decision form of BidirDistanceWithin, on the same search
-// loop, returning true at the first meeting of the two balls whose length
-// is at most limit instead of searching on until the frontiers prove the
-// minimum. Its answer equals BidirDistanceWithin's ok. This is the greedy
-// graph engine's certification primitive (the greedy rule keeps an edge
-// iff no path within t*w exists); it is allocation-free after the first
-// bidirectional call and honors SetStop like every query, so a stopped
-// search may answer false for a pair within limit.
+// loop. It returns true as soon as a relaxation gives some vertex labels
+// from both balls that sum to at most limit — a real walk within limit,
+// not necessarily the shortest — instead of searching on until the
+// frontiers prove the minimum. Its answer equals BidirDistanceWithin's ok,
+// up to the ulp-tie caveat bidirDistanceWithin explains. This is the
+// greedy graph engine's certification primitive (the greedy rule keeps an
+// edge iff no path within t*w exists); it is allocation-free after the
+// first bidirectional call and honors SetStop like every query, so a
+// stopped search may answer false for a pair within limit.
 func (s *Searcher) BidirWithin(g *Graph, src, dst int, limit float64) bool {
 	if src == dst {
 		return true
@@ -102,11 +124,10 @@ func (s *Searcher) BidirWithin(g *Graph, src, dst int, limit float64) bool {
 // vertices on the lazily allocated scratch (see bidirDistanceWithin for
 // decide) and resets it.
 func (s *Searcher) bidirSearch(g *Graph, src, dst int, limit float64, decide bool) float64 {
-	if s.bidir == nil {
-		s.bidir = newBidirScratch(s.n)
-		s.bidir.stop = s.stop
+	if s.bidir.distF == nil {
+		s.bidir.init(s.n)
 	}
-	d := g.bidirDistanceWithin(src, dst, limit, decide, s.bidir)
+	d := g.bidirDistanceWithin(src, dst, limit, decide, &s.bidir)
 	s.bidir.reset()
 	return d
 }
@@ -123,7 +144,7 @@ func (s *Searcher) PathWithin(g *Graph, src, dst int, limit float64) ([]int, flo
 	if src == dst {
 		return []int{src}, 0, true
 	}
-	g.dijkstra(src, dst, limit, s.scratch)
+	g.dijkstra(src, dst, limit, &s.scratch)
 	d := s.scratch.dist[dst]
 	var path []int
 	if d < Inf && d <= limit {
@@ -152,7 +173,7 @@ func (s *Searcher) DistanceWithinAvoiding(g *Graph, src, dst int, limit float64,
 	if src == dst {
 		return 0, true
 	}
-	g.dijkstraAvoiding(src, dst, limit, avoid, s.scratch)
+	g.dijkstraAvoiding(src, dst, limit, avoid, &s.scratch)
 	d := s.scratch.dist[dst]
 	s.scratch.reset()
 	if d <= limit {
@@ -192,7 +213,7 @@ func (s *Searcher) DistanceWithinMasked(g *Graph, src, dst int, limit float64, d
 		return 0, true
 	}
 	masked := s.mark(dead)
-	g.dijkstraMasked(src, dst, limit, masked, s.scratch)
+	g.dijkstraMasked(src, dst, limit, masked, &s.scratch)
 	d := s.scratch.dist[dst]
 	s.scratch.reset()
 	s.unmark(dead)
@@ -211,7 +232,7 @@ func (s *Searcher) DistanceWithinMasked(g *Graph, src, dst int, limit float64, d
 // VerifyFaultTolerance.
 func (s *Searcher) BoundedDistancesMasked(g *Graph, src int, limit float64, dead []int, dst []float64) {
 	masked := s.mark(dead)
-	g.dijkstraMasked(src, -1, limit, masked, s.scratch)
+	g.dijkstraMasked(src, -1, limit, masked, &s.scratch)
 	copy(dst, s.scratch.dist)
 	s.scratch.reset()
 	s.unmark(dead)
@@ -240,6 +261,6 @@ func (s *Searcher) BoundedDistances(g *Graph, src int, limit float64, dst []floa
 // vertices pays for the ball the search explored, not for all n.
 func (s *Searcher) BoundedReach(g *Graph, src int, limit float64, visit func(reached []int32, dist []float64)) {
 	defer s.scratch.reset()
-	g.dijkstra(src, -1, limit, s.scratch)
+	g.dijkstra(src, -1, limit, &s.scratch)
 	visit(s.scratch.touched, s.scratch.dist)
 }

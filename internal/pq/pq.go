@@ -20,7 +20,7 @@ type entry struct {
 // IndexedMinHeap is a 4-ary min-heap over items 0..n-1 with float64 keys.
 // Each item may appear at most once. Among equal keys the pop order is
 // unspecified. The zero value is not usable; construct with
-// NewIndexedMinHeap.
+// NewIndexedMinHeap, or Init a heap held by value.
 type IndexedMinHeap struct {
 	// heap[i] is the slot at heap position i; the children of position i
 	// are 4i+1 .. 4i+4.
@@ -31,14 +31,20 @@ type IndexedMinHeap struct {
 
 // NewIndexedMinHeap returns an empty heap over the universe [0, n).
 func NewIndexedMinHeap(n int) *IndexedMinHeap {
-	h := &IndexedMinHeap{
-		heap: make([]entry, 0, n),
-		pos:  make([]int32, n),
-	}
+	h := new(IndexedMinHeap)
+	h.Init(n)
+	return h
+}
+
+// Init makes h an empty heap over the universe [0, n), so a heap can live
+// by value inside the struct that uses it instead of as its own small
+// allocation.
+func (h *IndexedMinHeap) Init(n int) {
+	h.heap = make([]entry, 0, n)
+	h.pos = make([]int32, n)
 	for i := range h.pos {
 		h.pos[i] = -1
 	}
-	return h
 }
 
 // Len reports the number of items currently in the heap.
