@@ -183,7 +183,7 @@ func run(ctx context.Context, args []string, out *os.File) error {
 			return reportAbort(res, stats.Degradations, err)
 		}
 		if *savePath != "" {
-			if err := saveSnapshot(inc, *savePath); err != nil {
+			if err := persist.Save(inc, *savePath); err != nil {
 				return err
 			}
 		}
@@ -234,7 +234,7 @@ func run(ctx context.Context, args []string, out *os.File) error {
 				return reportAbort(res, stats.Degradations, err)
 			}
 			if *savePath != "" {
-				if err := saveSnapshot(inc, *savePath); err != nil {
+				if err := persist.Save(inc, *savePath); err != nil {
 					return err
 				}
 			}
@@ -348,16 +348,6 @@ func incrementalGraph(g *graph.Graph, t float64, opts core.Options, k int) (*cor
 		return nil, err
 	}
 	return inc, nil
-}
-
-// saveSnapshot persists the maintained spanner's full exported state to
-// path as a versioned, digest-guarded snapshot (atomic write + fsync).
-func saveSnapshot(inc *core.IncrementalSpanner, path string) error {
-	st, err := inc.ExportState()
-	if err != nil {
-		return err
-	}
-	return persist.WriteFileAtomic(path, persist.EncodeSnapshot(st, 0), 0o644)
 }
 
 // printSnapshot restores the maintained spanner stored in a snapshot file

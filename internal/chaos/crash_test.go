@@ -417,7 +417,8 @@ func recoverAndFinish(t *testing.T, m *crashMode, dir string, refs []uint64, lab
 // counting pass sizes each workload's deterministic crash schedule, then
 // every single point is killed in its own run and recovery equivalence is
 // asserted at both the recovery and the finish line. The combined
-// schedule must cover at least 100 distinct crash points.
+// schedule must cover at least 100 distinct crash points; the count is
+// logged, so a change to the IO path can show it kept every window.
 func TestRecoverCrashEquivalence(t *testing.T) {
 	totalPoints := 0
 	for _, m := range crashModes() {
@@ -447,6 +448,7 @@ func TestRecoverCrashEquivalence(t *testing.T) {
 	t.Run("replay", func(t *testing.T) {
 		totalPoints += crashMidReplay(t)
 	})
+	t.Logf("crash points enumerated: %d", totalPoints)
 	if totalPoints < 100 {
 		t.Fatalf("suite covered %d crash points, want >= 100", totalPoints)
 	}

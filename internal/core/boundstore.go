@@ -444,6 +444,12 @@ func boundRowSlack(n int) int {
 	return s
 }
 
+// RowCapacity is the capacity a maintained metric engine gives each bound
+// row and hub array over n ids: n plus boundRowSlack's headroom. A
+// snapshot decoder allocates rows with it, so that the rows
+// ImportIncremental keeps still grow in place on the next insertion.
+func RowCapacity(n int) int { return n + boundRowSlack(n) }
+
 // sortedPairs materializes all n(n-1)/2 interpoint distances of m as edges
 // in the greedy scan order: non-decreasing weight, ties broken by endpoint
 // ids. This is the classic supply the streamed source replaces; it remains

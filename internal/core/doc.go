@@ -299,9 +299,10 @@
 // sequence in the stable tombstone id space, the pair-count histogram,
 // the sparse bound rows with their proof epochs, the hub arrays, and the
 // batching policy — as a SpannerState; ImportIncremental reconstructs an
-// equivalent IncrementalSpanner from one. The round trip is exact: the
-// import re-registers the cached rows under the same proof prefixes the
-// export recorded, so the reconstructed spanner certifies, replays, and
+// equivalent IncrementalSpanner from one, keeping the state's bound and
+// hub rows as its own rather than copying them. The round trip is exact:
+// the import re-registers the cached rows under the same proof prefixes
+// the export recorded, so the reconstructed spanner certifies, replays, and
 // answers Result bit-identically to the original (ResultDigest is the
 // 64-bit fingerprint tests compare). internal/persist builds the on-disk
 // layer on top of this pair: versioned digest-guarded snapshots of a

@@ -255,6 +255,12 @@ func validateEdges(edges []graph.Edge, n int, dead []bool) error {
 // length, epoch, and histogram total is checked and a violation returns an
 // error wrapping ErrCorruptState; it does not re-verify distances against
 // the metric payload (the persistence layer's digests own byte integrity).
+//
+// The imported spanner keeps st's bound rows, hub rows and coordinates as
+// its own instead of copying them, so the caller must not modify st
+// afterwards. In metric mode, rows with RowCapacity's headroom (as the
+// snapshot decoder allocates them) grow in place on later insertions;
+// shorter ones are regrown by the first insertion that needs the room.
 func ImportIncremental(st *SpannerState, mopts, gopts Options) (*IncrementalSpanner, error) {
 	if st == nil {
 		return nil, corrupt("nil state")
@@ -439,9 +445,7 @@ func (s *IncrementalSpanner) importBounds(st *SpannerState) error {
 		if row[u] != 0 {
 			return corrupt("bound row %d has nonzero diagonal", u)
 		}
-		r := make([]uint16, n, n+b.slack)
-		copy(r, row)
-		b.rows[u] = r
+		b.rows[u] = row
 		b.epochs[u] = ep
 	}
 	if s.opts.GuardRows {
@@ -481,10 +485,6 @@ func (s *IncrementalSpanner) importOracle(st *SpannerState, n int) error {
 		}
 		seen[hv] = true
 	}
-	slack := 0
-	if s.dyn != nil {
-		slack = boundRowSlack(n)
-	}
 	o := &HubOracle{
 		h:          s.res.Graph(),
 		hubs:       append([]int(nil), st.Hubs...),
@@ -493,7 +493,6 @@ func (s *IncrementalSpanner) importOracle(st *SpannerState, n int) error {
 		live:       st.HubEpoch,
 		reselected: st.HubsReselected,
 	}
-	o.rows = make([][]float64, len(st.HubRows))
 	for i, row := range st.HubRows {
 		if len(row) != n {
 			return corrupt("hub row %d has %d entries, want %d", i, len(row), n)
@@ -503,10 +502,8 @@ func (s *IncrementalSpanner) importOracle(st *SpannerState, n int) error {
 				return corrupt("hub row %d entry %d is not a distance", i, v)
 			}
 		}
-		r := make([]float64, n, n+slack)
-		copy(r, row)
-		o.rows[i] = r
 	}
+	o.rows = st.HubRows
 	s.oracle = o
 	return nil
 }

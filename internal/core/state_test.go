@@ -265,3 +265,62 @@ func nan() float64 {
 	z := 0.0
 	return z / z
 }
+
+// TestImportKeepsRowsWithHeadroom: ImportIncremental keeps the state's
+// bound and hub rows instead of copying them, and rows allocated with
+// RowCapacity's headroom, as the snapshot decoder allocates them, grow in
+// place on the next insertion. A matrix metric replays exactly, so every
+// row survives the insertion's rebase.
+func TestImportKeepsRowsWithHeadroom(t *testing.T) {
+	uni := traceMetric(2)
+	alive := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	inc, err := NewIncrementalMetric(restrictMetric(uni, alive), 1.6, Options{Workers: 1, Hubs: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := inc.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := st.Cap
+	bound := map[int][]uint16{}
+	for u, row := range st.BoundRows {
+		if row != nil {
+			st.BoundRows[u] = append(make([]uint16, 0, RowCapacity(n)), row...)
+			bound[u] = st.BoundRows[u]
+		}
+	}
+	if len(bound) == 0 || len(st.HubRows) == 0 {
+		t.Fatalf("setup: %d bound rows and %d hub rows to keep", len(bound), len(st.HubRows))
+	}
+	for i, row := range st.HubRows {
+		st.HubRows[i] = append(make([]float64, 0, RowCapacity(n)), row...)
+	}
+	hubs := append([][]float64(nil), st.HubRows...)
+	imp, err := ImportIncremental(st, Options{Workers: 1}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// check requires every row of the state to be the engine's row of the
+	// same vertex or hub, want entries long, in the same array.
+	check := func(when string, want int) {
+		t.Helper()
+		for u, row := range bound {
+			got := imp.bound.rows[u]
+			if len(got) != want || &got[0] != &row[0] {
+				t.Fatalf("%s: bound row %d (%d entries) is not the state's row grown in place to %d", when, u, len(got), want)
+			}
+		}
+		for i, row := range hubs {
+			got := imp.oracle.rows[i]
+			if len(got) != want || &got[0] != &row[0] {
+				t.Fatalf("%s: hub row %d (%d entries) is not the state's row grown in place to %d", when, i, len(got), want)
+			}
+		}
+	}
+	check("import", n)
+	if err := imp.Insert(restrictMetric(uni, append(alive, 10))); err != nil {
+		t.Fatal(err)
+	}
+	check("insertion", n+1)
+}

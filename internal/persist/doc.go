@@ -20,6 +20,20 @@
 // garbage-collects the old generation — at every instant at least one
 // complete generation is on disk.
 //
+// # Snapshot writes
+//
+// A snapshot streams from the exported state into its temp file, so no
+// write holds the encoded file in memory. The encoder makes two passes
+// over the same section emitters. The digest pass emits each section
+// into an FNV-1a sink, which yields the section's length and digest for
+// the table. The write pass emits the header, the table, the header
+// digest and the payloads through a 64 KB buffer into the file, and the
+// running FNV-1a over those bytes is the snapshot digest the new WAL's
+// header binds. EncodeSnapshot is the same encoder writing into memory,
+// which is what the golden files and the fuzz corpus check. Open keeps
+// the decoded bound and hub rows as the engine's own: the decoder gives
+// them the engine's growth headroom, and the import does not copy them.
+//
 // # Recovery
 //
 // Open loads the newest snapshot whose header and per-section digests

@@ -3,6 +3,7 @@ package persist
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -112,57 +113,34 @@ func (d *Durable) guard() error {
 	return nil
 }
 
-// writeAtomic is WriteFileAtomic with the four crash windows of an atomic
-// replace exposed to the hook: a torn temp file, a zero-length temp file,
-// a rename journaled away by the crash (the new path never appears), and
-// a rename that became durable. The first three leave only debris Open
-// ignores; the fourth is the committed outcome.
-func (d *Durable) writeAtomic(path string, data []byte, label string) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-"+filepath.Base(path)+"-")
-	if err != nil {
+// replace is writeAtomic for a Durable's files: they keep CreateTemp's
+// 0600, Options.NoSync skips the fsyncs, and each of the four crash
+// windows is a crash point labelled label+":"+window. The first three
+// leave only debris, which Open removes; the fourth is the committed
+// outcome.
+func (d *Durable) replace(path, label string, size int64, write func(io.Writer) error) error {
+	return writeAtomic(path, 0, d.o.NoSync, size, write, func(window string, wreck func()) error {
+		return d.fire(label+":"+window, wreck)
+	})
+}
+
+// writeSnap streams generation gen's snapshot of st, taken at op sequence
+// opSeq, into the directory and returns its SnapshotDigest, which the
+// write pass computes as it goes.
+func (d *Durable) writeSnap(gen uint64, st *core.SpannerState, opSeq uint64) (uint64, error) {
+	enc := newSnapEncoder(st, opSeq)
+	err := d.replace(filepath.Join(d.dir, snapName(gen)), "snap", enc.size, enc.writeTo)
+	return enc.digest, err
+}
+
+// writeWalHeader creates generation gen's empty WAL, bound to the
+// snapshot digest snapDigest.
+func (d *Durable) writeWalHeader(gen, snapDigest uint64) error {
+	hdr := encodeWalHeader(gen, snapDigest)
+	return d.replace(filepath.Join(d.dir, walName(gen)), "wal", int64(len(hdr)), func(w io.Writer) error {
+		_, err := w.Write(hdr)
 		return err
-	}
-	name := tmp.Name()
-	defer os.Remove(name)
-	if err := d.fire(label+":temp-write", func() {
-		tmp.Write(data[:len(data)/2])
-		tmp.Sync()
-		tmp.Close()
-	}); err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := d.fire(label+":temp-sync", func() {
-		tmp.Truncate(0)
-		tmp.Close()
-	}); err != nil {
-		return err
-	}
-	if !d.o.NoSync {
-		if err := tmp.Sync(); err != nil {
-			tmp.Close()
-			return err
-		}
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := d.fire(label+":rename-lost", nil); err != nil {
-		return err
-	}
-	if err := os.Rename(name, path); err != nil {
-		return err
-	}
-	if !d.o.NoSync {
-		if err := syncDir(dir); err != nil {
-			return err
-		}
-	}
-	return d.fire(label+":rename-kept", nil)
+	})
 }
 
 // Create initializes dir as a durable home for inc, which becomes owned
@@ -196,12 +174,10 @@ func Create(dir string, inc *core.IncrementalSpanner, o Options) (*Durable, erro
 	}
 	d := &Durable{dir: dir, o: o, inc: inc, gen: 1}
 	d.adoptState(st)
-	snap := EncodeSnapshot(st, 0)
-	d.snapDigest = SnapshotDigest(snap)
-	if err := d.writeAtomic(filepath.Join(dir, snapName(1)), snap, "snap"); err != nil {
+	if d.snapDigest, err = d.writeSnap(1, st, 0); err != nil {
 		return nil, err
 	}
-	if err := d.writeAtomic(filepath.Join(dir, walName(1)), encodeWalHeader(1, d.snapDigest), "wal"); err != nil {
+	if err := d.writeWalHeader(1, d.snapDigest); err != nil {
 		return nil, err
 	}
 	if err := d.openWal(); err != nil {
@@ -346,7 +322,7 @@ func Open(dir string, o Options) (*Durable, error) {
 	switch {
 	case errors.Is(rerr, os.ErrNotExist):
 		// Crash window: snapshot renamed, WAL creation lost. Recreate it.
-		if err := d.writeAtomic(walPath, encodeWalHeader(d.gen, d.snapDigest), "wal"); err != nil {
+		if err := d.writeWalHeader(d.gen, d.snapDigest); err != nil {
 			return nil, err
 		}
 	case rerr != nil:
@@ -829,13 +805,12 @@ func (d *Durable) Checkpoint() error {
 	if err != nil {
 		return err
 	}
-	snap := EncodeSnapshot(st, d.opSeq)
 	newGen := d.gen + 1
-	if err := d.writeAtomic(filepath.Join(d.dir, snapName(newGen)), snap, "snap"); err != nil {
+	digest, err := d.writeSnap(newGen, st, d.opSeq)
+	if err != nil {
 		return err
 	}
-	digest := SnapshotDigest(snap)
-	if err := d.writeAtomic(filepath.Join(d.dir, walName(newGen)), encodeWalHeader(newGen, digest), "wal"); err != nil {
+	if err := d.writeWalHeader(newGen, digest); err != nil {
 		return err
 	}
 	oldGen := d.gen

@@ -1,9 +1,13 @@
 package persist
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -367,4 +371,220 @@ func TestPersistWalTailTruncation(t *testing.T) {
 	if d3.OpSeq() != 3 {
 		t.Fatalf("OpSeq %d after post-recovery op, want 3", d3.OpSeq())
 	}
+}
+
+// TestPersistFileIsTheEncoding: the snapshot Create writes, and the one
+// Checkpoint writes after a few logged operations, are byte for byte
+// EncodeSnapshot of the engine's exported state at that op sequence, and
+// each generation's WAL header binds SnapshotDigest of its file. The
+// Durable's files keep CreateTemp's 0600; Save's file is the encoding at
+// op sequence 0, with mode 0644.
+func TestPersistFileIsTheEncoding(t *testing.T) {
+	eager := func(d *Durable) error { return d.SetPolicy(core.IncrementalPolicy{}) }
+	cases := []struct {
+		name  string
+		build func() *core.IncrementalSpanner
+		ops   []func(d *Durable) error
+	}{
+		{"euclid", func() *core.IncrementalSpanner { return buildMetricEngine(t, true, core.Options{Workers: 1, Hubs: 3}) },
+			[]func(d *Durable) error{
+				func(d *Durable) error { return d.AppendPoints([][]float64{{0.5, 3.5}}) },
+				eager,
+				func(d *Durable) error { return d.Delete(0) },
+			}},
+		{"matrix", func() *core.IncrementalSpanner { return buildMetricEngine(t, false, core.Options{Workers: 1}) },
+			[]func(d *Durable) error{
+				func(d *Durable) error { return d.Delete(1) },
+				eager,
+				func(d *Durable) error { return d.Delete(0) },
+			}},
+		{"graph", func() *core.IncrementalSpanner { return buildGraphEngine(t, core.Options{Workers: 1, Hubs: 3}) },
+			[]func(d *Durable) error{
+				func(d *Durable) error { return d.InsertEdges(graph.Edge{U: 1, V: 6, W: 1.75}) },
+				eager,
+				func(d *Durable) error { return d.DeleteEdges(graph.Edge{U: 2, V: 7, W: 2.5}) },
+			}},
+	}
+	for _, tc := range cases {
+		dir := t.TempDir()
+		d, err := Create(dir, tc.build(), Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		// encoding requires the file at path to be EncodeSnapshot of the
+		// engine's exported state at opSeq, with mode perm.
+		encoding := func(path string, opSeq uint64, perm os.FileMode) []byte {
+			t.Helper()
+			snap, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := EncodeSnapshot(exportState(t, d.Spanner()), opSeq); !bytes.Equal(snap, want) {
+				t.Fatalf("%s: %s holds %d bytes that are not EncodeSnapshot of the exported state at op %d (%d bytes)",
+					tc.name, filepath.Base(path), len(snap), opSeq, len(want))
+			}
+			info, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Mode().Perm() != perm {
+				t.Fatalf("%s: %s has mode %v, want %v", tc.name, filepath.Base(path), info.Mode().Perm(), perm)
+			}
+			return snap
+		}
+		check := func(gen uint64) {
+			t.Helper()
+			snap := encoding(filepath.Join(dir, snapName(gen)), d.OpSeq(), 0o600)
+			wal, err := os.ReadFile(filepath.Join(dir, walName(gen)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, bound, err := decodeWalHeader(wal)
+			if err != nil || g != gen || bound != SnapshotDigest(snap) {
+				t.Fatalf("%s: %s header binds generation %d snapshot %016x (err %v), want %d and %016x",
+					tc.name, walName(gen), g, bound, err, gen, SnapshotDigest(snap))
+			}
+		}
+		check(1)
+		for i, op := range tc.ops {
+			if err := op(d); err != nil {
+				t.Fatalf("%s: op %d: %v", tc.name, i, err)
+			}
+		}
+		if err := d.Checkpoint(); err != nil {
+			t.Fatalf("%s: checkpoint: %v", tc.name, err)
+		}
+		if d.OpSeq() != uint64(len(tc.ops)) {
+			t.Fatalf("%s: OpSeq %d after %d logged ops", tc.name, d.OpSeq(), len(tc.ops))
+		}
+		check(2)
+		saved := filepath.Join(t.TempDir(), "saved.snap")
+		if err := Save(d.Spanner(), saved); err != nil {
+			t.Fatalf("%s: save: %v", tc.name, err)
+		}
+		encoding(saved, 0, 0o644)
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestPersistSnapshotCrashWindows: each crash window of a snapshot write
+// leaves the disk state it models. A torn write leaves a temp file of
+// exactly the snapshot's first half, a write that was never synced an
+// empty one, a lost rename the whole snapshot under its temp name, and a
+// kept rename the snapshot itself. Open removes the debris: before the
+// rename there is no state, after it the snapshot's.
+func TestPersistSnapshotCrashWindows(t *testing.T) {
+	for _, window := range []string{"temp-write", "temp-sync", "rename-lost", "rename-kept"} {
+		dir := t.TempDir()
+		inc := buildMetricEngine(t, true, core.Options{Workers: 1, Hubs: 3})
+		o := Options{Hooks: Hooks{Crash: func(_ int, label string) bool { return label == "snap:"+window }}}
+		if _, err := Create(dir, inc, o); !errors.Is(err, ErrSimulatedCrash) {
+			t.Fatalf("%s: Create returned %v, want ErrSimulatedCrash", window, err)
+		}
+		snap := EncodeSnapshot(exportState(t, inc), 0)
+		want := map[string][]byte{
+			"temp-write":  snap[:len(snap)/2],
+			"temp-sync":   {},
+			"rename-lost": snap,
+		}[window]
+		var debris []string
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			if strings.HasPrefix(e.Name(), ".tmp-") {
+				debris = append(debris, e.Name())
+			}
+		}
+		if window == "rename-kept" {
+			if got, err := os.ReadFile(filepath.Join(dir, snapName(1))); err != nil || !bytes.Equal(got, snap) || len(debris) != 0 {
+				t.Fatalf("%s: %s is %d bytes (err %v), want the %d-byte snapshot; debris %v", window, snapName(1), len(got), err, len(snap), debris)
+			}
+		} else {
+			if len(debris) != 1 || !strings.HasPrefix(debris[0], ".tmp-"+snapName(1)+"-") {
+				t.Fatalf("%s: debris %v, want one temp file of %s", window, debris, snapName(1))
+			}
+			got, err := os.ReadFile(filepath.Join(dir, debris[0]))
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%s: temp file holds %d bytes (err %v), want the snapshot's first %d of %d", window, len(got), err, len(want), len(snap))
+			}
+		}
+		d, err := Open(dir, Options{Metric: core.Options{Workers: 1}})
+		if window == "rename-kept" {
+			if err != nil {
+				t.Fatalf("%s: Open: %v", window, err)
+			}
+			d.Close()
+		} else if !errors.Is(err, ErrNoState) {
+			t.Fatalf("%s: Open returned %v, want ErrNoState", window, err)
+		}
+		if left, _ := filepath.Glob(filepath.Join(dir, ".tmp-*")); len(left) != 0 {
+			t.Fatalf("%s: Open left debris %v", window, left)
+		}
+	}
+}
+
+// TestSnapshotWriteAllocations guards the streamed snapshot write. Create
+// and Checkpoint of a hubs-on maintained engine may allocate ExportState's
+// copy of the state plus an eighth of the snapshot's size, room for the
+// encoder's chunks and the file buffer but not for the encoding itself,
+// which an in-memory encoder holds at least once on top of the copy.
+func TestSnapshotWriteAllocations(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	pts := make([][]float64, 1000)
+	for i := range pts {
+		pts[i] = []float64{rng.Float64() * 100, rng.Float64() * 100}
+	}
+	opts := core.Options{Hubs: core.DefaultHubs(len(pts))}
+	inc, err := core.NewIncrementalMetric(mustEuclid(t, pts), 1.5, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// limit measures ExportState's allocation and the snapshot's size on
+	// the engine's current state.
+	limit := func(inc *core.IncrementalSpanner, opSeq uint64) (uint64, string) {
+		var st *core.SpannerState
+		export := allocated(func() { st = exportState(t, inc) })
+		size := uint64(len(EncodeSnapshot(st, opSeq)))
+		return export + size/8, fmt.Sprintf("ExportState's %d plus an eighth of the %d-byte snapshot", export, size)
+	}
+	check := func(what string, lim uint64, why string, f func() error) {
+		t.Helper()
+		var err error
+		got := allocated(func() { err = f() })
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		t.Logf("%s allocated %d bytes, limit %d: %s", what, got, lim, why)
+		if got > lim {
+			t.Fatalf("%s allocated %d bytes, over the limit %d: %s", what, got, lim, why)
+		}
+	}
+	var d *Durable
+	lim, why := limit(inc, 0)
+	check("Create", lim, why, func() (err error) {
+		d, err = Create(t.TempDir(), inc, Options{Metric: opts})
+		return err
+	})
+	defer d.Close()
+	for i := 0; i < 3; i++ {
+		if err := d.AppendPoints([][]float64{{100 + float64(i), 0.5}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lim, why = limit(d.Spanner(), d.OpSeq())
+	check("Checkpoint", lim, why, d.Checkpoint)
+}
+
+// allocated reports the bytes f allocates on the heap.
+func allocated(f func()) uint64 {
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

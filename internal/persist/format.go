@@ -1,9 +1,13 @@
 package persist
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -31,7 +35,7 @@ const snapVersion = 1
 var snapMagic = [8]byte{'G', 'S', 'P', 'S', 'N', 'A', 'P', '1'}
 
 // Section ids. The meta section is mandatory; the rest are present per
-// mode (see encode). Unknown ids in a version-1 file are a corruption.
+// mode (see snapSections). Unknown ids in a version-1 file are a corruption.
 const (
 	secMeta    = 1
 	secPoints  = 2
@@ -112,21 +116,81 @@ func fnv1aBoth(h uint64, b []byte) (cont, own uint64) {
 }
 
 // SnapshotDigest is the identity digest of an encoded snapshot, stored in
-// the bound WAL's header: FNV-1a over the whole file. Open reads it from
-// the decoder's pass rather than hashing the file a second time.
+// the bound WAL's header: FNV-1a over the whole file. Create and
+// Checkpoint take it from the encoder's write pass, and Open from the
+// decoder's pass, rather than hashing the file a second time.
 func SnapshotDigest(data []byte) uint64 { return fnv1a(data) }
 
-// buf is the append-only little-endian encoder.
-type buf struct{ b []byte }
+// encChunk is the staging size of a streaming encoder (see buf).
+const encChunk = 4 << 10
 
-func (w *buf) u8(v uint8)   { w.b = append(w.b, v) }
-func (w *buf) u32(v uint32) { w.b = append(w.b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24)) }
+// buf is the little-endian encoder. Without a sink it appends to b (WAL
+// headers and records). With one, b is a fixed chunk that goes to the
+// sink whenever the next value would not fit, so a snapshot of any size
+// streams through encChunk bytes.
+type buf struct {
+	b    []byte
+	sink func([]byte)
+}
+
+// room makes space for k more bytes, spilling a streaming encoder's chunk.
+func (w *buf) room(k int) {
+	if w.sink != nil && len(w.b)+k > cap(w.b) {
+		w.flush()
+	}
+}
+
+// flush hands the staged bytes to the sink.
+func (w *buf) flush() {
+	w.sink(w.b)
+	w.b = w.b[:0]
+}
+
+func (w *buf) u8(v uint8) { w.room(1); w.b = append(w.b, v) }
+func (w *buf) u32(v uint32) {
+	w.room(4)
+	w.b = append(w.b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+}
 func (w *buf) u64(v uint64) {
+	w.room(8)
 	w.b = append(w.b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
 		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
 }
-func (w *buf) u16(v uint16)  { w.b = append(w.b, byte(v), byte(v>>8)) }
 func (w *buf) f64(v float64) { w.u64(math.Float64bits(v)) }
+
+// run reserves room for up to k values of width bytes each, no more than
+// fit in a streaming encoder's chunk, and returns the reserved bytes.
+func (w *buf) run(k, width int) []byte {
+	w.room(width)
+	if w.sink != nil {
+		k = min(k, (cap(w.b)-len(w.b))/width)
+	}
+	n := len(w.b)
+	w.b = slices.Grow(w.b, k*width)[:n+k*width]
+	return w.b[n:]
+}
+
+// u16s and f64s emit a whole slice, a chunk's worth per room check: the
+// bound rows, coordinates and hub arrays that make up most of a snapshot.
+func (w *buf) u16s(xs []uint16) {
+	for len(xs) > 0 {
+		dst := w.run(len(xs), 2)
+		for i := range len(dst) / 2 {
+			binary.LittleEndian.PutUint16(dst[2*i:], xs[i])
+		}
+		xs = xs[len(dst)/2:]
+	}
+}
+
+func (w *buf) f64s(xs []float64) {
+	for len(xs) > 0 {
+		dst := w.run(len(xs), 8)
+		for i := range len(dst) / 8 {
+			binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(xs[i]))
+		}
+		xs = xs[len(dst)/8:]
+	}
+}
 
 // rdr is the bounds-checked little-endian decoder over one section
 // payload; the first short read poisons it and every later read fails.
@@ -241,156 +305,192 @@ type snapMeta struct {
 }
 
 // EncodeSnapshot serializes an exported state (with the WAL position
-// opSeq it corresponds to) into the version-1 snapshot format. Encoding
-// is deterministic: the same state always produces the same bytes, which
-// is what lets golden files guard format drift byte-for-byte.
+// opSeq it corresponds to) into the version-1 snapshot format, in memory.
+// It is the streaming encoder that Save, Create and Checkpoint write
+// files with, run into a buffer: a digest pass emits every section into
+// an FNV-1a sink for the table's lengths and digests, and a write pass
+// emits the header, the table, the header digest and the payloads.
+// Encoding is deterministic: the same state always produces the same
+// bytes, which is what lets golden files guard format drift
+// byte-for-byte.
 func EncodeSnapshot(st *core.SpannerState, opSeq uint64) []byte {
-	type section struct {
-		id      uint32
-		payload []byte
-	}
-	var secs []section
-	add := func(id uint32, w *buf) { secs = append(secs, section{id, w.b}) }
+	enc := newSnapEncoder(st, opSeq)
+	var b bytes.Buffer
+	b.Grow(int(enc.size))
+	enc.writeTo(&b) // a bytes.Buffer never fails a write
+	return b.Bytes()
+}
 
-	meta := &buf{}
+// snapSection is one section of a snapshot: its id, the function that
+// emits its payload, and the payload's length and FNV-1a digest, which
+// the digest pass fills in.
+type snapSection struct {
+	id             uint32
+	emit           func(w *buf)
+	length, digest uint64
+}
+
+// snapEncoder streams one state's snapshot in two passes over the same
+// section emitters, so no pass holds more than a chunk of the encoding.
+type snapEncoder struct {
+	secs   []snapSection
+	size   int64  // the encoded file's length
+	digest uint64 // SnapshotDigest of the file, set by writeTo
+}
+
+// newSnapEncoder prepares st's snapshot at opSeq and runs the digest
+// pass: each section's payload goes into an FNV-1a sink, which yields its
+// length and digest for the table.
+func newSnapEncoder(st *core.SpannerState, opSeq uint64) *snapEncoder {
+	e := &snapEncoder{secs: snapSections(st, opSeq)}
+	e.size = int64(16 + 32*len(e.secs) + 8)
+	var n, h uint64
+	w := &buf{b: make([]byte, 0, encChunk), sink: func(p []byte) {
+		n += uint64(len(p))
+		h = fnv1aFrom(h, p)
+	}}
+	for i := range e.secs {
+		s := &e.secs[i]
+		n, h = 0, fnvBasis
+		s.emit(w)
+		w.flush()
+		s.length, s.digest = n, h
+		e.size += int64(n)
+	}
+	return e
+}
+
+// writeTo is the write pass: the header, the table, the header digest and
+// the payloads go to out, and the running FNV-1a over them becomes
+// e.digest, the value the bound WAL's header stores.
+func (e *snapEncoder) writeTo(out io.Writer) error {
+	h := uint64(fnvBasis)
+	var err error
+	w := &buf{b: make([]byte, 0, encChunk), sink: func(p []byte) {
+		h = fnv1aFrom(h, p)
+		if err == nil {
+			_, err = out.Write(p)
+		}
+	}}
+	for _, c := range snapMagic {
+		w.u8(c)
+	}
+	w.u32(snapVersion)
+	w.u32(uint32(len(e.secs)))
+	off := uint64(16 + 32*len(e.secs) + 8)
+	for _, s := range e.secs {
+		w.u32(s.id)
+		w.u32(0)
+		w.u64(off)
+		w.u64(s.length)
+		w.u64(s.digest)
+		off += s.length
+	}
+	w.flush()
+	w.u64(h) // the header digest: FNV-1a of everything before it
+	for _, s := range e.secs {
+		s.emit(w)
+	}
+	w.flush()
+	e.digest = h
+	return err
+}
+
+// snapSections lists st's sections in file order, each with the emitter
+// of its payload. The meta and edges sections are always present; the
+// rest depend on the mode, and hubs on the oracle being on.
+func snapSections(st *core.SpannerState, opSeq uint64) []snapSection {
+	secs := []snapSection{{id: secMeta, emit: func(w *buf) {
+		w.u8(boolByte(st.GraphMode))
+		w.u8(uint8(st.MetricKind))
+		w.u8(boolByte(st.Policy.CoalesceUntilQuery))
+		w.u64(uint64(st.Policy.MinBatch))
+		w.f64(st.T)
+		w.u64(opSeq)
+		w.u64(uint64(st.Cap))
+		w.u64(uint64(len(st.Live)))
+		w.u64(uint64(st.Dim))
+		w.u64(uint64(st.GraphN))
+		w.u64(uint64(st.EdgesExamined))
+		w.f64(st.Weight)
+		w.u64(uint64(st.HubEpoch))
+		w.u64(uint64(st.HubsReselected))
+	}}, {id: secEdges, emit: func(w *buf) { emitEdgeList(w, st.Edges) }}}
+	add := func(id uint32, emit func(w *buf)) { secs = append(secs, snapSection{id: id, emit: emit}) }
+
 	if st.GraphMode {
-		meta.u8(1)
+		add(secGraph, func(w *buf) { emitEdgeList(w, st.GraphEdges) })
 	} else {
-		meta.u8(0)
-	}
-	meta.u8(uint8(st.MetricKind))
-	if st.Policy.CoalesceUntilQuery {
-		meta.u8(1)
-	} else {
-		meta.u8(0)
-	}
-	meta.u64(uint64(st.Policy.MinBatch))
-	meta.f64(st.T)
-	meta.u64(opSeq)
-	meta.u64(uint64(st.Cap))
-	meta.u64(uint64(len(st.Live)))
-	meta.u64(uint64(st.Dim))
-	meta.u64(uint64(st.GraphN))
-	meta.u64(uint64(st.EdgesExamined))
-	meta.f64(st.Weight)
-	meta.u64(uint64(st.HubEpoch))
-	meta.u64(uint64(st.HubsReselected))
-	add(secMeta, meta)
-
-	edges := &buf{}
-	edges.u64(uint64(len(st.Edges)))
-	for _, e := range st.Edges {
-		edges.u64(uint64(e.U))
-		edges.u64(uint64(e.V))
-		edges.f64(e.W)
-	}
-	add(secEdges, edges)
-
-	if st.GraphMode {
-		gw := &buf{}
-		gw.u64(uint64(len(st.GraphEdges)))
-		for _, e := range st.GraphEdges {
-			gw.u64(uint64(e.U))
-			gw.u64(uint64(e.V))
-			gw.f64(e.W)
-		}
-		add(secGraph, gw)
-	} else {
-		ids := &buf{}
-		for _, sid := range st.Live {
-			ids.u64(uint64(sid))
-		}
-		add(secIDSpace, ids)
-		switch st.MetricKind {
-		case core.MetricEuclidean:
-			pw := &buf{}
-			for _, c := range st.Coords {
-				pw.f64(c)
+		add(secIDSpace, func(w *buf) {
+			for _, sid := range st.Live {
+				w.u64(uint64(sid))
 			}
-			add(secPoints, pw)
-		default:
-			mw := &buf{}
-			for _, c := range st.Matrix {
-				mw.f64(c)
+		})
+		if st.MetricKind == core.MetricEuclidean {
+			add(secPoints, func(w *buf) { w.f64s(st.Coords) })
+		} else {
+			add(secMatrix, func(w *buf) { w.f64s(st.Matrix) })
+		}
+		add(secHist, func(w *buf) {
+			w.u64(uint64(len(st.HistExp)))
+			for i, e := range st.HistExp {
+				w.u32(uint32(e))
+				w.u64(uint64(st.HistCount[i]))
 			}
-			add(secMatrix, mw)
-		}
-		hw := &buf{}
-		hw.u64(uint64(len(st.HistExp)))
-		for i, e := range st.HistExp {
-			hw.u32(uint32(e))
-			hw.u64(uint64(st.HistCount[i]))
-		}
-		hw.u64(uint64(st.HistZeros))
-		hw.u64(uint64(st.HistInfs))
-		add(secHist, hw)
-
-		bw := &buf{}
-		for _, ep := range st.BoundEpochs {
-			bw.u64(uint64(ep))
-		}
-		materialized := 0
-		for _, row := range st.BoundRows {
-			if row != nil {
-				materialized++
+			w.u64(uint64(st.HistZeros))
+			w.u64(uint64(st.HistInfs))
+		})
+		add(secBounds, func(w *buf) {
+			for _, ep := range st.BoundEpochs {
+				w.u64(uint64(ep))
 			}
-		}
-		bw.u64(uint64(materialized))
-		for u, row := range st.BoundRows {
-			if row == nil {
-				continue
+			materialized := 0
+			for _, row := range st.BoundRows {
+				if row != nil {
+					materialized++
+				}
 			}
-			bw.u64(uint64(u))
-			for _, h := range row {
-				bw.u16(h)
+			w.u64(uint64(materialized))
+			for u, row := range st.BoundRows {
+				if row == nil {
+					continue
+				}
+				w.u64(uint64(u))
+				w.u16s(row)
 			}
-		}
-		add(secBounds, bw)
+		})
 	}
 
 	if len(st.Hubs) > 0 {
-		hw := &buf{}
-		hw.u64(uint64(len(st.Hubs)))
-		for _, h := range st.Hubs {
-			hw.u64(uint64(h))
-		}
-		for _, row := range st.HubRows {
-			for _, x := range row {
-				hw.f64(x)
+		add(secHubs, func(w *buf) {
+			w.u64(uint64(len(st.Hubs)))
+			for _, h := range st.Hubs {
+				w.u64(uint64(h))
 			}
-		}
-		add(secHubs, hw)
+			for _, row := range st.HubRows {
+				w.f64s(row)
+			}
+		})
 	}
-
-	// Assemble: header, table, header digest, payloads.
-	tableEnd := 16 + 32*len(secs)
-	out := &buf{b: make([]byte, 0, tableEnd+8+totalLen(secs, func(s section) int { return len(s.payload) }))}
-	out.b = append(out.b, snapMagic[:]...)
-	out.u32(snapVersion)
-	out.u32(uint32(len(secs)))
-	off := uint64(tableEnd + 8)
-	for _, s := range secs {
-		out.u32(s.id)
-		out.u32(0)
-		out.u64(off)
-		out.u64(uint64(len(s.payload)))
-		out.u64(fnv1a(s.payload))
-		off += uint64(len(s.payload))
-	}
-	out.u64(fnv1a(out.b))
-	for _, s := range secs {
-		out.b = append(out.b, s.payload...)
-	}
-	return out.b
+	return secs
 }
 
-// totalLen sums a per-section length without generics noise.
-func totalLen[T any](xs []T, f func(T) int) int {
-	n := 0
-	for _, x := range xs {
-		n += f(x)
+// emitEdgeList writes a u64-counted edge list (u, v, weight bits), the
+// shape decodeEdgeList reads.
+func emitEdgeList(w *buf, edges []graph.Edge) {
+	w.u64(uint64(len(edges)))
+	for _, e := range edges {
+		w.u64(uint64(e.U))
+		w.u64(uint64(e.V))
+		w.f64(e.W)
 	}
-	return n
+}
+
+func boolByte(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // DecodeSnapshot parses and digest-verifies a version-1 snapshot,
@@ -566,6 +666,11 @@ func decodeSnapshot(data []byte) (*core.SpannerState, uint64, uint64, error) {
 		if err != nil {
 			return nil, 0, 0, err
 		}
+		if k > rowLen {
+			// Hubs are distinct vertices. The bound also keeps the rows'
+			// headroom below in proportion to the payload.
+			return nil, 0, 0, corruptf("section hubs: %d hubs for %d vertices", k, rowLen)
+		}
 		st.Hubs = make([]int, k)
 		for i := range st.Hubs {
 			v := hr.u64()
@@ -577,9 +682,16 @@ func decodeSnapshot(data []byte) (*core.SpannerState, uint64, uint64, error) {
 		if k > 0 && (rowLen > (len(hp)-hr.pos)/8/k) {
 			return nil, 0, 0, corruptf("section hubs: %d rows of %d entries exceed payload", k, rowLen)
 		}
+		// Metric-mode hub arrays carry the growth headroom a maintained
+		// engine reserves, like the bound rows, so the engine keeps them
+		// as decoded (see core.ImportIncremental).
+		rowCap := rowLen
+		if !meta.graphMode {
+			rowCap = core.RowCapacity(rowLen)
+		}
 		st.HubRows = make([][]float64, k)
 		for i := range st.HubRows {
-			row := make([]float64, rowLen)
+			row := make([]float64, rowLen, rowCap)
 			for v := range row {
 				row[v] = hr.f64()
 			}
@@ -704,7 +816,7 @@ func decodeMetricSections(st *core.SpannerState, meta snapMeta, sections map[uin
 		if br.fail == nil && meta.capN > (len(br.b)-br.pos)/2 {
 			return corruptf("section bounds: row of %d entries exceeds payload", meta.capN)
 		}
-		row := make([]uint16, meta.capN)
+		row := make([]uint16, meta.capN, core.RowCapacity(meta.capN))
 		for v := range row {
 			row[v] = br.u16()
 		}

@@ -288,17 +288,12 @@ func NewIncrementalGraphOpts(g *Graph, t float64, opts ParallelOptions) (*Increm
 // space, the pair-count histogram, the cached bound rows with their
 // proof epochs, the hub arrays, and the batching policy — everything a
 // Load needs to resume dynamic operation without re-running the greedy
-// scan. The write is atomic (temp file + fsync + rename + directory
-// fsync) and every section carries its own digest, so a torn or
+// scan. The snapshot streams into the file without being assembled in
+// memory first. The write is atomic (temp file + fsync + rename +
+// directory fsync) and every section carries its own digest, so a torn or
 // corrupted file fails Load with ErrCorruptState instead of producing a
 // wrong spanner. The spanner's pending batch is flushed first.
-func Save(s *Incremental, path string) error {
-	st, err := s.ExportState()
-	if err != nil {
-		return err
-	}
-	return persist.WriteFileAtomic(path, persist.EncodeSnapshot(st, 0), 0o644)
-}
+func Save(s *Incremental, path string) error { return persist.Save(s, path) }
 
 // Load reads a snapshot written by Save and reconstructs the maintained
 // spanner: same result, same counters, same cached certification state,
