@@ -464,3 +464,57 @@ func TestExactReplayCountsPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestShortcutReplayCountsPinned pins the Euclidean shortcut replay's
+// work, replay by replay, in spannerd's shape: n=500 uniform points
+// (seed 1), t=1.5, two workers, hubs off, and 8 alternating single-point
+// inserts and deletes drawn as serve-mixed draws them. Each replay's
+// digest, exemption, slack, cached and serial counters, refreshes and
+// supply evaluations must equal the values recorded here, so a change to
+// the replay shows as a count, not only as a time. The initial build
+// runs at two workers, which fixes the rows it materialises; at one
+// worker it materialises others and the replays' counts differ. CI runs
+// this under the race detector three times.
+func TestShortcutReplayCountsPinned(t *testing.T) {
+	// replayCounts is one replay's pinned work: the result digest, then
+	// the Stats counters ExemptKeeps, ExemptSkips, SlackSkips,
+	// CachedSkips, SerialSkips, Kept, SerialRefreshes, RefreshTouched and
+	// SupplyEvaluated.
+	type replayCounts struct {
+		digest                                  uint64
+		exemptKeeps, exemptSkips, slackSkips    int
+		cachedSkips, serialSkips, kept          int
+		serialRefreshes, refreshTouched, supply int
+	}
+	var st Stats
+	pts := servePoints(1, 500)
+	inc, err := NewIncrementalMetric(metric.MustEuclidean(pts), 1.5, Options{Workers: 2, Stats: &st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mut := newServeMutator(1, pts)
+	var got []replayCounts
+	for k := 0; k < 8; k++ {
+		mut.apply(t, inc, k)
+		got = append(got, replayCounts{ResultDigest(mustResult(t, inc)), st.ExemptKeeps, st.ExemptSkips, st.SlackSkips,
+			st.CachedSkips, st.SerialSkips, st.Kept, st.SerialRefreshes, st.RefreshTouched, st.SupplyEvaluated})
+	}
+	want := []replayCounts{
+		{0x55416922474cb778, 772, 79884, 43737, 674, 34, 777, 39, 16910, 181690},
+		{0x8eb56dc05c000147, 567, 87719, 6086, 29603, 340, 569, 342, 170500, 181690},
+		{0x6acaa2bb6d192b91, 891, 81176, 40838, 2152, 176, 897, 182, 87257, 181665},
+		{0x7d61ec4f29de9b94, 854, 93261, 28821, 1670, 91, 856, 93, 45997, 181665},
+		{0xe7b1042482e35087, 855, 67961, 15441, 40552, 387, 861, 393, 193508, 181695},
+		{0xc8359b2d878cec92, 882, 56986, 62987, 3785, 84, 888, 90, 43050, 181695},
+		{0x46cc62d9195a90e0, 869, 77377, 9547, 37115, 303, 874, 308, 150340, 181636},
+		{0x1afaec1ed4aac726, 566, 74069, 48155, 1419, 108, 568, 110, 54981, 181636},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d replays, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("replay %d: %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
