@@ -86,7 +86,7 @@ func TestPersistWarmStartGuardN4000(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := 1; k <= walOps; k++ {
-		if err := d.Insert(metric.MustEuclidean(pts[:n+k])); err != nil {
+		if err := d.AppendPoints(pts[n+k-1 : n+k]); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/chaos"
@@ -77,9 +78,10 @@ func (o dynOp) logs() int {
 
 // dynTarget is the mutation surface shared by *core.IncrementalSpanner
 // and *persist.Durable, so the same script drives both the durable run
-// and its plain reference twin.
+// and its plain reference twin. Euclidean insertions go through
+// insertPoints, since the two name them differently.
 type dynTarget interface {
-	Insert(metric.Metric) error
+	InsertRows([][]float64) error
 	InsertEdges(...graph.Edge) error
 	Delete(...int) error
 	DeleteEdges(...graph.Edge) error
@@ -173,27 +175,26 @@ func (st *scriptState) advance(op dynOp) {
 	}
 }
 
-// union materializes the insert union for the current position plus k new
-// points.
-func (st *scriptState) union(t *testing.T, k int) metric.Metric {
-	t.Helper()
-	ids := append(append([]int(nil), st.cur...), nil...)
-	for j := 0; j < k; j++ {
-		ids = append(ids, st.pool+j)
+// insert hands tgt the k points after the current position: their
+// coordinates in the Euclidean workload, their distance rows to the
+// survivors and to each other in the matrix one.
+func (st *scriptState) insert(tgt dynTarget, k int) error {
+	if st.mode.euclid {
+		pts := crashPts()[st.pool : st.pool+k]
+		if d, ok := tgt.(*persist.Durable); ok {
+			return d.AppendPoints(pts)
+		}
+		return tgt.(*core.IncrementalSpanner).InsertPoints(pts)
 	}
-	if !st.mode.euclid {
-		return idMetric{ids}
+	ids := slices.Clone(st.cur)
+	rows := make([][]float64, k)
+	for z := range rows {
+		for _, id := range ids {
+			rows[z] = append(rows[z], crashDist(id, st.pool+z))
+		}
+		ids = append(ids, st.pool+z)
 	}
-	pts := crashPts()
-	rows := make([][]float64, len(ids))
-	for i, id := range ids {
-		rows[i] = pts[id]
-	}
-	eu, err := metric.NewEuclidean(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eu
+	return tgt.InsertRows(rows)
 }
 
 // apply runs one step against a target (checkpoint goes through the given
@@ -206,7 +207,7 @@ func (st *scriptState) apply(t *testing.T, tgt dynTarget, op dynOp, checkpoint f
 		if st.mode.graphMode {
 			err = tgt.InsertEdges(op.inEdges...)
 		} else {
-			err = tgt.Insert(st.union(t, op.k))
+			err = st.insert(tgt, op.k)
 		}
 	case "delete":
 		if st.mode.graphMode {

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -109,7 +108,7 @@ type IncrementalSpanner struct {
 	// under.
 	opts Options
 
-	// Metric mode: dyn is the stable-id view over the caller's metrics
+	// Metric mode: dyn is the engine's copy of the input, by stable id
 	// (nil in graph mode).
 	dyn   *dynMetric
 	bound *boundStore
@@ -146,83 +145,112 @@ type IncrementalSpanner struct {
 	resView    *Result
 	anyDeleted bool
 
-	// ghosts keeps the coordinates of points deleted since the last
-	// successful flush, by stable id: the Euclidean replay measures its
-	// ellipses around their vanished edges. ghostless records a deletion
-	// made while the metric was not Euclidean, whose coordinates are
-	// unknown, so the next flush takes the exact replay.
-	ghosts    map[int][]float64
-	ghostless bool
 	// auditShortcuts, set only by tests, makes every Euclidean replay
 	// re-decide each exempted and slack-certified pair exactly and fail
 	// on disagreement (see shortcutAudit).
 	auditShortcuts bool
 }
 
-// dynMetric is the incremental engine's stable-id view over the caller's
-// metric. Internally the greedy scan runs over stable ids that are never
-// renumbered: a deletion tombstones an id, an insertion appends fresh
-// ones. This is what keeps replays bit-identical — remapping a resumed
-// cut into a compacted id space could reorder equal-weight candidates
-// around it, silently changing tie decisions. The live-stable-to-dense
-// translation is monotone, so the stable-space output remaps to exactly
-// the from-scratch build on the survivors.
+// dynMetric is the incremental engine's own copy of its input, kept by
+// stable id. Internally the greedy scan runs over stable ids that are
+// never renumbered: a deletion tombstones an id, an insertion appends
+// fresh ones. This is what keeps replays bit-identical — remapping a
+// resumed cut into a compacted id space could reorder equal-weight
+// candidates around it, silently changing tie decisions. The
+// live-stable-to-dense translation is monotone, so the stable-space output
+// remaps to exactly the from-scratch build on the survivors.
+//
+// The input's kind is fixed at construction or import: coordinates per id
+// for a Euclidean input (one with at least one point), or, for any other
+// metric, each id's row of distances to the lower ids. An id keeps its
+// data after it is tombstoned, so a replay can still measure the
+// ellipses around a deleted point's vanished edges; ids tombstoned before
+// an import have none.
 //
 // dynMetric implements metric.Metric over the stable id space (Dist is
-// defined on live ids only) and pairEnumerator, which filters tombstoned
-// pairs at collection — the supply never sees a dead candidate.
+// defined on ids that hold data) and pairEnumerator, which filters
+// tombstoned pairs at collection — the supply never sees a dead
+// candidate.
 type dynMetric struct {
-	// latest is the caller metric from the most recent Insert; between
-	// Inserts it may still contain deleted points.
-	latest metric.Metric
-	// rank maps a stable id to its index in latest (-1 once dead).
-	rank []int
+	kind MetricKind
+	// dim is the coordinate dimension of a Euclidean input.
+	dim int
+	// pts holds a Euclidean input's coordinates by stable id; rows holds
+	// a matrix input's distances, rows[v][u] for u < v (entries of ids
+	// tombstoned before an import are unused).
+	pts  [][]float64
+	rows [][]float64
 	// live lists the surviving stable ids in increasing order; position
 	// in this list is the caller-facing dense id.
 	live []int
-	// stableOf maps a latest index back to its stable id (-1 for dead).
-	// Strictly increasing over non-dead entries, which is what makes the
-	// translation monotone.
-	stableOf []int
 	// dead marks tombstoned stable ids.
 	dead []bool
-	// enum enumerates latest's pairs (grid-bucketed for Euclidean).
+	// enum enumerates the pairs of the ids live at the last insertion,
+	// ids, by their positions in ids (grid-bucketed for Euclidean).
+	ids  []int
 	enum pairEnumerator
 }
 
+// newDynMetric copies m as the engine's input: by coordinates when m is a
+// Euclidean metric with a point, else by distance rows.
 func newDynMetric(m metric.Metric) *dynMetric {
+	d := &dynMetric{kind: MetricMatrix}
 	n := m.N()
-	d := &dynMetric{
-		latest:   m,
-		rank:     make([]int, n),
-		live:     make([]int, n),
-		stableOf: make([]int, n),
-		dead:     make([]bool, n),
-		enum:     metricEnumeratorFor(m),
+	if eu, ok := m.(*metric.Euclidean); ok && n > 0 {
+		d.kind, d.dim = MetricEuclidean, eu.Dim()
+		flat := make([]float64, 0, n*d.dim)
+		for i := range n {
+			flat = append(flat, eu.Point(i)...)
+		}
+		d.pts = splitRows(flat, d.dim)
+	} else {
+		d.rows = make([][]float64, n)
+		for v := range d.rows {
+			d.rows[v] = make([]float64, v)
+			for u := range d.rows[v] {
+				d.rows[v][u] = m.Dist(u, v)
+			}
+		}
 	}
-	for i := 0; i < n; i++ {
-		d.rank[i], d.live[i], d.stableOf[i] = i, i, i
-	}
+	d.grow(n)
+	d.enumerate()
 	return d
 }
 
-// N reports the stable-id capacity (live plus tombstoned ids).
-func (d *dynMetric) N() int { return len(d.rank) }
+// splitRows cuts flat into rows of dim values each, capped so that no row
+// can grow into the next.
+func splitRows(flat []float64, dim int) [][]float64 {
+	out := make([][]float64, len(flat)/dim)
+	for i := range out {
+		out[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
+	}
+	return out
+}
 
-// Dist reports the distance between two live stable ids.
+// N reports the stable-id capacity (live plus tombstoned ids).
+func (d *dynMetric) N() int { return len(d.dead) }
+
+// Dist reports the distance between two stable ids.
 func (d *dynMetric) Dist(i, j int) float64 {
-	return d.latest.Dist(d.rank[i], d.rank[j])
+	if d.kind == MetricEuclidean {
+		return geom.Dist(d.pts[i], d.pts[j])
+	}
+	if i < j {
+		i, j = j, i
+	}
+	if i == j {
+		return 0
+	}
+	return d.rows[i][j]
 }
 
 // Pairs enumerates the surviving candidate pairs of one weight range in
-// stable ids, filtering tombstoned endpoints at collection.
+// stable ids, filtering ids tombstoned since the last insertion.
 func (d *dynMetric) Pairs(lo, hi float64, fn func(u, v int, w float64)) int {
 	return d.enum.Pairs(lo, hi, func(a, b int, w float64) {
-		sa, sb := d.stableOf[a], d.stableOf[b]
-		if sa < 0 || sb < 0 {
-			return
+		if u, v := d.ids[a], d.ids[b]; !d.dead[u] && !d.dead[v] {
+			fn(u, v, w)
 		}
-		fn(sa, sb, w)
 	})
 }
 
@@ -233,43 +261,42 @@ func (d *dynMetric) Histogram(h *geom.Histogram) int {
 	return d.Pairs(0, math.Inf(1), func(_, _ int, w float64) { h.Add(w) })
 }
 
-// extend replaces latest with union — whose first len(live) points are
-// the current survivors in stable-id order — and appends k fresh stable
-// ids for the points beyond them. Tombstoned points drop out of the
-// latest mapping entirely.
-func (d *dynMetric) extend(union metric.Metric, k int) {
-	cap0 := len(d.rank)
-	d.latest = union
-	for j := 0; j < k; j++ {
-		d.rank = append(d.rank, -1)
+// grow appends k live stable ids, whose data the caller has stored.
+func (d *dynMetric) grow(k int) {
+	for range k {
+		d.live = append(d.live, len(d.dead))
 		d.dead = append(d.dead, false)
-		d.live = append(d.live, cap0+j)
 	}
-	for sid := range d.rank {
-		d.rank[sid] = -1
-	}
-	d.stableOf = make([]int, len(d.live))
-	for j, sid := range d.live {
-		d.rank[sid] = j
-		d.stableOf[j] = sid
-	}
-	d.enum = metricEnumeratorFor(union)
 }
+
+// enumerate rebuilds the pair enumerator over the live ids.
+func (d *dynMetric) enumerate() {
+	d.ids = slices.Clone(d.live)
+	if d.kind == MetricEuclidean && len(d.ids) > 0 {
+		pts := make([][]float64, len(d.ids))
+		for a, sid := range d.ids {
+			pts[a] = d.pts[sid]
+		}
+		// The grid computes weights with geom.Dist, as Dist does, so
+		// streamed weights are bit-identical to the view's.
+		d.enum = geom.NewGridEnumerator(pts)
+		return
+	}
+	d.enum = metricEnumerator{m: idView{d}}
+}
+
+// idView is a dynMetric's input over its enumerator's positions.
+type idView struct{ d *dynMetric }
+
+func (v idView) N() int                { return len(v.d.ids) }
+func (v idView) Dist(a, b int) float64 { return v.d.Dist(v.d.ids[a], v.d.ids[b]) }
 
 // kill tombstones the given stable ids.
 func (d *dynMetric) kill(sids []int) {
 	for _, sid := range sids {
 		d.dead[sid] = true
-		d.stableOf[d.rank[sid]] = -1
-		d.rank[sid] = -1
 	}
-	kept := d.live[:0]
-	for _, sid := range d.live {
-		if !d.dead[sid] {
-			kept = append(kept, sid)
-		}
-	}
-	d.live = kept
+	d.live = slices.DeleteFunc(d.live, func(sid int) bool { return d.dead[sid] })
 }
 
 // IncrementalPolicy controls when an IncrementalSpanner replays pending
@@ -488,10 +515,10 @@ func (s *IncrementalSpanner) Flush() (err error) {
 		}
 		s.oracle.Rebase(keep, n, s.res.Edges, h, slack)
 	}
-	eu := s.shortcutMetric()
+	short := s.shortcuts()
 	opts := s.opts
 	switch {
-	case eu != nil:
+	case short:
 		detached = true // before detach, so a panic inside it is undone too
 		s.bound.detach(keep, n)
 		// The shortcuts read changed sets that grow inside a batch, so
@@ -502,8 +529,8 @@ func (s *IncrementalSpanner) Flush() (err error) {
 		s.bound.rebase(keep, n)
 	}
 	sc := s.certify(newScan(s.t, h, res, opts))
-	if eu != nil {
-		s.shortcut(sc, eu, keep)
+	if short {
+		s.shortcut(sc, keep)
 	}
 	if err := sc.run(s.source(&cut), s.opts.BatchSize); err != nil {
 		return fmt.Errorf("core: flush of %d pending operations aborted; pre-flush state preserved: %w", s.pendingOps, err)
@@ -512,27 +539,24 @@ func (s *IncrementalSpanner) Flush() (err error) {
 	s.resView = s.remapResult(res)
 	s.pendingCut = nil
 	s.pendingOps = 0
-	s.ghosts, s.ghostless = nil, false
 	return nil
 }
 
-// shortcutMetric returns the maintained Euclidean metric when the pending
-// replay may take the shortcut certifier, nil when it must run the exact
-// replay: graphs and matrix metrics promise no triangle inequality
-// (metric.NewMatrix does not check it), a deletion made on such a metric
-// left no coordinates to measure ellipses with, a batch of more than
-// shortcutMaxChanged points replays faster exactly, and points spread
-// past shortcutMaxSpan2 may overflow the shortcuts' arithmetic.
-func (s *IncrementalSpanner) shortcutMetric() *metric.Euclidean {
-	if s.dyn == nil || s.ghostless || s.dyn.N()-s.res.N+len(s.ghosts) > shortcutMaxChanged {
-		return nil
-	}
-	eu, ok := s.dyn.latest.(*metric.Euclidean)
-	if !ok {
-		return nil
+// shortcuts reports whether the pending replay may take the shortcut
+// certifier rather than the exact replay: graphs and matrix metrics
+// promise no triangle inequality (metric.NewMatrix does not check it), a
+// batch of more than shortcutMaxChanged inserted and deleted points
+// replays faster exactly, and points spread past shortcutMaxSpan2 may
+// overflow the shortcuts' arithmetic. The span covers every point the
+// replay measures: the live ones and the endpoints of the previous run's
+// edges, which include each point deleted since then that had an edge.
+func (s *IncrementalSpanner) shortcuts() bool {
+	if s.dyn == nil || s.dyn.kind != MetricEuclidean || s.pendingOps > shortcutMaxChanged {
+		return false
 	}
 	var lo, hi []float64
-	grow := func(p []float64) {
+	grow := func(sid int) {
+		p := s.dyn.pts[sid]
 		if lo == nil {
 			lo, hi = slices.Clone(p), slices.Clone(p)
 		}
@@ -540,38 +564,31 @@ func (s *IncrementalSpanner) shortcutMetric() *metric.Euclidean {
 			lo[i], hi[i] = min(lo[i], x), max(hi[i], x)
 		}
 	}
-	for r := range eu.N() {
-		grow(eu.Point(r))
+	for _, sid := range s.dyn.live {
+		grow(sid)
 	}
-	for _, sid := range slices.Sorted(maps.Keys(s.ghosts)) {
-		grow(s.ghosts[sid])
+	for _, e := range s.res.Edges {
+		grow(e.U)
+		grow(e.V)
 	}
 	diag2 := 0.0
 	for i := range lo {
 		span := hi[i] - lo[i]
 		diag2 += span * span
 	}
-	if !(diag2 <= shortcutMaxSpan2) {
-		return nil
-	}
-	return eu
+	return diag2 <= shortcutMaxSpan2
 }
 
 // shortcut installs the replay certifier over sc's metric certifier: the
 // previous run's accepted edges from keep on are the merge tail, and its
 // stable-id capacity separates old pairs from inserted ones.
-func (s *IncrementalSpanner) shortcut(sc *scan, eu *metric.Euclidean, keep int) {
+func (s *IncrementalSpanner) shortcut(sc *scan, keep int) {
 	c := &replayCert{
 		metricCert: sc.cert.(*metricCert),
 		prev:       s.res.Edges,
 		next:       keep,
 		prevN:      s.res.N,
-		coord: func(sid int) []float64 {
-			if r := s.dyn.rank[sid]; r >= 0 {
-				return eu.Point(r)
-			}
-			return s.ghosts[sid]
-		},
+		pts:        s.dyn.pts,
 	}
 	if s.auditShortcuts {
 		c.audit = &shortcutAudit{h: sc.h, sr: graph.NewSearcher(sc.h.N()), dist: make([][]float64, sc.h.N())}
@@ -622,69 +639,164 @@ func (s *IncrementalSpanner) notePending(cut graph.Edge, ops int) error {
 	return nil
 }
 
-// Insert grows a metric-mode spanner with the points union appends to the
-// current survivors. union must extend the maintained point set: its
-// first Result().N points are the surviving points in their maintained
-// order, with identical pairwise distances, and any points beyond them
-// are the insertions. After the insertion is replayed — immediately by
+// InsertPoints grows a Euclidean spanner with new points given by their
+// coordinates, which must have the input's dimension and be finite; on a
+// validation error no state changes. The engine keeps its own copy of
+// the coordinates. After the insertion is replayed — immediately by
 // default, at the next Result/Flush or MinBatch trigger under a
 // coalescing policy — the maintained result is bit-identical to a
-// from-scratch greedy build on union.
+// from-scratch greedy build on the survivors followed by the new points.
 //
 // Cost scales with the tail of the greedy scan the insertions disturb: the
 // candidate stream is resumed at the first scan position any new pair
 // occupies (everything below it is preserved, never enumerated), and bound
-// rows untouched since that position certify their skips from cache. On a
-// Euclidean metric most of the tail's old pairs keep their previous
-// decisions by the replay shortcuts, so a single-point insertion costs
-// the tail's enumeration plus exact decisions for the new point's pairs,
-// the previous keeps its edges may shorten and the slack residue, rather
-// than a whole build's worth of row refreshes (at n=2000, 3–34% of the
-// row vertices the initial build refreshed). Batches of more than 48
-// changed points take the exact replay.
+// rows untouched since that position certify their skips from cache. Most
+// of the tail's old pairs keep their previous decisions by the replay
+// shortcuts, so a single-point insertion costs the tail's enumeration
+// plus exact decisions for the new point's pairs, the previous keeps its
+// edges may shorten and the slack residue, rather than a whole build's
+// worth of row refreshes (at n=2000, 3–34% of the row vertices the
+// initial build refreshed). Batches of more than 48 changed points take
+// the exact replay.
 //
 // A non-nil error from a cancelled or faulted replay does NOT reject the
 // insertion: the points are recorded as pending and the pre-flush spanner
 // is preserved; Flush replays them once the fault clears.
-func (s *IncrementalSpanner) Insert(union metric.Metric) error {
-	if s.dyn == nil {
-		return fmt.Errorf("core: Insert on a graph-mode incremental spanner (use InsertEdges): %w", graph.ErrInvalidInput)
+func (s *IncrementalSpanner) InsertPoints(pts [][]float64) error {
+	if err := s.ValidateInsertPoints(pts); err != nil {
+		return err
 	}
-	liveN := len(s.dyn.live)
-	n := union.N()
-	if n < liveN {
-		return fmt.Errorf("core: union has %d points, fewer than the current %d: %w", n, liveN, graph.ErrInvalidInput)
+	s.dyn.pts = append(s.dyn.pts, splitRows(slices.Concat(pts...), s.dyn.dim)...)
+	return s.insert(len(pts))
+}
+
+// ValidateInsertPoints checks an InsertPoints batch without changing any
+// state: the spanner must hold a Euclidean input, and every point must
+// have its dimension and finite coordinates. InsertPoints performs
+// exactly this check before mutating.
+func (s *IncrementalSpanner) ValidateInsertPoints(pts [][]float64) error {
+	if s.dyn == nil || s.dyn.kind != MetricEuclidean {
+		return fmt.Errorf("core: InsertPoints on a spanner without a Euclidean input (use InsertRows or InsertEdges): %w", graph.ErrInvalidInput)
 	}
-	if n == liveN {
-		s.dyn.extend(union, 0)
+	for i, p := range pts {
+		if len(p) != s.dyn.dim {
+			return fmt.Errorf("core: InsertPoints point %d has dimension %d, input dimension %d: %w", i, len(p), s.dyn.dim, graph.ErrInvalidInput)
+		}
+		for _, c := range p {
+			if math.IsNaN(c) || math.IsInf(c, 0) {
+				return fmt.Errorf("core: InsertPoints point %d has a non-finite coordinate: %w", i, graph.ErrInvalidInput)
+			}
+		}
+	}
+	return nil
+}
+
+// InsertRows grows a spanner over a matrix input with new points given by
+// their distances: row z lists the distances from the z-th new point to
+// the LiveN()+z points before it, the survivors in their dense order and
+// then the earlier new points. Distances must be non-negative and not
+// NaN (+Inf is allowed); on a validation error no state changes. Replay
+// and cost are as for InsertPoints, except that a matrix input always
+// takes the exact replay.
+func (s *IncrementalSpanner) InsertRows(rows [][]float64) error {
+	if err := s.ValidateInsertRows(rows); err != nil {
+		return err
+	}
+	d := s.dyn
+	cap0, liveN := d.N(), len(d.live)
+	for z, row := range rows {
+		own := make([]float64, cap0+z)
+		for i, sid := range d.live {
+			own[sid] = row[i]
+		}
+		copy(own[cap0:], row[liveN:])
+		d.rows = append(d.rows, own)
+	}
+	return s.insert(len(rows))
+}
+
+// ValidateInsertRows checks an InsertRows batch without changing any
+// state: the spanner must hold a matrix input, row z must hold LiveN()+z
+// distances, and none may be NaN or negative. InsertRows performs exactly
+// this check before mutating.
+func (s *IncrementalSpanner) ValidateInsertRows(rows [][]float64) error {
+	if s.dyn == nil || s.dyn.kind != MetricMatrix {
+		return fmt.Errorf("core: InsertRows on a spanner without a matrix input (use InsertPoints or InsertEdges): %w", graph.ErrInvalidInput)
+	}
+	for z, row := range rows {
+		if want := len(s.dyn.live) + z; len(row) != want {
+			return fmt.Errorf("core: InsertRows row %d has %d distances, want %d: %w", z, len(row), want, graph.ErrInvalidInput)
+		}
+		for i, w := range row {
+			if math.IsNaN(w) || w < 0 {
+				return fmt.Errorf("core: InsertRows distance (%d, %d) = %v: %w", z, i, w, graph.ErrInvalidInput)
+			}
+		}
+	}
+	return nil
+}
+
+// insert takes the k points the input has just stored beyond the
+// stable-id capacity as live, and notes their replay. One pass over the
+// O(k*n) new pairs finds the cut — the earliest scan position any
+// candidate pair touching an inserted point occupies (candidates strictly
+// before it are exactly the previous scan's prefix) — and folds the new
+// pairs into the maintained histogram that seeds the replay's source.
+func (s *IncrementalSpanner) insert(k int) error {
+	if k == 0 {
 		return nil
 	}
-	// One pass over the O(k*n) new pairs finds the cut — the earliest
-	// scan position any candidate pair touching an inserted point
-	// occupies (candidates strictly before it are exactly the previous
-	// scan's prefix) — and folds the new pairs into the maintained
-	// histogram that seeds the replay's source. Stable ids for the new
-	// points are appended beyond the current capacity.
-	cap0 := len(s.dyn.rank)
-	k := n - liveN
-	cut := graph.Edge{W: math.Inf(1), U: cap0 + k, V: cap0 + k}
-	for z := 0; z < k; z++ {
-		zi := liveN + z // union index of the z-th insertion
-		sz := cap0 + z  // its stable id
-		for i := 0; i < zi; i++ {
-			w := union.Dist(i, zi)
+	d := s.dyn
+	end := d.N() + k
+	cut := graph.Edge{W: math.Inf(1), U: end, V: end}
+	d.grow(k)
+	for z := len(d.live) - k; z < len(d.live); z++ {
+		v := d.live[z]
+		for _, u := range d.live[:z] {
+			w := d.Dist(u, v)
 			s.counts.Add(w)
-			si := cap0 + (i - liveN)
-			if i < liveN {
-				si = s.dyn.live[i]
-			}
-			if e := (graph.Edge{U: si, V: sz, W: w}); graph.EdgeLess(e, cut) {
+			if e := (graph.Edge{U: u, V: v, W: w}); graph.EdgeLess(e, cut) {
 				cut = e
 			}
 		}
 	}
-	s.dyn.extend(union, k)
+	d.enumerate()
 	return s.notePending(cut, k)
+}
+
+// Insert grows a metric-mode spanner with the points union appends to the
+// current survivors: union's first LiveN() points must be the surviving
+// points in their maintained order (Insert does not read them), and the
+// points beyond them are the insertions. It hands those to InsertPoints,
+// by their coordinates when the input is Euclidean (union must then be a
+// *metric.Euclidean), and otherwise to InsertRows, by union's distances.
+func (s *IncrementalSpanner) Insert(union metric.Metric) error {
+	if s.dyn == nil {
+		return fmt.Errorf("core: Insert on a graph-mode incremental spanner (use InsertEdges): %w", graph.ErrInvalidInput)
+	}
+	liveN, n := len(s.dyn.live), union.N()
+	if n < liveN {
+		return fmt.Errorf("core: union has %d points, fewer than the current %d: %w", n, liveN, graph.ErrInvalidInput)
+	}
+	if s.dyn.kind == MetricEuclidean {
+		eu, ok := union.(*metric.Euclidean)
+		if !ok {
+			return fmt.Errorf("core: Insert on a Euclidean input needs a *metric.Euclidean union, got %T: %w", union, graph.ErrInvalidInput)
+		}
+		pts := make([][]float64, n-liveN)
+		for z := range pts {
+			pts[z] = eu.Point(liveN + z)
+		}
+		return s.InsertPoints(pts)
+	}
+	rows := make([][]float64, n-liveN)
+	for z := range rows {
+		rows[z] = make([]float64, liveN+z)
+		for i := range rows[z] {
+			rows[z][i] = union.Dist(i, liveN+z)
+		}
+	}
+	return s.InsertRows(rows)
 }
 
 // InsertEdges grows a graph-mode spanner with the given edges (validated
@@ -701,16 +813,11 @@ func (s *IncrementalSpanner) Insert(union metric.Metric) error {
 // insertion: the edges are recorded as pending and the pre-flush spanner
 // is preserved; Flush replays them once the fault clears.
 func (s *IncrementalSpanner) InsertEdges(edges ...graph.Edge) error {
-	if s.g == nil {
-		return fmt.Errorf("core: InsertEdges on a metric-mode incremental spanner (use Insert): %w", graph.ErrInvalidInput)
+	if err := s.ValidateInsertEdges(edges...); err != nil {
+		return err
 	}
 	if len(edges) == 0 {
 		return nil
-	}
-	for _, e := range edges {
-		if err := graph.CheckEdge(s.g.N(), e.U, e.V, e.W); err != nil {
-			return err
-		}
 	}
 	cut := edges[0].Canonical()
 	for _, e := range edges {
@@ -722,6 +829,22 @@ func (s *IncrementalSpanner) InsertEdges(edges ...graph.Edge) error {
 		}
 	}
 	return s.notePending(cut, len(edges))
+}
+
+// ValidateInsertEdges checks an InsertEdges batch against the current
+// graph without changing any state: the spanner must be in graph mode and
+// every edge valid for its vertex set (graph.CheckEdge). InsertEdges
+// performs exactly this check before mutating.
+func (s *IncrementalSpanner) ValidateInsertEdges(edges ...graph.Edge) error {
+	if s.g == nil {
+		return fmt.Errorf("core: InsertEdges on a metric-mode incremental spanner (use InsertPoints or InsertRows): %w", graph.ErrInvalidInput)
+	}
+	for _, e := range edges {
+		if err := graph.CheckEdge(s.g.N(), e.U, e.V, e.W); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Delete removes points from a metric-mode spanner. Points are named by
@@ -747,22 +870,11 @@ func (s *IncrementalSpanner) InsertEdges(edges ...graph.Edge) error {
 // deletion: it is recorded as pending and the pre-flush spanner is
 // preserved; Flush replays it once the fault clears.
 func (s *IncrementalSpanner) Delete(points ...int) error {
-	if s.dyn == nil {
-		return fmt.Errorf("core: Delete on a graph-mode incremental spanner (use DeleteEdges): %w", graph.ErrInvalidInput)
+	if err := s.ValidateDelete(points...); err != nil {
+		return err
 	}
 	if len(points) == 0 {
 		return nil
-	}
-	liveN := len(s.dyn.live)
-	seen := make(map[int]bool, len(points))
-	for _, p := range points {
-		if p < 0 || p >= liveN {
-			return fmt.Errorf("core: Delete point %d out of range [0, %d): %w", p, liveN, graph.ErrInvalidInput)
-		}
-		if seen[p] {
-			return fmt.Errorf("core: Delete point %d listed twice: %w", p, graph.ErrInvalidInput)
-		}
-		seen[p] = true
 	}
 	capN := s.dyn.N()
 	batch := make([]bool, capN)
@@ -796,16 +908,6 @@ func (s *IncrementalSpanner) Delete(points ...int) error {
 			break
 		}
 	}
-	if eu, ok := s.dyn.latest.(*metric.Euclidean); ok {
-		if s.ghosts == nil {
-			s.ghosts = make(map[int][]float64, len(sids))
-		}
-		for _, sid := range sids {
-			s.ghosts[sid] = append([]float64(nil), eu.Point(s.dyn.rank[sid])...)
-		}
-	} else {
-		s.ghostless = true
-	}
 	s.dyn.kill(sids)
 	s.anyDeleted = true
 	if s.oracle != nil {
@@ -816,6 +918,27 @@ func (s *IncrementalSpanner) Delete(points ...int) error {
 		s.oracle.ReplaceHubs(s.dyn.dead, s.dyn.live, s.pickReplacementHub)
 	}
 	return s.notePending(cut, len(points))
+}
+
+// ValidateDelete checks a Delete batch without changing any state: the
+// spanner must be in metric mode, and the positions distinct and in
+// [0, LiveN()). Delete performs exactly this check before mutating.
+func (s *IncrementalSpanner) ValidateDelete(points ...int) error {
+	if s.dyn == nil {
+		return fmt.Errorf("core: Delete on a graph-mode incremental spanner (use DeleteEdges): %w", graph.ErrInvalidInput)
+	}
+	liveN := len(s.dyn.live)
+	seen := make(map[int]bool, len(points))
+	for _, p := range points {
+		if p < 0 || p >= liveN {
+			return fmt.Errorf("core: Delete point %d out of range [0, %d): %w", p, liveN, graph.ErrInvalidInput)
+		}
+		if seen[p] {
+			return fmt.Errorf("core: Delete point %d listed twice: %w", p, graph.ErrInvalidInput)
+		}
+		seen[p] = true
+	}
+	return nil
 }
 
 // DeleteEdges removes edges from a graph-mode spanner. Each edge must
@@ -1049,9 +1172,9 @@ type replayCert struct {
 	prev  []graph.Edge
 	next  int
 	prevN int
-	// coord returns a point's coordinates by stable id, points deleted
+	// pts holds the points' coordinates by stable id, points deleted
 	// since the previous run too.
-	coord          func(sid int) []float64
+	pts            [][]float64
 	added, dropped []changedEdge
 	droppedW       float64
 	class          replayClass
@@ -1145,7 +1268,7 @@ func (c *replayCert) advance(e graph.Edge) bool {
 }
 
 func (c *replayCert) changed(e graph.Edge) changedEdge {
-	return changedEdge{x: c.coord(e.U), y: c.coord(e.V), w: e.W}
+	return changedEdge{x: c.pts[e.U], y: c.pts[e.V], w: e.W}
 }
 
 // drop records a previous keep as dropped.
@@ -1157,7 +1280,7 @@ func (c *replayCert) drop(e graph.Edge) {
 // hits reports whether any edge of set lies in the t-ellipse of e, with
 // limit = t·w(e).
 func (c *replayCert) hits(set []changedEdge, e graph.Edge, limit float64) bool {
-	return len(set) > 0 && inEllipse(c.coord(e.U), c.coord(e.V), limit*(1+shortcutMargin), set)
+	return len(set) > 0 && inEllipse(c.pts[e.U], c.pts[e.V], limit*(1+shortcutMargin), set)
 }
 
 // inEllipse reports whether some edge (x, y) of set has
@@ -1175,22 +1298,11 @@ func inEllipse(a, b []float64, lim float64, set []changedEdge) bool {
 		if midOffset2(a, b, x.x) > r2 || midOffset2(a, b, x.y) > r2 {
 			continue
 		}
-		if min(pointDist(a, x.x)+pointDist(x.y, b), pointDist(a, x.y)+pointDist(x.x, b))+x.w <= lim {
+		if min(geom.Dist(a, x.x)+geom.Dist(x.y, b), geom.Dist(a, x.y)+geom.Dist(x.x, b))+x.w <= lim {
 			return true
 		}
 	}
 	return false
-}
-
-// pointDist is the Euclidean distance between two points, summed as
-// metric.Euclidean sums it.
-func pointDist(p, q []float64) float64 {
-	s := 0.0
-	for i := range p {
-		d := p[i] - q[i]
-		s += d * d
-	}
-	return math.Sqrt(s)
 }
 
 // midOffset2 is the squared distance from p to the midpoint of a and b,

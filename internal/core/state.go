@@ -132,6 +132,15 @@ func (s *IncrementalSpanner) LiveN() int {
 	return len(s.dyn.live)
 }
 
+// Dim reports the coordinate dimension of a Euclidean input, 0 for a
+// matrix input or in graph mode.
+func (s *IncrementalSpanner) Dim() int {
+	if s.dyn == nil {
+		return 0
+	}
+	return s.dyn.dim
+}
+
 // Stretch reports the maintained spanner's stretch factor t.
 func (s *IncrementalSpanner) Stretch() float64 { return s.t }
 
@@ -175,15 +184,14 @@ func (s *IncrementalSpanner) ExportState() (*SpannerState, error) {
 	st.Cap = s.dyn.N()
 	st.Live = append([]int(nil), s.dyn.live...)
 	ln := len(st.Live)
-	if eu, ok := s.dyn.latest.(*metric.Euclidean); ok && ln > 0 {
-		st.MetricKind = MetricEuclidean
-		st.Dim = eu.Dim()
+	st.MetricKind = s.dyn.kind
+	if st.MetricKind == MetricEuclidean {
+		st.Dim = s.dyn.dim
 		st.Coords = make([]float64, 0, ln*st.Dim)
 		for _, sid := range st.Live {
-			st.Coords = append(st.Coords, eu.Point(s.dyn.rank[sid])...)
+			st.Coords = append(st.Coords, s.dyn.pts[sid]...)
 		}
 	} else {
-		st.MetricKind = MetricMatrix
 		st.Matrix = make([]float64, ln*ln)
 		for i := 0; i < ln; i++ {
 			for j := i + 1; j < ln; j++ {
@@ -311,49 +319,44 @@ func importMetric(st *SpannerState, opts Options) (*IncrementalSpanner, error) {
 			return nil, corrupt("live ids not strictly increasing at %d", i)
 		}
 	}
-	var m metric.Metric
+	// Rebuild the input by stable id: the payload holds the survivors in
+	// live order, so its j-th point is stable id Live[j].
+	d := &dynMetric{kind: st.MetricKind, live: append([]int(nil), st.Live...), dead: make([]bool, st.Cap)}
+	for sid := range d.dead {
+		d.dead[sid] = true
+	}
+	for _, sid := range d.live {
+		d.dead[sid] = false
+	}
 	switch st.MetricKind {
 	case MetricEuclidean:
 		if st.Dim <= 0 || len(st.Coords) != ln*st.Dim {
 			return nil, corrupt("%d coordinates, want %d points x dim %d", len(st.Coords), ln, st.Dim)
 		}
-		pts := make([][]float64, ln)
-		for i := range pts {
-			pts[i] = st.Coords[i*st.Dim : (i+1)*st.Dim]
-		}
-		eu, err := metric.NewEuclidean(pts)
-		if err != nil {
+		pts := splitRows(st.Coords, st.Dim)
+		if _, err := metric.NewEuclidean(pts); err != nil {
 			return nil, corrupt("points: %v", err)
 		}
-		m = eu
+		d.dim = st.Dim
+		d.pts = make([][]float64, st.Cap)
+		for j, p := range pts {
+			d.pts[st.Live[j]] = p
+		}
 	case MetricMatrix:
-		fm, err := metric.NewFlatMatrix(ln, st.Matrix)
-		if err != nil {
+		if _, err := metric.NewFlatMatrix(ln, st.Matrix); err != nil {
 			return nil, corrupt("matrix: %v", err)
 		}
-		m = fm
+		d.rows = make([][]float64, st.Cap)
+		for j, v := range st.Live {
+			d.rows[v] = make([]float64, v)
+			for i, u := range st.Live[:j] {
+				d.rows[v][u] = st.Matrix[i*ln+j]
+			}
+		}
 	default:
 		return nil, corrupt("metric payload kind %d unknown", st.MetricKind)
 	}
-	// Rebuild the stable-id view: the imported metric holds the survivors
-	// in live order, so latest index j maps to stable id Live[j].
-	d := &dynMetric{
-		latest:   m,
-		rank:     make([]int, st.Cap),
-		live:     append([]int(nil), st.Live...),
-		stableOf: make([]int, ln),
-		dead:     make([]bool, st.Cap),
-		enum:     metricEnumeratorFor(m),
-	}
-	for sid := range d.rank {
-		d.rank[sid] = -1
-		d.dead[sid] = true
-	}
-	for j, sid := range d.live {
-		d.rank[sid] = j
-		d.stableOf[j] = sid
-		d.dead[sid] = false
-	}
+	d.enumerate()
 	if err := validateEdges(st.Edges, st.Cap, d.dead); err != nil {
 		return nil, err
 	}

@@ -10,29 +10,35 @@ import (
 )
 
 // TestPersistAppendPoints checks the coordinate-level insertion path is
-// bit-identical to the union-metric Insert path (same digest, same
-// OpSeq), rejects malformed rows without logging them, and survives a
+// bit-identical to a plain engine's union-metric Insert (same digest, one
+// logged op), rejects malformed rows without logging them, and survives a
 // close/reopen round trip.
 func TestPersistAppendPoints(t *testing.T) {
 	o := Options{Metric: core.Options{Workers: 1}}
 	pts := euclidPts()
 
-	dirA, dirB := t.TempDir(), t.TempDir()
-	dA := newEuclidDurable(t, dirA, o)
-	defer dA.Close()
+	twin, err := core.NewIncrementalMetric(mustEuclid(t, pts[:8]), 1.6, o.Metric)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirB := t.TempDir()
 	dB := newEuclidDurable(t, dirB, o)
 
-	if err := dA.Insert(mustEuclid(t, pts[:11])); err != nil {
+	if err := twin.Insert(mustEuclid(t, pts[:11])); err != nil {
 		t.Fatal(err)
 	}
 	if err := dB.AppendPoints(pts[8:11]); err != nil {
 		t.Fatal(err)
 	}
-	if a, b := mustDigest(t, dA), mustDigest(t, dB); a != b {
+	twinRes, err := twin.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := core.ResultDigest(twinRes), mustDigest(t, dB); a != b {
 		t.Fatalf("AppendPoints digest %x, Insert digest %x", b, a)
 	}
-	if dA.OpSeq() != dB.OpSeq() {
-		t.Fatalf("OpSeq diverged: Insert %d, AppendPoints %d", dA.OpSeq(), dB.OpSeq())
+	if dB.OpSeq() != 1 {
+		t.Fatalf("AppendPoints logged %d ops, want 1", dB.OpSeq())
 	}
 
 	// Rejections validate before logging: OpSeq must not move.

@@ -4,16 +4,15 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/metric"
 )
 
 // Options configures a Durable spanner.
@@ -24,8 +23,9 @@ type Options struct {
 	// result contract makes all of them output-invariant.
 	Metric core.Options
 	Graph  core.Options
-	// NoSync skips every fsync. Only for benchmarks measuring encode
-	// cost; it voids the crash-recovery guarantee.
+	// NoSync skips every fsync, which voids the crash-recovery
+	// guarantee. The kill suite sets it: its simulated crashes model
+	// each fsync's outcome themselves.
 	NoSync bool
 	// Hooks injects deterministic crashes at IO points (tests only).
 	Hooks Hooks
@@ -47,11 +47,11 @@ type Hooks struct {
 // some clean prefix of the applied operations — exactly the ops whose log
 // records became durable.
 //
-// Durable owns the canonical point mirror: in metric mode the engine's
-// live metric is always rebuilt from the mirror (coordinates for
-// Euclidean states, a recorded distance triangle otherwise), never the
-// caller's union object, so live application and recovery replay feed the
-// engine bit-identical distances by construction.
+// The engine owns the live input; Durable only logs in front of it. Each
+// mutation is checked by the engine's own validation before it is logged,
+// and both the live path and recovery apply the record's payload (new
+// points' coordinates, or their distance rows) to the engine, so the two
+// feed it the same distances.
 type Durable struct {
 	dir string
 	o   Options
@@ -62,14 +62,6 @@ type Durable struct {
 	snapDigest uint64
 	wal        *os.File
 	walOff     int64
-
-	graphMode  bool
-	metricKind core.MetricKind
-	dim        int
-	graphN     int
-	liveN      int
-	pts        [][]float64 // Euclidean mirror: one owned row per live point
-	tri        [][]float64 // matrix mirror: row i holds dists to 0..i-1
 
 	crashSeq int
 	dead     error
@@ -173,7 +165,6 @@ func Create(dir string, inc *core.IncrementalSpanner, o Options) (*Durable, erro
 		return nil, err
 	}
 	d := &Durable{dir: dir, o: o, inc: inc, gen: 1}
-	d.adoptState(st)
 	if d.snapDigest, err = d.writeSnap(1, st, 0); err != nil {
 		return nil, err
 	}
@@ -185,34 +176,6 @@ func Create(dir string, inc *core.IncrementalSpanner, o Options) (*Durable, erro
 	}
 	ok = true
 	return d, nil
-}
-
-// adoptState seeds the Durable's mirror and mode from an exported state.
-func (d *Durable) adoptState(st *core.SpannerState) {
-	d.graphMode = st.GraphMode
-	d.metricKind = st.MetricKind
-	d.dim = st.Dim
-	d.graphN = st.GraphN
-	d.liveN = len(st.Live)
-	if d.graphMode {
-		return
-	}
-	switch st.MetricKind {
-	case core.MetricEuclidean:
-		d.pts = make([][]float64, d.liveN)
-		for i := range d.pts {
-			d.pts[i] = append([]float64(nil), st.Coords[i*d.dim:(i+1)*d.dim]...)
-		}
-	default:
-		d.tri = make([][]float64, d.liveN)
-		for i := range d.tri {
-			row := make([]float64, i)
-			for j := range row {
-				row[j] = st.Matrix[i*d.liveN+j]
-			}
-			d.tri[i] = row
-		}
-	}
 }
 
 // openWal opens the current generation's log for appending and records
@@ -315,7 +278,6 @@ func Open(dir string, o Options) (*Durable, error) {
 		return nil, err // digest-valid but structurally bad: real corruption, no fallback
 	}
 	d.inc = inc
-	d.adoptState(st)
 
 	walPath := filepath.Join(dir, walName(d.gen))
 	walData, rerr := os.ReadFile(walPath)
@@ -348,7 +310,7 @@ func Open(dir string, o Options) (*Durable, error) {
 			if err := d.fire("replay:op", nil); err != nil {
 				return nil, err
 			}
-			op, derr := decodeWalPayload(payload, d.dim)
+			op, derr := decodeWalPayload(payload, d.inc.Dim())
 			if derr != nil {
 				return nil, derr
 			}
@@ -450,90 +412,26 @@ func (d *Durable) appendRecord(op walOp) error {
 	return nil
 }
 
-// applyOp applies one validated op to the mirror and the engine. Both the
-// live path (after appendRecord) and recovery replay funnel through here,
-// which is what makes the two bit-identical: the engine always sees
-// mirror-derived metrics.
+// applyOp applies one op to the engine. The live path (after
+// appendRecord) and recovery replay both funnel through here with the
+// record's payload, which is what makes the two bit-identical: the engine
+// is fed the same distances either way, and checks each op itself.
 func (d *Durable) applyOp(op walOp) error {
 	switch op.kind {
 	case walInsertPoints:
-		if d.graphMode || d.metricKind != core.MetricEuclidean {
-			return fmt.Errorf("insert-points op on a non-Euclidean state")
+		pts := make([][]float64, op.k)
+		dim := len(op.coords) / max(op.k, 1)
+		for z := range pts {
+			pts[z] = op.coords[z*dim : (z+1)*dim]
 		}
-		if len(op.coords) != op.k*d.dim {
-			return fmt.Errorf("insert-points op carries %d coords for %d points of dim %d", len(op.coords), op.k, d.dim)
-		}
-		for _, c := range op.coords {
-			if math.IsNaN(c) || math.IsInf(c, 0) {
-				return fmt.Errorf("insert-points op carries non-finite coordinate")
-			}
-		}
-		for z := 0; z < op.k; z++ {
-			d.pts = append(d.pts, append([]float64(nil), op.coords[z*d.dim:(z+1)*d.dim]...))
-		}
-		d.liveN += op.k
-		union, err := metric.NewEuclidean(append([][]float64(nil), d.pts...))
-		if err != nil {
-			return err
-		}
-		return d.inc.Insert(union)
+		return d.inc.InsertPoints(pts)
 	case walInsertMatrix:
-		if d.graphMode || d.metricKind == core.MetricEuclidean {
-			return fmt.Errorf("insert-matrix op on a non-matrix state")
-		}
-		if op.base != d.liveN {
-			return fmt.Errorf("insert-matrix op base %d, state has %d live points", op.base, d.liveN)
-		}
-		for z, row := range op.rows {
-			if len(row) != d.liveN+z {
-				return fmt.Errorf("insert-matrix op row %d has %d entries, want %d", z, len(row), d.liveN+z)
-			}
-			for _, w := range row {
-				if math.IsNaN(w) || w < 0 {
-					return fmt.Errorf("insert-matrix op carries invalid distance %v", w)
-				}
-			}
-		}
-		for _, row := range op.rows {
-			d.tri = append(d.tri, append([]float64(nil), row...))
-		}
-		d.liveN += op.k
-		union, err := d.mirrorMatrix()
-		if err != nil {
-			return err
-		}
-		return d.inc.Insert(union)
+		return d.inc.InsertRows(op.rows)
 	case walDelete:
-		if d.graphMode {
-			return fmt.Errorf("delete-points op on a graph-mode state")
-		}
-		seen := make(map[int]bool, len(op.dense))
-		for _, p := range op.dense {
-			if p < 0 || p >= d.liveN || seen[p] {
-				return fmt.Errorf("delete op position %d invalid for %d live points", p, d.liveN)
-			}
-			seen[p] = true
-		}
-		d.compactMirror(seen)
-		d.liveN -= len(op.dense)
 		return d.inc.Delete(op.dense...)
 	case walInsertEdges:
-		if !d.graphMode {
-			return fmt.Errorf("insert-edges op on a metric-mode state")
-		}
-		for _, e := range op.edges {
-			if err := graph.CheckEdge(d.graphN, e.U, e.V, e.W); err != nil {
-				return err
-			}
-		}
 		return d.inc.InsertEdges(op.edges...)
 	case walDeleteEdges:
-		if !d.graphMode {
-			return fmt.Errorf("delete-edges op on a metric-mode state")
-		}
-		if err := d.inc.ValidateDeleteEdges(op.edges...); err != nil {
-			return err
-		}
 		return d.inc.DeleteEdges(op.edges...)
 	case walFlush:
 		return d.inc.Flush()
@@ -544,97 +442,9 @@ func (d *Durable) applyOp(op walOp) error {
 	}
 }
 
-// mirrorMatrix materializes the distance triangle as the engine's full
-// square metric. +Inf distances are legal (unreachable pairs).
-func (d *Durable) mirrorMatrix() (metric.Metric, error) {
-	n := d.liveN
-	flat := make([]float64, n*n)
-	for i, row := range d.tri {
-		for j, w := range row {
-			flat[i*n+j] = w
-			flat[j*n+i] = w
-		}
-	}
-	return metric.NewFlatMatrix(n, flat)
-}
-
-// compactMirror removes the marked dense positions from whichever mirror
-// is live, preserving the survivors' order (matching dynMetric's kill).
-func (d *Durable) compactMirror(gone map[int]bool) {
-	if d.metricKind == core.MetricEuclidean {
-		kept := d.pts[:0]
-		for i, p := range d.pts {
-			if !gone[i] {
-				kept = append(kept, p)
-			}
-		}
-		d.pts = kept
-		return
-	}
-	keep := make([]int, 0, d.liveN-len(gone))
-	for i := 0; i < d.liveN; i++ {
-		if !gone[i] {
-			keep = append(keep, i)
-		}
-	}
-	tri := make([][]float64, len(keep))
-	for a, ia := range keep {
-		row := make([]float64, a)
-		for b := 0; b < a; b++ {
-			row[b] = d.tri[ia][keep[b]]
-		}
-		tri[a] = row
-	}
-	d.tri = tri
-}
-
-// Insert logs and applies a metric-mode insertion. union follows the
-// IncrementalSpanner.Insert contract; in Euclidean mode it must be a
-// *metric.Euclidean of the maintained dimension (the new points'
-// coordinates are what the log records). The engine is always fed a
-// mirror-derived metric, never union itself.
-func (d *Durable) Insert(union metric.Metric) error {
-	if err := d.guard(); err != nil {
-		return err
-	}
-	if d.graphMode {
-		return fmt.Errorf("persist: Insert on a graph-mode durable spanner (use InsertEdges): %w", graph.ErrInvalidInput)
-	}
-	n := union.N()
-	k := n - d.liveN
-	if k < 0 {
-		return fmt.Errorf("persist: union has %d points, fewer than the current %d: %w", n, d.liveN, graph.ErrInvalidInput)
-	}
-	if k == 0 {
-		return nil
-	}
-	var op walOp
-	if d.metricKind == core.MetricEuclidean {
-		eu, ok := union.(*metric.Euclidean)
-		if !ok {
-			return fmt.Errorf("persist: Euclidean-state Insert needs a *metric.Euclidean union, got %T: %w", union, graph.ErrInvalidInput)
-		}
-		if eu.Dim() != d.dim {
-			return fmt.Errorf("persist: union dimension %d, state dimension %d: %w", eu.Dim(), d.dim, graph.ErrInvalidInput)
-		}
-		op = walOp{kind: walInsertPoints, k: k, coords: make([]float64, 0, k*d.dim)}
-		for i := d.liveN; i < n; i++ {
-			op.coords = append(op.coords, eu.Point(i)...)
-		}
-	} else {
-		op = walOp{kind: walInsertMatrix, k: k, base: d.liveN, rows: make([][]float64, k)}
-		for z := 0; z < k; z++ {
-			row := make([]float64, d.liveN+z)
-			for i := range row {
-				w := union.Dist(i, d.liveN+z)
-				if math.IsNaN(w) || w < 0 {
-					return fmt.Errorf("persist: union distance (%d, %d) = %v: %w", i, d.liveN+z, w, graph.ErrInvalidInput)
-				}
-				row[i] = w
-			}
-			op.rows[z] = row
-		}
-	}
+// log makes an op the engine has already validated durable, then applies
+// it.
+func (d *Durable) log(op walOp) error {
 	if err := d.appendRecord(op); err != nil {
 		return err
 	}
@@ -642,39 +452,31 @@ func (d *Durable) Insert(union metric.Metric) error {
 }
 
 // AppendPoints logs and applies the insertion of new Euclidean points
-// given directly by coordinates — the serving layer's mutation shape,
-// where clients ship rows rather than a union metric. Every row is
-// validated (dimension, finiteness) before anything is logged, so a
-// rejected call leaves the log untouched and OpSeq unchanged.
+// given by coordinates (the IncrementalSpanner.InsertPoints contract).
+// The engine validates every row (dimension, finiteness) before anything
+// is logged, so a rejected call leaves the log untouched and OpSeq
+// unchanged, as for every mutation below.
 func (d *Durable) AppendPoints(pts [][]float64) error {
 	if err := d.guard(); err != nil {
 		return err
 	}
-	if d.graphMode {
-		return fmt.Errorf("persist: AppendPoints on a graph-mode durable spanner (use InsertEdges): %w", graph.ErrInvalidInput)
-	}
-	if d.metricKind != core.MetricEuclidean {
-		return fmt.Errorf("persist: AppendPoints on a matrix-mode durable spanner (use Insert with a union metric): %w", graph.ErrInvalidInput)
-	}
-	if len(pts) == 0 {
-		return nil
-	}
-	op := walOp{kind: walInsertPoints, k: len(pts), coords: make([]float64, 0, len(pts)*d.dim)}
-	for i, p := range pts {
-		if len(p) != d.dim {
-			return fmt.Errorf("persist: AppendPoints row %d has dimension %d, state dimension %d: %w", i, len(p), d.dim, graph.ErrInvalidInput)
-		}
-		for _, c := range p {
-			if math.IsNaN(c) || math.IsInf(c, 0) {
-				return fmt.Errorf("persist: AppendPoints row %d carries non-finite coordinate: %w", i, graph.ErrInvalidInput)
-			}
-		}
-		op.coords = append(op.coords, p...)
-	}
-	if err := d.appendRecord(op); err != nil {
+	if err := d.inc.ValidateInsertPoints(pts); err != nil || len(pts) == 0 {
 		return err
 	}
-	return d.applyOp(op)
+	return d.log(walOp{kind: walInsertPoints, k: len(pts), coords: slices.Concat(pts...)})
+}
+
+// InsertRows logs and applies the insertion of new points into a state
+// over a matrix input, given by their distance rows (the
+// IncrementalSpanner.InsertRows contract).
+func (d *Durable) InsertRows(rows [][]float64) error {
+	if err := d.guard(); err != nil {
+		return err
+	}
+	if err := d.inc.ValidateInsertRows(rows); err != nil || len(rows) == 0 {
+		return err
+	}
+	return d.log(walOp{kind: walInsertMatrix, k: len(rows), base: d.inc.LiveN(), rows: rows})
 }
 
 // Delete logs and applies a metric-mode deletion of the given dense
@@ -683,27 +485,10 @@ func (d *Durable) Delete(points ...int) error {
 	if err := d.guard(); err != nil {
 		return err
 	}
-	if d.graphMode {
-		return fmt.Errorf("persist: Delete on a graph-mode durable spanner (use DeleteEdges): %w", graph.ErrInvalidInput)
-	}
-	if len(points) == 0 {
-		return nil
-	}
-	seen := make(map[int]bool, len(points))
-	for _, p := range points {
-		if p < 0 || p >= d.liveN {
-			return fmt.Errorf("persist: Delete point %d out of range [0, %d): %w", p, d.liveN, graph.ErrInvalidInput)
-		}
-		if seen[p] {
-			return fmt.Errorf("persist: Delete point %d listed twice: %w", p, graph.ErrInvalidInput)
-		}
-		seen[p] = true
-	}
-	op := walOp{kind: walDelete, dense: append([]int(nil), points...)}
-	if err := d.appendRecord(op); err != nil {
+	if err := d.inc.ValidateDelete(points...); err != nil || len(points) == 0 {
 		return err
 	}
-	return d.applyOp(op)
+	return d.log(walOp{kind: walDelete, dense: points})
 }
 
 // InsertEdges logs and applies a graph-mode edge insertion.
@@ -711,22 +496,10 @@ func (d *Durable) InsertEdges(edges ...graph.Edge) error {
 	if err := d.guard(); err != nil {
 		return err
 	}
-	if !d.graphMode {
-		return fmt.Errorf("persist: InsertEdges on a metric-mode durable spanner (use Insert): %w", graph.ErrInvalidInput)
-	}
-	if len(edges) == 0 {
-		return nil
-	}
-	for _, e := range edges {
-		if err := graph.CheckEdge(d.graphN, e.U, e.V, e.W); err != nil {
-			return err
-		}
-	}
-	op := walOp{kind: walInsertEdges, edges: append([]graph.Edge(nil), edges...)}
-	if err := d.appendRecord(op); err != nil {
+	if err := d.inc.ValidateInsertEdges(edges...); err != nil || len(edges) == 0 {
 		return err
 	}
-	return d.applyOp(op)
+	return d.log(walOp{kind: walInsertEdges, edges: edges})
 }
 
 // DeleteEdges logs and applies a graph-mode edge deletion.
@@ -734,20 +507,10 @@ func (d *Durable) DeleteEdges(edges ...graph.Edge) error {
 	if err := d.guard(); err != nil {
 		return err
 	}
-	if !d.graphMode {
-		return fmt.Errorf("persist: DeleteEdges on a metric-mode durable spanner (use Delete): %w", graph.ErrInvalidInput)
-	}
-	if len(edges) == 0 {
-		return nil
-	}
-	if err := d.inc.ValidateDeleteEdges(edges...); err != nil {
+	if err := d.inc.ValidateDeleteEdges(edges...); err != nil || len(edges) == 0 {
 		return err
 	}
-	op := walOp{kind: walDeleteEdges, edges: append([]graph.Edge(nil), edges...)}
-	if err := d.appendRecord(op); err != nil {
-		return err
-	}
-	return d.applyOp(op)
+	return d.log(walOp{kind: walDeleteEdges, edges: edges})
 }
 
 // SetPolicy logs and applies a batching-policy change.
@@ -758,11 +521,7 @@ func (d *Durable) SetPolicy(p core.IncrementalPolicy) error {
 	if p.MinBatch < 0 {
 		return fmt.Errorf("persist: negative MinBatch %d: %w", p.MinBatch, graph.ErrInvalidInput)
 	}
-	op := walOp{kind: walPolicy, policy: p}
-	if err := d.appendRecord(op); err != nil {
-		return err
-	}
-	return d.applyOp(op)
+	return d.log(walOp{kind: walPolicy, policy: p})
 }
 
 // Flush logs and applies an explicit flush of pending coalesced updates.
@@ -774,11 +533,7 @@ func (d *Durable) Flush() error {
 	if d.inc.Pending() == 0 {
 		return nil
 	}
-	op := walOp{kind: walFlush}
-	if err := d.appendRecord(op); err != nil {
-		return err
-	}
-	return d.applyOp(op)
+	return d.log(walOp{kind: walFlush})
 }
 
 // Result returns the maintained spanner (flushing pending updates under a

@@ -62,11 +62,11 @@ func TestPersistDurableLifecycle(t *testing.T) {
 			t.Fatalf("%s: durable %v, twin %v", name, derr, terr)
 		}
 	}
-	step("insert", d.Insert(mustEuclid(t, pts[:11])), twin.Insert(mustEuclid(t, pts[:11])))
+	step("insert", d.AppendPoints(pts[8:11]), twin.Insert(mustEuclid(t, pts[:11])))
 	step("delete", d.Delete(2, 9), twin.Delete(2, 9))
 	step("policy", d.SetPolicy(core.IncrementalPolicy{CoalesceUntilQuery: true}),
 		twin.SetPolicy(core.IncrementalPolicy{CoalesceUntilQuery: true}))
-	step("insert2", d.Insert(mustEuclid(t, append(curPts(pts, []int{0, 1, 3, 4, 5, 6, 7, 8, 10}), pts[11], pts[12]))),
+	step("insert2", d.AppendPoints(pts[11:13]),
 		twin.Insert(mustEuclid(t, append(curPts(pts, []int{0, 1, 3, 4, 5, 6, 7, 8, 10}), pts[11], pts[12]))))
 	step("flush", d.Flush(), twin.Flush())
 
@@ -190,7 +190,7 @@ func TestPersistOpenErrors(t *testing.T) {
 	mk := func() string {
 		dir := t.TempDir()
 		d := newEuclidDurable(t, dir, o)
-		if err := d.Insert(mustEuclid(t, euclidPts()[:10])); err != nil {
+		if err := d.AppendPoints(euclidPts()[8:10]); err != nil {
 			t.Fatal(err)
 		}
 		d.Close()
@@ -264,7 +264,7 @@ func TestPersistOpenBindsLoadedDigest(t *testing.T) {
 	o := Options{Metric: core.Options{Workers: 1}}
 	dir := t.TempDir()
 	d := newEuclidDurable(t, dir, o)
-	if err := d.Insert(mustEuclid(t, euclidPts()[:10])); err != nil {
+	if err := d.AppendPoints(euclidPts()[8:10]); err != nil {
 		t.Fatal(err)
 	}
 	d.Close()
@@ -321,7 +321,7 @@ func TestPersistWalTailTruncation(t *testing.T) {
 	dir := t.TempDir()
 	o := Options{Metric: core.Options{Workers: 1}}
 	d := newEuclidDurable(t, dir, o)
-	if err := d.Insert(mustEuclid(t, euclidPts()[:10])); err != nil {
+	if err := d.AppendPoints(euclidPts()[8:10]); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Delete(3); err != nil {

@@ -117,8 +117,8 @@ func TestLockDroppedOnSimulatedCrash(t *testing.T) {
 
 	step := 0
 	d.o.Hooks.Crash = func(seq int, label string) bool { step++; return step == 1 }
-	if err := d.Insert(mustEuclid(t, euclidPts()[:9])); !errors.Is(err, ErrSimulatedCrash) {
-		t.Fatalf("Insert under crash hook: %v, want ErrSimulatedCrash", err)
+	if err := d.AppendPoints(euclidPts()[8:9]); !errors.Is(err, ErrSimulatedCrash) {
+		t.Fatalf("AppendPoints under crash hook: %v, want ErrSimulatedCrash", err)
 	}
 
 	d2, err := Open(dir, Options{Metric: o.Metric})

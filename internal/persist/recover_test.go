@@ -120,6 +120,28 @@ func (w *recoverWorld) metric(t *testing.T) metric.Metric {
 	return mustEuclid(t, rows)
 }
 
+// insert hands d the world's last k points: their coordinates on a
+// Euclidean state, their distance rows otherwise.
+func (w *recoverWorld) insert(t *testing.T, d *Durable, k int) error {
+	t.Helper()
+	m, n := w.metric(t), len(w.ids)
+	if eu, ok := m.(*metric.Euclidean); ok {
+		pts := make([][]float64, k)
+		for z := range pts {
+			pts[z] = eu.Point(n - k + z)
+		}
+		return d.AppendPoints(pts)
+	}
+	rows := make([][]float64, k)
+	for z := range rows {
+		rows[z] = make([]float64, n-k+z)
+		for i := range rows[z] {
+			rows[z][i] = m.Dist(i, n-k+z)
+		}
+	}
+	return d.InsertRows(rows)
+}
+
 // engine builds the maintained spanner of the world's current input.
 func (w *recoverWorld) engine(t *testing.T, o Options) *core.IncrementalSpanner {
 	t.Helper()
@@ -170,7 +192,7 @@ func (w *recoverWorld) apply(t *testing.T, d *Durable, s recoverStep) {
 			w.ids = append(w.ids, w.next)
 			w.next++
 		}
-		err = d.Insert(w.metric(t))
+		err = w.insert(t, d, s.k)
 	case "delete":
 		if w.g != nil {
 			for _, e := range s.edges {
@@ -285,7 +307,7 @@ func TestPersistRecoverTypedErrors(t *testing.T) {
 	o := Options{Metric: core.Options{Workers: 1, Hubs: 3}}
 	dir := t.TempDir()
 	d := newEuclidDurable(t, dir, o)
-	if err := d.Insert(mustEuclid(t, euclidPts()[:11])); err != nil {
+	if err := d.AppendPoints(euclidPts()[8:11]); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Delete(2); err != nil {
