@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/metric"
 )
 
 func mustDigest(t *testing.T, d *Durable) uint64 {
@@ -587,4 +588,116 @@ func allocated(f func()) uint64 {
 	f()
 	runtime.ReadMemStats(&after)
 	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestPersistEmptiedEuclideanReopen: a Euclidean state whose every point
+// was deleted checkpoints as Euclidean, with its dimension and no
+// coordinates, so after a reopen it still takes AppendPoints and lands on
+// the from-scratch build of the new points.
+func TestPersistEmptiedEuclideanReopen(t *testing.T) {
+	dir := t.TempDir()
+	o := Options{Metric: core.Options{Workers: 1}}
+	d := newEuclidDurable(t, dir, o)
+	if err := d.Delete(0, 1, 2, 3, 4, 5, 6, 7); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d, err := Open(dir, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	pts := euclidPts()[8:13]
+	if err := d.AppendPoints(pts); err != nil {
+		t.Fatalf("AppendPoints after reopening the emptied state: %v", err)
+	}
+	want, err := core.GreedyMetricFastSerial(mustEuclid(t, pts), 1.6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := mustDigest(t, d); got != core.ResultDigest(want) {
+		t.Fatalf("digest %x, want the from-scratch build's %x", got, core.ResultDigest(want))
+	}
+}
+
+// TestPersistMatrixMutationAllocations: a mutation of a state over a
+// matrix input allocates what the engine allocates for it plus the WAL
+// record, never a copy of the input. On n=500 points, one InsertRows of a
+// point far from all others and then a Delete of it must each allocate at
+// most what a twin bare engine allocates for the same op, plus n²·8/8
+// bytes (an n×n copy of the distances would be 8 times that).
+func TestPersistMatrixMutationAllocations(t *testing.T) {
+	const n = 500
+	rng := rand.New(rand.NewSource(1))
+	pts := make([][]float64, n+1)
+	for i := range pts {
+		pts[i] = []float64{rng.Float64() * 100, rng.Float64() * 100}
+	}
+	pts[n] = []float64{1e4, 1e4}
+	eu := mustEuclid(t, pts)
+	flat := make([]float64, n*n)
+	for i := range n {
+		for j := range n {
+			flat[i*n+j] = eu.Dist(i, j)
+		}
+	}
+	fm, err := metric.NewFlatMatrix(n, flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := make([]float64, n)
+	for i := range row {
+		row[i] = eu.Dist(i, n)
+	}
+	o := Options{Metric: core.Options{Workers: 1}}
+	twin, err := core.NewIncrementalMetric(fm, 1.5, o.Metric)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc, err := core.NewIncrementalMetric(fm, 1.5, o.Metric)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := Create(t.TempDir(), inc, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	const slack = n * n * 8 / 8
+	for _, op := range []struct {
+		name          string
+		durable, bare func() error
+	}{
+		{"InsertRows", func() error { return d.InsertRows([][]float64{row}) }, func() error { return twin.InsertRows([][]float64{row}) }},
+		{"Delete", func() error { return d.Delete(n) }, func() error { return twin.Delete(n) }},
+	} {
+		var derr, berr error
+		bare := allocated(func() { berr = op.bare() })
+		got := allocated(func() { derr = op.durable() })
+		if derr != nil || berr != nil {
+			t.Fatalf("%s: durable %v, bare %v", op.name, derr, berr)
+		}
+		t.Logf("%s: durable allocated %d bytes, bare engine %d, limit %d", op.name, got, bare, bare+slack)
+		if got > bare+slack {
+			t.Errorf("%s: durable allocated %d bytes, over the bare engine's %d plus %d", op.name, got, bare, slack)
+		}
+	}
+	if a, b := mustDigest(t, d), core.ResultDigest(mustResultOf(t, twin)); a != b {
+		t.Fatalf("durable digest %x, twin %x", a, b)
+	}
+}
+
+// mustResultOf flushes and returns an engine's result.
+func mustResultOf(t *testing.T, inc *core.IncrementalSpanner) *core.Result {
+	t.Helper()
+	res, err := inc.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
