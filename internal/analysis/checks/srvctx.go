@@ -23,7 +23,7 @@ import (
 //     and serving it would hand the client a wrong distance instead of a
 //     typed cancellation.
 //   - In a handler (a function taking *http.Request), a durable mutation
-//     (Insert, AppendPoints, Delete, InsertEdges, DeleteEdges,
+//     (AppendPoints, InsertRows, Delete, InsertEdges, DeleteEdges,
 //     Checkpoint on persist.Durable, directly or through a helper that
 //     wraps one) must be preceded, in the same statement list, by a
 //     SetContext call whose argument is not context.Background() — that
@@ -52,8 +52,8 @@ var srvQueryMethods = map[string]bool{
 // durableMutators are the persist.Durable methods that append to the WAL
 // and drive the engine.
 var durableMutators = map[string]bool{
-	"Insert":       true,
 	"AppendPoints": true,
+	"InsertRows":   true,
 	"Delete":       true,
 	"InsertEdges":  true,
 	"DeleteEdges":  true,

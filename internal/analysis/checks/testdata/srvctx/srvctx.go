@@ -22,6 +22,7 @@ func (s *searcher) PathWithin(u, v int, limit float64) ([]int, float64, bool) {
 type Durable struct{}
 
 func (d *Durable) AppendPoints(pts [][]float64) error { return nil }
+func (d *Durable) InsertRows(rows [][]float64) error  { return nil }
 func (d *Durable) Delete(ids ...int) error            { return nil }
 func (d *Durable) Checkpoint() error                  { return nil }
 
@@ -104,6 +105,12 @@ func (s *server) goodMutate(w http.ResponseWriter, r *http.Request) {
 // badMutateNoContext issues a durable mutation with no SetContext at all.
 func (s *server) badMutateNoContext(w http.ResponseWriter, r *http.Request) {
 	err := s.d.Delete(1) // want "without SetContext"
+	respond(w, err)
+}
+
+// badMutateRowsNoContext inserts distance rows with no SetContext.
+func (s *server) badMutateRowsNoContext(w http.ResponseWriter, r *http.Request) {
+	err := s.d.InsertRows(nil) // want "without SetContext"
 	respond(w, err)
 }
 
