@@ -132,8 +132,8 @@ func (m *crashMode) build(t *testing.T) *core.IncrementalSpanner {
 	return inc
 }
 
-// scriptState mirrors the live universe-id list so insert unions can be
-// rebuilt at any script position.
+// scriptState mirrors the live universe-id list so insertions can be
+// computed at any script position.
 type scriptState struct {
 	mode *crashMode
 	cur  []int // live universe ids in maintained dense order

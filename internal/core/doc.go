@@ -174,7 +174,14 @@
 // # Incremental maintenance and the insertion-soundness invariant
 //
 // IncrementalSpanner maintains a greedy spanner under point insertions
-// (metrics) and edge insertions (graphs). An insertion splices new
+// (metrics) and edge insertions (graphs). The engine owns its input by
+// stable id, in a kind fixed at construction or import: a Euclidean
+// input's coordinates, which InsertPoints extends, or any other metric's
+// rows of distances to the lower ids, which InsertRows extends with each
+// new point's distances to the survivors and the new points before it.
+// Insert(union) hands the points beyond LiveN() to one of the two. A
+// durable wrapper therefore only logs in front of the engine: the two
+// forms are its log's insert payloads. An insertion splices new
 // candidates into the fixed greedy scan order, so everything strictly
 // before the first spliced position is undisturbed: the union scan sees
 // the identical candidate prefix, repeats the identical decisions, and

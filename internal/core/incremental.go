@@ -18,6 +18,12 @@ import (
 // is bit-identical to a from-scratch greedy build on the surviving input —
 // same edge sequence, weight, and examined-candidate count.
 //
+// The engine owns its input, kept by stable id: a Euclidean input's
+// coordinates, or any other metric's distances. Points join as
+// coordinates (InsertPoints) or as rows of distances to the points before
+// them (InsertRows), the two forms persist's write-ahead log records, so
+// a replayed log hands the engine exactly what the live calls did.
+//
 // # How an insertion replays
 //
 // The greedy scan consumes candidates in a fixed order (non-decreasing
@@ -300,8 +306,7 @@ func (d *dynMetric) kill(sids []int) {
 }
 
 // IncrementalPolicy controls when an IncrementalSpanner replays pending
-// updates; the zero value replays on every Insert/InsertEdges/Delete/
-// DeleteEdges call.
+// updates; the zero value replays on every insertion or deletion call.
 type IncrementalPolicy struct {
 	// CoalesceUntilQuery defers the replay until Result or Flush is
 	// called, however many update calls arrive in between.
@@ -344,9 +349,11 @@ func (s *IncrementalSpanner) SetContext(ctx context.Context) {
 func (s *IncrementalSpanner) Pending() int { return s.pendingOps }
 
 // NewIncrementalMetric builds the greedy t-spanner of m and returns the
-// maintained spanner ready for point insertions via Insert and deletions
-// via Delete. Workers, BatchSize, BucketPairs, and Stats of opts apply to
-// the initial build and to every replay.
+// maintained spanner ready for point insertions via InsertPoints (a
+// Euclidean m with at least one point) or InsertRows (any other m) and
+// deletions via Delete. The engine copies m's coordinates, or its
+// distances, as its own input. Workers, BatchSize, BucketPairs, and Stats
+// of opts apply to the initial build and to every replay.
 func NewIncrementalMetric(m metric.Metric, t float64, opts Options) (*IncrementalSpanner, error) {
 	if !validStretch(t) {
 		return nil, errInvalidStretch(t)
@@ -807,7 +814,7 @@ func (s *IncrementalSpanner) Insert(union metric.Metric) error {
 // the grown graph.
 //
 // Cost scales with the tail of the greedy scan the insertions disturb,
-// exactly as in Insert.
+// exactly as in InsertPoints.
 //
 // A non-nil error from a cancelled or faulted replay does NOT reject the
 // insertion: the edges are recorded as pending and the pre-flush spanner

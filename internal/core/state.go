@@ -15,7 +15,7 @@ import (
 // spanners without reaching into engine internals. The durability
 // invariant: an imported spanner is update-for-update bit-identical to the
 // exported one — same result digest, same accepted sequence after any
-// further Insert/Delete stream — because everything the greedy replay's
+// further insertion and deletion stream — because everything the greedy replay's
 // decisions depend on round-trips exactly: the stable-id space (tie order),
 // the accepted edge sequence (the preserved prefix), the candidate weight
 // histogram (bucket layout and skip accounting), epoch-stamped bound rows
@@ -120,7 +120,8 @@ type SpannerState struct {
 }
 
 // GraphMode reports whether the spanner maintains a graph input
-// (InsertEdges/DeleteEdges) rather than a metric one (Insert/Delete).
+// (InsertEdges/DeleteEdges) rather than a metric one (InsertPoints or
+// InsertRows, and Delete).
 func (s *IncrementalSpanner) GraphMode() bool { return s.g != nil }
 
 // LiveN reports the current number of live elements: surviving points in

@@ -12,9 +12,12 @@
 //	snap-<gen>   versioned snapshot (see format.go for the section layout)
 //	wal-<gen>    write-ahead log of operations applied since the snapshot
 //
-// Every mutation is encoded, appended to the WAL (length-prefixed,
-// FNV-1a-digested), and fsynced BEFORE it is applied in memory, so the log
-// is never behind the state it protects. Checkpoint writes snap-<gen+1>
+// Every mutation is checked by the engine's own validation, encoded,
+// appended to the WAL (length-prefixed, FNV-1a-digested), and fsynced
+// BEFORE it is applied in memory, so the log is never behind the state it
+// protects. The engine owns the live input; the live path and recovery
+// both hand it each record's payload (new points' coordinates, or their
+// distance rows), so they feed it the same distances. Checkpoint writes snap-<gen+1>
 // atomically (temp file + fsync + rename + directory fsync), creates an
 // empty wal-<gen+1> bound to the new snapshot's digest, and only then
 // garbage-collects the old generation — at every instant at least one
@@ -50,13 +53,13 @@
 // the log. Each greedy decision depends only on the edges accepted before
 // it, so the maintained result is the same under every replay policy:
 // Open applies every record under a coalescing policy, which does only
-// the eager bookkeeping (mirror, scan cut, weight histogram, tombstones),
-// treats logged flushes as no-ops and logged policy changes as the policy
-// to end with, and then restores that policy, which flushes — if it
-// would have — in one replay from the earliest scan position any record
-// disturbed. A failure of that flush (cancellation, a captured engine
-// panic, a corrupted guarded row) is returned wrapping the engine's own
-// typed error.
+// the eager bookkeeping (the engine's input, scan cut, weight histogram,
+// tombstones), treats logged flushes as no-ops and logged policy changes
+// as the policy to end with, and then restores that policy, which
+// flushes — if it would have — in one replay from the earliest scan
+// position any record disturbed. A failure of that flush (cancellation, a
+// captured engine panic, a corrupted guarded row) is returned wrapping the
+// engine's own typed error.
 //
 // # Crash injection
 //

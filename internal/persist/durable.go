@@ -24,8 +24,8 @@ type Options struct {
 	Metric core.Options
 	Graph  core.Options
 	// NoSync skips every fsync, which voids the crash-recovery
-	// guarantee. The kill suite sets it: its simulated crashes model
-	// each fsync's outcome themselves.
+	// guarantee. Its one user is the chaos kill suite, whose simulated
+	// crashes leave each fsync window's worst-case disk state themselves.
 	NoSync bool
 	// Hooks injects deterministic crashes at IO points (tests only).
 	Hooks Hooks

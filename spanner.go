@@ -256,9 +256,10 @@ func GreedyMetricParallelOpts(m Metric, t float64, opts MetricParallelOptions) (
 type Incremental = core.IncrementalSpanner
 
 // NewIncremental builds the greedy t-spanner of m and returns it as a
-// maintained spanner ready for point insertions: call Insert with a
-// metric that extends m (same leading points and distances, new points
-// appended) and Result for the current spanner. workers selects the
+// maintained spanner ready for point insertions: call InsertPoints with
+// new coordinates (a Euclidean m) or InsertRows with new distance rows
+// (any other m), or Insert with a metric that extends m, and Result for
+// the current spanner. workers selects the
 // replay engine's concurrency (0 = GOMAXPROCS).
 func NewIncremental(m Metric, t float64, workers int) (*Incremental, error) {
 	return core.NewIncrementalMetric(m, t, core.Options{Workers: workers})
@@ -317,9 +318,10 @@ func Load(path string, workers int) (*Incremental, error) {
 
 // Durable re-exports the crash-safe maintained spanner: an Incremental
 // wrapped in a persistence directory holding a versioned snapshot plus a
-// write-ahead log of dynamic operations. Every mutation (Insert, Delete,
-// InsertEdges, DeleteEdges, SetPolicy, Flush) is validated, appended to
-// the log, and fsynced before it is applied, so after a crash at any
+// write-ahead log of dynamic operations. Every mutation (AppendPoints,
+// InsertRows, Delete, InsertEdges, DeleteEdges, SetPolicy, Flush) is
+// validated by the engine's own check, appended to the log, and fsynced
+// before it is applied, so after a crash at any
 // instant OpenDurable recovers a state bit-identical to the uninterrupted
 // run: the newest decodable snapshot is imported and the log tail is
 // replayed through the same application path the live operations used,
