@@ -54,7 +54,8 @@ type MetricKind uint8
 const (
 	// MetricNone marks a graph-mode state (no metric payload).
 	MetricNone MetricKind = iota
-	// MetricEuclidean stores the live points' coordinates; distances are
+	// MetricEuclidean stores the live points' coordinates (none once every
+	// point is deleted; Dim still records the dimension); distances are
 	// recomputed on import by the same L2 evaluation and are bit-identical.
 	MetricEuclidean
 	// MetricMatrix stores the live points' full pairwise distance matrix
