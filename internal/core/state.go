@@ -15,11 +15,12 @@ import (
 // spanners without reaching into engine internals. The durability
 // invariant: an imported spanner is update-for-update bit-identical to the
 // exported one — same result digest, same accepted sequence after any
-// further insertion and deletion stream — because everything the greedy replay's
-// decisions depend on round-trips exactly: the stable-id space (tie order),
-// the accepted edge sequence (the preserved prefix), the candidate weight
-// histogram (bucket layout and skip accounting), epoch-stamped bound rows
-// (cache validity), and the hub set with its distance arrays. Scratch
+// further stream of insertions and deletions — because everything the
+// greedy replay's decisions depend on round-trips exactly: the stable-id
+// space (tie order), the accepted edge sequence (the preserved prefix),
+// the candidate weight histogram (bucket layout and skip accounting),
+// epoch-stamped bound rows (cache validity), and the hub set with its
+// distance arrays. Scratch
 // state is deliberately NOT exported: it is an output-invariant
 // accelerator, rebuilt empty on import.
 
