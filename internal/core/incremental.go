@@ -236,18 +236,12 @@ func splitRows(flat []float64, dim int) [][]float64 {
 // N reports the stable-id capacity (live plus tombstoned ids).
 func (d *dynMetric) N() int { return len(d.dead) }
 
-// Dist reports the distance between two stable ids.
+// Dist reports the distance between two distinct stable ids.
 func (d *dynMetric) Dist(i, j int) float64 {
 	if d.kind == MetricEuclidean {
 		return geom.Dist(d.pts[i], d.pts[j])
 	}
-	if i < j {
-		i, j = j, i
-	}
-	if i == j {
-		return 0
-	}
-	return d.rows[i][j]
+	return d.rows[max(i, j)][min(i, j)]
 }
 
 // Pairs enumerates the surviving candidate pairs of one weight range in
